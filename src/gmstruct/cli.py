@@ -24,7 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from .config import ExperimentConfig, load_config
-from .errors import ConfigError, GmstructError, InsufficientData, MissingStage
+from .errors import (ConfigError, GmstructError, InsufficientData, MissingStage,
+                     NonConvergent)
 from .inducing import (
     measure_flow_constants,
     return_tail,
@@ -37,6 +38,7 @@ from .inducing import (
 from .pliss import expansion_tail
 from .regularity import regularity_report
 from .stats import (
+    _fmt,
     clt_test,
     correlation,
     fiber_norm,
@@ -58,10 +60,6 @@ def _observable(token: str):
     if token == "fiber_norm":
         return fiber_norm()
     return trig_base(int(token[4:]))      # trigK
-
-
-def _fmt(x):
-    return format(float(x), ".17g")
 
 
 # ---------------------------------------------------------------------------
@@ -86,8 +84,8 @@ def stage_induce(cfg: ExperimentConfig, out: Path, ctx: dict):
     with open(out / "flow.json", "w") as fh:
         json.dump(flow, fh, indent=1)
     if structure.nonconvergent:
-        raise GmstructError("induce: construction left more than half the arc "
-                            "unpartitioned (NonConvergent)")
+        raise NonConvergent("induce: construction left more than half the arc "
+                            "unpartitioned")
 
 
 def stage_verify(cfg: ExperimentConfig, out: Path, ctx: dict):
@@ -339,7 +337,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config seed (unsigned 64-bit)")
     parser.add_argument("--workers", type=int, default=1,
-                        help="global worker-count cap")
+                        help="recorded in the manifest; the stages run serially")
     parser.add_argument("--strict", action="store_true",
                         help="escalate numerical failures to exit code 3")
     parser.add_argument("--check", action="store_true",

@@ -173,9 +173,9 @@ def config_from_raw(raw: dict) -> ExperimentConfig:
     coupling = _float(merged, "system.coupling")
     if coupling < 0.0:
         raise ConfigError("system.coupling", "must be >= 0")
-    if lambda_s + coupling / 4.0 > 1.0:
+    if lambda_s + coupling / 2.0 > 1.0:
         raise ConfigError("system.coupling",
-                          "lambda_s + coupling/4 must be <= 1 to keep fibers in the disk")
+                          "lambda_s + coupling/2 must be <= 1 to keep fibers in the disk")
 
     c = _float(merged, "pliss.c")
     if c <= 0.0:
@@ -238,8 +238,9 @@ def config_from_raw(raw: dict) -> ExperimentConfig:
             raise ConfigError("stats.observables",
                               f"unknown observable {tok!r} (use trigK or fiber_norm)")
     stats_n_max = _int(merged, "stats.n_max")
-    if stats_n_max < 1:
-        raise ConfigError("stats.n_max", "must be >= 1")
+    if stats_n_max < 100:
+        raise ConfigError("stats.n_max",
+                          "must be >= 100 (the CLT test runs 10 * stats.n_max >= 1000 steps)")
     orbit_len = _int(merged, "stats.orbit_len")
     if orbit_len < 100 * stats_n_max:
         raise ConfigError("stats.orbit_len", "must be >= 100 * stats.n_max")

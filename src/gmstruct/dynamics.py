@@ -27,6 +27,18 @@ import numpy as np
 from .errors import NotSettled
 
 TWO_PI = 2.0 * math.pi
+#: sub-resolution dither added to base coordinates by the ensemble and
+#: construction orbits (binary base maps otherwise exhaust the mantissa and
+#: collapse every orbit onto a fixed point after ~52 steps)
+DITHER = 2.0 ** -51
+
+
+def frac(x):
+    """x mod 1, bit-identical to ``np.mod(x, 1.0)`` and about 15x cheaper.
+
+    Like ``np.mod``, negatives in [-2^-54, 0) round up to 1.0.
+    """
+    return x - np.floor(x)
 
 
 class Family(enum.Enum):
@@ -71,11 +83,11 @@ class ModelSystem:
         """Apply g to base coordinates (vectorized, result in [0, 1))."""
         t = np.asarray(t, dtype=float)
         if self.family is Family.UNIFORM:
-            return np.mod(2.0 * t, 1.0)
+            return frac(2.0 * t)
         a = self.base_param
         left = t * (1.0 + (2.0 * t) ** a)
         right = 2.0 * t - 1.0
-        return np.mod(np.where(t < 0.5, left, right), 1.0)
+        return frac(np.where(t < 0.5, left, right))
 
     def base_deriv(self, t):
         """g'(t), always >= 1 for the intermittent family, == 2 for uniform."""
@@ -106,6 +118,8 @@ class ModelSystem:
     def step_arrays(self, t, u, v):
         """One application of f to coordinate arrays."""
         tn = self.base_map(t)
+        if self.coupling == 0.0:
+            return tn, self.lambda_s * u, self.lambda_s * v
         c = self.coupling / 4.0
         un = self.lambda_s * u + c * np.cos(TWO_PI * t)
         vn = self.lambda_s * v + c * np.sin(TWO_PI * t)
@@ -118,6 +132,10 @@ class ModelSystem:
         ||Df w|| / ||w|| for w = (1, s1, s2).
         """
         gp = self.base_deriv(t)
+        if self.coupling == 0.0 and not (np.any(s1) or np.any(s2)):
+            # E^cu is exactly horizontal and invariant: the general formula
+            # below reduces to (0, 0, g'(t))
+            return s1, s2, gp
         c = self.coupling * math.pi / 2.0
         f1 = -c * np.sin(TWO_PI * t) + self.lambda_s * s1
         f2 = c * np.cos(TWO_PI * t) + self.lambda_s * s2
@@ -125,16 +143,6 @@ class ModelSystem:
         n2 = f2 / gp
         expansion = gp * np.sqrt((1.0 + n1 * n1 + n2 * n2) / (1.0 + s1 * s1 + s2 * s2))
         return n1, n2, expansion
-
-    @property
-    def max_base_deriv(self):
-        if self.family is Family.UNIFORM:
-            return 2.0
-        return 1.0 + (1.0 + self.base_param)
-
-    @property
-    def min_base_deriv(self):
-        return 2.0 if self.family is Family.UNIFORM else 1.0
 
 
 def _invert_intermittent_left(t, alpha, iters=80):
@@ -177,22 +185,14 @@ class Point:
 
 def circle_dist(a, b):
     """Distance on the unit circle R/Z (vectorized)."""
-    d = np.abs(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)) % 1.0
+    d = frac(np.abs(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)))
     return np.minimum(d, 1.0 - d)
 
 
 def circle_offset(a, b):
     """Signed representative of a - b in (-1/2, 1/2]."""
-    d = (np.asarray(a, dtype=float) - np.asarray(b, dtype=float)) % 1.0
+    d = frac(np.asarray(a, dtype=float) - np.asarray(b, dtype=float))
     return np.where(d > 0.5, d - 1.0, d)
-
-
-def point_dist(p: Point, q: Point):
-    """Product metric: circle distance on the base, Euclidean on the fiber."""
-    db = float(circle_dist(p.base, q.base))
-    du = p.fiber[0] - q.fiber[0]
-    dv = p.fiber[1] - q.fiber[1]
-    return math.sqrt(db * db + du * du + dv * dv)
 
 
 def step(sys: ModelSystem, x: Point) -> Point:
@@ -233,15 +233,6 @@ def backward_base_orbit(sys: ModelSystem, t, n, rng=None, branches=None):
 
 # ---------------------------------------------------------------------------
 # unstable direction and the log-contraction cocycle
-
-
-@dataclass
-class SplittingFrame:
-    """Unit cu-direction and a stable basis at a point."""
-
-    at: Point
-    e_cu: np.ndarray
-    e_s_basis: tuple = (np.array([0.0, 1.0, 0.0]), np.array([0.0, 0.0, 1.0]))
 
 
 @dataclass

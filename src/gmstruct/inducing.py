@@ -34,8 +34,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import ModelSystem, Point, circle_offset, log_contraction_series
-from .errors import BoundaryClipped, DensityNotReached, EmptySubset
+from .dynamics import (DITHER, ModelSystem, Point, circle_dist, circle_offset, frac,
+                       log_contraction_series)
+from .errors import BoundaryClipped, DensityNotReached
 from .pliss import geometric_grid, pliss_times
 
 SCHEMA_VERSION = 1
@@ -163,35 +164,29 @@ def choose_base_point(sys: ModelSystem, rho: float, search_len: int,
     if search_len < 1000:
         raise ValueError("search_len must be >= 1000")
     rng = np.random.default_rng(seed)
-    # attractor sample on the base circle
+    # the sample starts are drawn even when rho >= 1 (every orbit is
+    # 1-dense) so that q_base comes from the same place in the stream
     t = rng.random(1000)
+    q_base = float(rng.random())
+    if rho >= 1.0:
+        q = _attractor_point(sys, q_base)
+        return {"p": q, "q": q, "N0": 0}
+    # attractor sample on the base circle
     u = np.zeros(1000)
     v = np.zeros(1000)
     for _ in range(100):
         t, u, v = sys.step_arrays(t, u, v)
     sample = np.sort(t)
-    q_base = float(rng.random())
-    if rho >= 1.0:
-        q = _attractor_point(sys, q_base)
-        return {"p": q, "q": q, "N0": 0}
     # grow the backward orbit one preimage at a time until rho-dense
-    orbit = [q_base]
     cur = q_base
-    uncovered = np.ones(len(sample), dtype=bool)
-    uncovered &= _circ_dist_arr(sample, q_base) > rho
+    uncovered = circle_dist(sample, q_base) > rho
     for n in range(1, search_len + 1):
         cur = float(sys.base_inverse(cur, int(rng.integers(0, 2))))
-        orbit.append(cur)
-        uncovered &= _circ_dist_arr(sample, cur) > rho
+        uncovered &= circle_dist(sample, cur) > rho
         if not uncovered.any():
             q = _attractor_point(sys, q_base)
             return {"p": q, "q": q, "N0": n}
     raise DensityNotReached(f"no backward orbit of length <= {search_len} is {rho}-dense")
-
-
-def _circ_dist_arr(a, b):
-    d = np.abs(a - b) % 1.0
-    return np.minimum(d, 1.0 - d)
 
 
 def _attractor_point(sys, base, burn=200):
@@ -250,9 +245,6 @@ class ConstructionState:
                 "B_n": int(np.count_nonzero(act & (self.t > 0)))}
 
 
-DITHER = 2.0 ** -51
-
-
 def init_state(sys: ModelSystem, params: ConstructionParams, p_base: float,
                seed: int = 0) -> ConstructionState:
     m = params.grid_size
@@ -302,7 +294,7 @@ def step_partition(state: ConstructionState, sys: ModelSystem,
     # from its cell: pure binary base maps otherwise exhaust the mantissa
     # and collapse every orbit onto the fixed point after ~52 steps
     dither = state.rng.random(len(state.x)) * DITHER if state.rng is not None else 0.0
-    state.x = np.where(act, (sys.base_map(state.x) + dither) % 1.0, state.x)
+    state.x = np.where(act, frac(sys.base_map(state.x) + dither), state.x)
     state.s1 = np.where(act, s1n, state.s1)
     state.s2 = np.where(act, s2n, state.s2)
     state.n = n

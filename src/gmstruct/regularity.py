@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ModelSystem, backward_base_orbit, cu_direction, Point
+from .dynamics import DITHER, ModelSystem, backward_base_orbit, cu_direction, Point
 from .errors import DegenerateSample
 
 GROWTH_DEPTH = 100          # forward growth steps defining an unstable curve
@@ -95,11 +95,6 @@ class HolonomyPair:
 
     gamma: UnstableCurve
     gamma_prime: UnstableCurve
-
-    def fiber_distance(self, tau):
-        u, v, _, _ = self.gamma.evaluate(tau)
-        up, vp, _, _ = self.gamma_prime.evaluate(tau)
-        return np.hypot(u - up, v - vp)
 
 
 def grow_unstable_curve(sys: ModelSystem, seed: int = 0,
@@ -177,7 +172,7 @@ def holder_exponent_cu(sys: ModelSystem, sample_pairs: int = 10 ** 4,
         t, u, v = (float(w) for w in sys.step_arrays(t, u, v))
         # sub-ulp dither keeps binary base maps from collapsing the orbit
         # onto the fixed point once the mantissa is exhausted
-        t = (t + rng.random() * 2.0 ** -51) % 1.0
+        t = (t + rng.random() * DITHER) % 1.0
     idx = np.arange(burn + settle, burn + settle + n_pts)
     dirs = np.empty((n_pts, 3))
     for j, i in enumerate(idx):

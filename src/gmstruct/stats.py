@@ -20,10 +20,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import ModelSystem, Point
+from .dynamics import DITHER, ModelSystem, Point, frac
 from .errors import DegenerateVariance, InsufficientData
-
-DITHER = 2.0 ** -51
+from .pliss import geometric_grid
 
 
 def _rng(seed):
@@ -80,7 +79,7 @@ def distance_to(point) -> Observable:
 
 def _advance(sys, t, u, v, rng):
     t, u, v = sys.step_arrays(t, u, v)
-    t = (t + rng.random(np.shape(t)) * DITHER) % 1.0
+    t = frac(t + rng.random(np.shape(t)) * DITHER)
     return t, u, v
 
 
@@ -207,26 +206,13 @@ def correlation(sys: ModelSystem, phi: Observable, psi: Observable,
     mean_a = float(np.mean(a))
     mean_b = float(np.mean(b))
     if n_values is None:
-        n_values = _geometric_with_zero(n_max)
+        n_values = np.concatenate([[0], geometric_grid(n_max)])
     vals = np.empty(len(n_values))
     for i, n in enumerate(n_values):
         vals[i] = abs(float(np.mean(a[n:] * b[:steps - n])) - mean_a * mean_b)
     mc = 1.0 / math.sqrt(walkers * steps)
     return CorrelationCurve(n_values=np.asarray(n_values, dtype=np.int64),
                             values=vals, monte_carlo_error=mc)
-
-
-def _geometric_with_zero(n_max, ratio=1.25):
-    out = [0]
-    x = 1.0
-    while True:
-        n = int(math.ceil(x))
-        if n > n_max:
-            break
-        if n != out[-1]:
-            out.append(n)
-        x *= ratio
-    return np.array(out, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -48,6 +48,21 @@ def test_exit_2_on_bad_sigma(tmp_path, capsys):
     assert "pliss.sigma" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("old, new, key", [
+    ("system.lambda_s = 0.25\nsystem.coupling = 0.0",
+     "system.lambda_s = 0.4\nsystem.coupling = 1.5", "system.coupling"),
+    ("stats.n_max = 100", "stats.n_max = 50", "stats.n_max"),
+], ids=["coupling", "stats-n_max"])
+def test_exit_2_before_a_stage_would_crash(tmp_path, capsys, old, new, key):
+    path = tmp_path / "bad.cfg"
+    assert old in QUICK
+    path.write_text(QUICK.replace(old, new))
+    out = tmp_path / "o"
+    assert _run("all", "--config", str(path), "--out", str(out)) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_exit_2_on_missing_config(tmp_path):
     assert _run("tails", "--config", str(tmp_path / "nope.cfg"),
                 "--out", str(tmp_path / "o")) == 2
@@ -151,6 +166,44 @@ def test_seed_override_changes_stats(full_run, quick_cfg, tmp_path):
     man1 = json.loads((out1 / "manifest.json").read_text())
     man2 = json.loads((out2 / "manifest.json").read_text())
     assert man1["checksums"]["clt.json"] != man2["checksums"]["clt.json"]
+
+
+# sha256 of every artifact of the QUICK ``all`` run, pinned before the kernel
+# fast paths (``frac``, the uncoupled shortcuts) went in: kernel changes must
+# keep the artifacts byte-identical.  Pinned under numpy 2.4.6 on x86-64;
+# another numpy or libm may round sin/log/pow differently.
+PINNED_CHECKSUMS = {
+    "clt.json":
+        "1497095af5b5769fbdccb14dd6427609265b1aaf620cff183240fe33b77ca0bc",
+    "correlation.csv":
+        "55e9b21b6adef4922829b84e6d82f517d4f22e1fead5eecd1aa0ea43e0dd6a8f",
+    "fits.json":
+        "e35294645c894d2e052b12b15ac675c3bdead68f44ce892c2c16e024fd8bcb5d",
+    "flow.json":
+        "6d049475073236710430f85d01c6a90ba912d7122516ebba063380f51e30c807",
+    "ld.csv":
+        "ad84156caa80bab9e76d46cb9b2cabdc6c24dc6d65456194346722a9b7dcb4b0",
+    "regularity.json":
+        "07435551510cf8769418af5e0b1cc16dcebdccf3f9a5f1165838c543c098842a",
+    "report.json":
+        "bdef6c142a12e416bfe6a37fa54aeaa92c899f914f9ca1b380d4e6f5daa5b1fa",
+    "report.txt":
+        "fc3fc4eaf3e9b7f1a2d0fd9a1960aa939c9d1b79ae5f48b526d2fcc539505b7d",
+    "structure.json":
+        "02fe2fbdda3bc17031eea8080253617bbbc95ba58e526c65b34cafc1e0bbfec6",
+    "tail_E.csv":
+        "079b4315b7ba5ba24a480051db38b7706e345fb050ae07d5576c90430f6d8487",
+    "tail_R.csv":
+        "30d80893cf91e94328f1a9354bc9591f4432ee58b65a25b87d84c97c252c4cae",
+    "verify.json":
+        "8e18af8afe0131623ed803d29873b78b106864f01d1e68ae4be8d7b90e3c1f03",
+}
+
+
+def test_checksums_match_pinned(full_run):
+    _, out = full_run
+    man = json.loads((out / "manifest.json").read_text())
+    assert man["checksums"] == PINNED_CHECKSUMS
 
 
 def test_report_check_exit_4(full_run, quick_cfg):

@@ -111,6 +111,21 @@ def test_orbit_len_contract():
                                 "stats.orbit_len": "50000"}))
 
 
+def test_coupling_bound_matches_model():
+    # the model keeps the fiber in the unit disk only if lambda_s + A/2 <= 1
+    with pytest.raises(ConfigError, match="system.coupling"):
+        config_from_raw(_raw(**{"system.lambda_s": "0.4", "system.coupling": "1.5"}))
+    cfg = config_from_raw(_raw(**{"system.lambda_s": "0.25", "system.coupling": "1.5"}))
+    assert cfg.system().coupling == 1.5
+
+
+def test_stats_n_max_covers_clt_length():
+    # the limits stage runs the CLT test for 10 * stats.n_max >= 1000 steps
+    with pytest.raises(ConfigError, match="stats.n_max"):
+        config_from_raw(_raw(**{"stats.n_max": "99"}))
+    assert config_from_raw(_raw(**{"stats.n_max": "100"})).stats_n_max == 100
+
+
 def test_bad_observable_token():
     with pytest.raises(ConfigError, match="stats.observables"):
         config_from_raw(_raw(**{"stats.observables": "sin"}))

@@ -4,14 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gmstruct.dynamics import (
+    TWO_PI,
+    Family,
     Point,
     backward_base_orbit,
     check_domination,
     circle_dist,
     cone_invariance_violations,
     cu_direction,
+    frac,
     intermittent_solenoid,
     log_contraction_series,
     orbit_base,
@@ -173,3 +178,115 @@ def test_invalid_params_rejected():
         intermittent_solenoid(alpha=1.5)
     with pytest.raises(ValueError):
         uniform_solenoid(lambda_s=0.9, coupling=1.0)  # fiber would escape the disk
+
+
+# ---------------------------------------------------------------------------
+# kernel fast paths against the general formulas
+
+
+def _assert_bitwise(a, b):
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    nan = np.isnan(a)
+    assert np.array_equal(nan, np.isnan(b))
+    assert np.array_equal(a[~nan].view(np.uint64), b[~nan].view(np.uint64))
+
+
+def _assert_same_values(a, b):
+    """Bitwise equal except that +0.0 and -0.0 count as the same value.
+
+    The uncoupled shortcuts skip adding ``0 * cos(...)``, which can only
+    change the sign of a zero slope or fiber coordinate.
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    _assert_bitwise(np.where(a == 0.0, 0.0, a), np.where(b == 0.0, 0.0, b))
+
+
+def _base_map_reference(sys, t):
+    if sys.family is Family.UNIFORM:
+        return np.mod(2.0 * t, 1.0)
+    a = sys.base_param
+    left = t * (1.0 + (2.0 * t) ** a)
+    return np.mod(np.where(t < 0.5, left, 2.0 * t - 1.0), 1.0)
+
+
+def _push_tangent_reference(sys, t, s1, s2):
+    gp = sys.base_deriv(t)
+    c = sys.coupling * math.pi / 2.0
+    n1 = (-c * np.sin(TWO_PI * t) + sys.lambda_s * s1) / gp
+    n2 = (c * np.cos(TWO_PI * t) + sys.lambda_s * s2) / gp
+    expansion = gp * np.sqrt((1.0 + n1 * n1 + n2 * n2) / (1.0 + s1 * s1 + s2 * s2))
+    return n1, n2, expansion
+
+
+def _step_arrays_reference(sys, t, u, v):
+    c = sys.coupling / 4.0
+    return (_base_map_reference(sys, t), sys.lambda_s * u + c * np.cos(TWO_PI * t),
+            sys.lambda_s * v + c * np.sin(TWO_PI * t))
+
+
+def _assert_kernel_matches(sys, t, s1, s2):
+    n1, n2, expansion = sys.push_tangent(t, s1, s2)
+    r1, r2, r_expansion = _push_tangent_reference(sys, t, s1, s2)
+    _assert_same_values(n1, r1)
+    _assert_same_values(n2, r2)
+    _assert_bitwise(expansion, r_expansion)
+    tn, un, vn = sys.step_arrays(t, s1, s2)
+    rt, ru, rv = _step_arrays_reference(sys, t, s1, s2)
+    _assert_bitwise(tn, rt)
+    _assert_same_values(un, ru)
+    _assert_same_values(vn, rv)
+
+
+FRAC_EDGES = [0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 1.0 - 2.0 ** -53, -2.0 ** -53,
+              -1e-300, -5e-324, 5e-324, 1e-300, 1e300, -1e300, 2.0 ** 52 + 0.5,
+              -(2.0 ** 52) - 0.5, 2.0 ** 53 + 2.0, math.inf, -math.inf, math.nan,
+              1.9999999999999998, -1.9999999999999998]
+
+
+def test_frac_matches_mod_on_edge_values():
+    x = np.array(FRAC_EDGES)
+    _assert_bitwise(frac(x), np.mod(x, 1.0))
+    rng = np.random.default_rng(5)
+    y = rng.uniform(-2.0, 2.0, 2 ** 14)
+    _assert_bitwise(frac(y), np.mod(y, 1.0))
+
+
+@given(st.floats(allow_nan=True, allow_infinity=True))
+def test_frac_matches_mod_property(x):
+    _assert_bitwise(frac(np.float64(x)), np.mod(np.float64(x), 1.0))
+
+
+KERNEL_SYSTEMS = [
+    uniform_solenoid(lambda_s=0.25, coupling=0.0),
+    uniform_solenoid(lambda_s=0.25, coupling=1.0),
+    intermittent_solenoid(alpha=0.5, lambda_s=0.1, coupling=0.0),
+    intermittent_solenoid(alpha=0.5, lambda_s=0.1, coupling=0.3),
+]
+
+
+@pytest.mark.parametrize("sys", KERNEL_SYSTEMS,
+                         ids=["uniform", "uniform-coupled", "intermittent",
+                              "intermittent-coupled"])
+@pytest.mark.parametrize("slopes", ["zero", "nonzero"])
+def test_kernel_matches_general_formula(sys, slopes):
+    rng = np.random.default_rng(11)
+    t = np.concatenate([rng.random(4096), [0.0, 0.25, 0.5, 1.0 - 2.0 ** -53]])
+    if slopes == "zero":
+        s1 = np.zeros_like(t)
+        s2 = np.zeros_like(t)
+    else:       # what cone_invariance_violations pushes
+        s1 = rng.uniform(-0.5, 0.5, len(t))
+        s2 = rng.uniform(-0.5, 0.5, len(t))
+    _assert_kernel_matches(sys, t, s1, s2)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=20),
+       st.sampled_from(KERNEL_SYSTEMS), st.floats(-1.0, 1.0), st.booleans())
+def test_kernel_matches_general_formula_property(ts, sys, slope, zero):
+    t = np.array(ts)
+    s1 = np.zeros_like(t) if zero else np.full_like(t, slope)
+    s2 = np.zeros_like(t) if zero else -s1
+    _assert_kernel_matches(sys, t, s1, s2)
