@@ -8,7 +8,6 @@ can echo it.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass, field
 
@@ -76,6 +75,12 @@ def _int(raw: dict, key: str) -> int:
         raise ConfigError(key, f"not an integer: {raw[key]!r}") from None
 
 
+def _system(family, alpha, lambda_s, coupling) -> ModelSystem:
+    if family == "uniform":
+        return uniform_solenoid(lambda_s=lambda_s, coupling=coupling)
+    return intermittent_solenoid(alpha=alpha, lambda_s=lambda_s, coupling=coupling)
+
+
 @dataclass
 class ExperimentConfig:
     """Fully resolved experiment parameters (every ``auto`` substituted)."""
@@ -103,10 +108,7 @@ class ExperimentConfig:
     resolved_rules: dict = field(default_factory=dict)
 
     def system(self) -> ModelSystem:
-        if self.family == "uniform":
-            return uniform_solenoid(lambda_s=self.lambda_s, coupling=self.coupling)
-        return intermittent_solenoid(alpha=self.alpha, lambda_s=self.lambda_s,
-                                     coupling=self.coupling)
+        return _system(self.family, self.alpha, self.lambda_s, self.coupling)
 
     def construction_params(self) -> ConstructionParams:
         return ConstructionParams(delta0=self.delta0, sigma=self.sigma, c=self.c,
@@ -162,8 +164,6 @@ def config_from_raw(raw: dict) -> ExperimentConfig:
         if "system.alpha" not in merged:
             raise ConfigError("system.alpha", "required for the intermittent family")
         alpha = _float(merged, "system.alpha")
-        if not 0.0 < alpha < 1.0:
-            raise ConfigError("system.alpha", "must lie in (0, 1)")
     elif "system.alpha" in raw:
         raise ConfigError("system.alpha", "only meaningful for the intermittent family")
 
@@ -171,11 +171,13 @@ def config_from_raw(raw: dict) -> ExperimentConfig:
     if not 0.0 < lambda_s < 0.5:
         raise ConfigError("system.lambda_s", "must lie in (0, 1/2)")
     coupling = _float(merged, "system.coupling")
-    if coupling < 0.0:
-        raise ConfigError("system.coupling", "must be >= 0")
-    if lambda_s + coupling / 2.0 > 1.0:
-        raise ConfigError("system.coupling",
-                          "lambda_s + coupling/2 must be <= 1 to keep fibers in the disk")
+    try:
+        _system(family, alpha, lambda_s, coupling)
+    except ValueError as exc:
+        msg = str(exc)
+        key = ("system.alpha" if "exponent" in msg else
+               "system.coupling" if "coupling" in msg else "system.lambda_s")
+        raise ConfigError(key, msg) from None
 
     c = _float(merged, "pliss.c")
     if c <= 0.0:

@@ -66,7 +66,7 @@ class ModelSystem:
     def __post_init__(self):
         if not 0.0 < self.lambda_s < 1.0:
             raise ValueError("lambda_s must lie in (0, 1)")
-        if self.coupling < 0.0:
+        if not self.coupling >= 0.0:
             raise ValueError("coupling must be >= 0")
         if not 0.0 < self.cone_width < 1.0:
             raise ValueError("cone_width must lie in (0, 1)")
@@ -249,50 +249,53 @@ class LogSeries:
     def __len__(self):
         return len(self.values)
 
-    def prefix_sums(self):
-        """S with S[0] = 0 and S[j] = a_1 + ... + a_j."""
-        out = np.empty(len(self.values) + 1)
-        out[0] = 0.0
-        np.cumsum(self.values, out=out[1:])
-        return out
-
 
 def cu_direction(sys: ModelSystem, x: Point, settle: int = 100, history=None,
                  rng=None, tol=1e-10):
-    """Unit vector spanning E^cu at x, by cone power iteration.
+    """Unit vector spanning E^cu at x: :func:`cu_directions` for one point.
 
     ``history`` is a backward base orbit ending at x (as produced by
-    :func:`backward_base_orbit`); one is sampled at random if absent.  The
-    horizontal vector is pushed forward from the start of the history; the
-    result using the full history is compared against the result dropping
-    the earliest step, and ``NotSettled`` is raised if they differ by more
-    than ``tol``.
+    :func:`backward_base_orbit`), sampled at random if absent and needed.
+    """
+    if history is None:
+        history = backward_base_orbit(sys, x.base, settle, rng=rng) if sys.coupling else [x.base]
+    return cu_directions(sys, np.asarray(history, dtype=float)[-settle - 1:, None], settle, tol)[0]
+
+
+def cu_directions(sys: ModelSystem, rows, settle: int, tol=1e-10):
+    """Unit vectors spanning E^cu at n points, as an (n, 3) array, by cone power iteration.
+
+    ``rows`` holds the backward base histories as ``settle + 1`` rows of n,
+    oldest first: ``rows[k][j]`` is point j's base ``settle - k`` steps back.
+    The horizontal vector is pushed through rows ``0 .. settle-1`` and,
+    dropping the earliest, rows ``1 .. settle-1``; ``NotSettled`` is raised
+    if the two results differ by more than ``tol`` at any point.
     """
     if settle < 1:
         raise ValueError("settle must be >= 1")
+    n = len(rows[0])
     if sys.coupling == 0.0:
-        return np.array([1.0, 0.0, 0.0])
-    if history is None:
-        history = backward_base_orbit(sys, x.base, settle, rng=rng)
-    hist = np.asarray(history, dtype=float)
-    if len(hist) < settle + 1:
-        raise NotSettled(f"history of length {len(hist) - 1} shorter than settle={settle}")
+        return np.tile([1.0, 0.0, 0.0], (n, 1))
+    if len(rows) < settle + 1:
+        raise NotSettled(f"history of length {len(rows) - 1} shorter than settle={settle}")
 
-    def run(ts):
-        s1 = s2 = 0.0
-        for t in ts:
-            s1, s2, _ = sys.push_tangent(t, s1, s2)
-        return s1, s2
+    def run(first):
+        s1 = s2 = np.zeros(n)
+        for k in range(first, settle):
+            s1, s2, _ = sys.push_tangent(rows[k], s1, s2)
+        v = np.column_stack([np.ones(n), s1, s2])
+        return v / _row_norms(v)[:, None]
 
-    full = run(hist[-settle - 1:-1])
-    short = run(hist[-settle:-1])
-    v_full = np.array([1.0, full[0], full[1]])
-    v_short = np.array([1.0, short[0], short[1]])
-    v_full /= np.linalg.norm(v_full)
-    v_short /= np.linalg.norm(v_short)
-    if np.linalg.norm(v_full - v_short) > tol:
+    v_full = run(0)
+    v_short = run(1)
+    if np.any(_row_norms(v_full - v_short) > tol):
         raise NotSettled("cu direction not converged within the provided history")
     return v_full
+
+
+def _row_norms(v):
+    # a row matmul rounds like the 1-D np.linalg.norm; norm(v, axis=1) may not
+    return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
 
 
 def log_contraction_series(sys: ModelSystem, x0: Point, n: int,
@@ -316,6 +319,18 @@ def log_contraction_series(sys: ModelSystem, x0: Point, n: int,
     return LogSeries(vals, origin=x0)
 
 
+def _settled_cu(sys: ModelSystem, samples, seed, settle):
+    """(t, s1, s2, c1, c2, expansion): cu slopes settled ``settle`` steps from random t,
+    then pushed once more by Df at t."""
+    t = np.random.default_rng(seed).random(samples)
+    s1 = np.zeros(samples)
+    s2 = np.zeros(samples)
+    for _ in range(settle):
+        s1, s2, _ = sys.push_tangent(t, s1, s2)
+        t = sys.base_map(t)
+    return (t, s1, s2) + sys.push_tangent(t, s1, s2)
+
+
 def check_domination(sys: ModelSystem, samples: int = 1000, seed=0, settle=100):
     """Measure max ||Df|E^s|| * ||Df^-1|E^cu|| over random attractor points.
 
@@ -324,15 +339,7 @@ def check_domination(sys: ModelSystem, samples: int = 1000, seed=0, settle=100):
     """
     if samples < 100:
         raise ValueError("samples must be >= 100")
-    rng = np.random.default_rng(seed)
-    t = rng.random(samples)
-    s1 = np.zeros(samples)
-    s2 = np.zeros(samples)
-    # settle the directions onto the attractor field first
-    for _ in range(settle):
-        s1, s2, _ = sys.push_tangent(t, s1, s2)
-        t = sys.base_map(t)
-    _, _, expansion = sys.push_tangent(t, s1, s2)
+    *_, expansion = _settled_cu(sys, samples, seed, settle)
     lam = sys.lambda_s / np.min(expansion)
     return {"lambda_measured": float(lam), "pass": bool(lam < 1.0)}
 
@@ -345,15 +352,8 @@ def cone_invariance_violations(sys: ModelSystem, samples=10000, directions=16, s
     vertical stable plane as complement; the contraction factor checked is
     the measured domination constant.
     """
-    rng = np.random.default_rng(seed)
     a = sys.cone_width
-    t = rng.random(samples)
-    s1 = np.zeros(samples)
-    s2 = np.zeros(samples)
-    for _ in range(settle):
-        s1, s2, _ = sys.push_tangent(t, s1, s2)
-        t = sys.base_map(t)
-    _, _, expansion = sys.push_tangent(t, s1, s2)
+    t, s1, s2, c1, c2, expansion = _settled_cu(sys, samples, seed, settle)
     lam = float(sys.lambda_s / np.min(expansion))
     violations = 0
     theta = np.linspace(0.0, TWO_PI, directions, endpoint=False)
@@ -362,7 +362,6 @@ def cone_invariance_violations(sys: ModelSystem, samples=10000, directions=16, s
         w1 = s1 + a * math.cos(th) * np.sqrt(1.0 + s1 * s1 + s2 * s2)
         w2 = s2 + a * math.sin(th) * np.sqrt(1.0 + s1 * s1 + s2 * s2)
         n1, n2, _ = sys.push_tangent(t, w1, w2)
-        c1, c2, _ = sys.push_tangent(t, s1, s2)
         # stable component of the image relative to the image cu-direction
         d1 = n1 - c1
         d2 = n2 - c2

@@ -407,9 +407,6 @@ class GibbsMarkovStructure:
     def leftover_mass(self):
         return float(np.count_nonzero(self.R == 0)) / self.grid_size
 
-    def carved_mass(self):
-        return 1.0 - self.leftover_mass()
-
     def gcd_R(self):
         vals = np.unique(self.R[self.R > 0])
         return int(np.gcd.reduce(vals)) if len(vals) else 0

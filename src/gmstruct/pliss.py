@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import LogSeries, ModelSystem, circle_offset
+from .dynamics import LogSeries, ModelSystem
 from .errors import EmptySubset
 
 DEFAULT_GUARD_FRAC = 0.1

@@ -24,8 +24,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .dynamics import DITHER, ModelSystem, backward_base_orbit, cu_direction, Point
+from .dynamics import DITHER, ModelSystem, cu_directions
 from .errors import DegenerateSample
 
 GROWTH_DEPTH = 100          # forward growth steps defining an unstable curve
@@ -173,12 +174,9 @@ def holder_exponent_cu(sys: ModelSystem, sample_pairs: int = 10 ** 4,
         # sub-ulp dither keeps binary base maps from collapsing the orbit
         # onto the fixed point once the mantissa is exhausted
         t = (t + rng.random() * DITHER) % 1.0
-    idx = np.arange(burn + settle, burn + settle + n_pts)
-    dirs = np.empty((n_pts, 3))
-    for j, i in enumerate(idx):
-        hist = base_hist[i - settle:i + 1]     # backward history, oldest first
-        dirs[j] = cu_direction(sys, Point(base_hist[i]), settle=settle, history=hist)
-    pts = np.column_stack([base_hist[idx], fibers[idx]])
+    # row k holds every point's history position k (oldest first) as a view
+    dirs = cu_directions(sys, sliding_window_view(base_hist[burn:], n_pts), settle)
+    pts = np.column_stack([base_hist[burn + settle:], fibers[burn + settle:]])
 
     def pair_stats(i, j):
         d = pts[i] - pts[j]

@@ -119,6 +119,19 @@ def test_coupling_bound_matches_model():
     assert cfg.system().coupling == 1.5
 
 
+@pytest.mark.parametrize("overrides, key", [
+    ({"system.family": "intermittent", "system.alpha": "1.5"}, "system.alpha"),
+    ({"system.family": "intermittent", "system.alpha": "nan"}, "system.alpha"),
+    ({"system.coupling": "-0.1"}, "system.coupling"),
+    ({"system.coupling": "nan"}, "system.coupling"),
+    ({"system.lambda_s": "0.6"}, "system.lambda_s"),
+], ids=["alpha-range", "alpha-nan", "coupling-sign", "coupling-nan", "lambda_s"])
+def test_model_errors_name_the_key(overrides, key):
+    # the model parameters are checked by ModelSystem itself
+    with pytest.raises(ConfigError, match=key):
+        config_from_raw(_raw(**overrides))
+
+
 def test_stats_n_max_covers_clt_length():
     # the limits stage runs the CLT test for 10 * stats.n_max >= 1000 steps
     with pytest.raises(ConfigError, match="stats.n_max"):

@@ -16,6 +16,7 @@ from gmstruct.dynamics import (
     circle_dist,
     cone_invariance_violations,
     cu_direction,
+    cu_directions,
     frac,
     intermittent_solenoid,
     log_contraction_series,
@@ -96,6 +97,89 @@ def test_cu_direction_transverse_to_fiber_plane():
         v = cu_direction(sys, Point(t0), settle=80, rng=rng)
         angles.append(math.asin(abs(v[0])))
     assert min(angles) > 0.1
+
+
+# ---------------------------------------------------------------------------
+# the array form of the cu-direction solve
+
+
+def _cu_direction_scalar_reference(sys, hist, settle):
+    """Per-point power iteration with 1-D norms; returns (direction, settle gap)."""
+    def run(ts):
+        s1 = s2 = 0.0
+        for t in ts:
+            s1, s2, _ = sys.push_tangent(t, s1, s2)
+        return s1, s2
+
+    full = run(hist[-settle - 1:-1])
+    short = run(hist[-settle:-1])
+    v_full = np.array([1.0, full[0], full[1]])
+    v_short = np.array([1.0, short[0], short[1]])
+    v_full /= np.linalg.norm(v_full)
+    v_short /= np.linalg.norm(v_short)
+    return v_full, np.linalg.norm(v_full - v_short)
+
+
+def _histories(sys, n, settle, seed):
+    """(settle + 1, n) backward base histories, oldest first, one column a point."""
+    rng = np.random.default_rng(seed)
+    rows = np.empty((settle + 1, n))
+    rows[-1] = rng.random(n)
+    for k in range(settle, 0, -1):
+        rows[k - 1] = sys.base_inverse(rows[k], rng.integers(0, 2, n))
+    return rows
+
+
+@pytest.mark.parametrize("sys", [uniform_solenoid(lambda_s=0.25, coupling=1.0),
+                                 intermittent_solenoid(alpha=0.5, lambda_s=0.1, coupling=0.5)],
+                         ids=["uniform", "intermittent"])
+@pytest.mark.parametrize("settle", [40, 200])
+def test_cu_directions_bitwise_equal_to_scalar_loop(sys, settle):
+    rows = _histories(sys, 300, settle, seed=settle)
+    dirs = cu_directions(sys, rows, settle)
+    assert dirs.shape == (300, 3)
+    ref, gaps = zip(*(_cu_direction_scalar_reference(sys, rows[:, j], settle)
+                      for j in range(300)))
+    assert max(gaps) <= 1e-10
+    ref = np.array(ref)
+    _assert_bitwise(dirs, ref)
+    # the one-point form is the same kernel
+    _assert_bitwise(cu_direction(sys, Point(rows[-1, 7]), settle=settle, history=rows[:, 7]),
+                    ref[7])
+
+
+def test_cu_directions_uncoupled_exact():
+    sys = uniform_solenoid(coupling=0.0)
+    dirs = cu_directions(sys, _histories(sys, 50, 10, seed=1), 10)
+    assert np.array_equal(dirs, np.tile([1.0, 0.0, 0.0], (50, 1)))
+
+
+def test_cu_directions_short_history_raises():
+    sys = uniform_solenoid(lambda_s=0.25, coupling=1.0)
+    rows = _histories(sys, 20, 50, seed=2)
+    with pytest.raises(NotSettled):
+        cu_directions(sys, rows, 51)
+    assert cu_directions(sys, rows, 50).shape == (20, 3)
+
+
+def test_cu_directions_one_unsettled_column_fails_the_batch():
+    # a history that stays at the neutral fixed point contracts the slope gap
+    # only by lambda_s per step, against lambda_s / g' elsewhere
+    sys = intermittent_solenoid(alpha=0.5, lambda_s=0.5, coupling=0.5)
+    settle = 20
+    rows = _histories(sys, 200, settle, seed=3)
+    slow = backward_base_orbit(sys, 1e-3, settle, branches=np.zeros(settle, dtype=int))
+    # just above the largest gap of the other columns, which dropping one
+    # more step from the short run would exceed
+    tol = 2.0 * max(_cu_direction_scalar_reference(sys, rows[:, j], settle)[1]
+                    for j in range(200))
+    assert _cu_direction_scalar_reference(sys, slow, settle)[1] > 1000.0 * tol
+    assert cu_directions(sys, rows, settle, tol=tol).shape == (200, 3)
+    with pytest.raises(NotSettled):
+        cu_direction(sys, Point(slow[-1]), settle=settle, history=slow, tol=tol)
+    with pytest.raises(NotSettled):
+        cu_directions(sys, np.column_stack([rows[:, :120], slow, rows[:, 120:]]), settle,
+                      tol=tol)
 
 
 def test_log_series_uniform_constant():

@@ -66,6 +66,19 @@ def test_holder_coupled_regression():
     assert out["decades"] >= 3.0
 
 
+def test_holder_coupled_pinned():
+    # exact values of the per-point cu_direction loop, which the array solve
+    # must reproduce, taken under numpy 2.4.6, Python 3.11.7 on x86-64
+    # (another numpy or libm may round differently and fail this test)
+    out = holder_exponent_cu(COUPLED, sample_pairs=4000)
+    assert out["alpha_fit"] == 1.0
+    assert out["slope_fit"] == 1.3107695912102326
+    assert out["C_fit"] == 2.6681736815399484
+    assert out["r_squared"] == 0.9438971103781939
+    assert out["decades"] == 4.156340811368361
+    assert out["pairs"] == 14710
+
+
 # ---------------------------------------------------------------------------
 # holonomy Jacobian
 
