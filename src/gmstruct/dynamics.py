@@ -41,6 +41,11 @@ def frac(x):
     return x - np.floor(x)
 
 
+def dither(t, rng):
+    """frac(t + u * DITHER), u uniform in [0, 1) drawn from rng for each entry of t."""
+    return frac(t + rng.random(np.shape(t)) * DITHER)
+
+
 class Family(enum.Enum):
     UNIFORM = "uniform"
     INTERMITTENT = "intermittent"
@@ -121,8 +126,9 @@ class ModelSystem:
         if self.coupling == 0.0:
             return tn, self.lambda_s * u, self.lambda_s * v
         c = self.coupling / 4.0
-        un = self.lambda_s * u + c * np.cos(TWO_PI * t)
-        vn = self.lambda_s * v + c * np.sin(TWO_PI * t)
+        phase = TWO_PI * t
+        un = self.lambda_s * u + c * np.cos(phase)
+        vn = self.lambda_s * v + c * np.sin(phase)
         return tn, un, vn
 
     def push_tangent(self, t, s1, s2):
@@ -137,8 +143,9 @@ class ModelSystem:
             # below reduces to (0, 0, g'(t))
             return s1, s2, gp
         c = self.coupling * math.pi / 2.0
-        f1 = -c * np.sin(TWO_PI * t) + self.lambda_s * s1
-        f2 = c * np.cos(TWO_PI * t) + self.lambda_s * s2
+        phase = TWO_PI * t
+        f1 = -c * np.sin(phase) + self.lambda_s * s1
+        f2 = c * np.cos(phase) + self.lambda_s * s2
         n1 = f1 / gp
         n2 = f2 / gp
         expansion = gp * np.sqrt((1.0 + n1 * n1 + n2 * n2) / (1.0 + s1 * s1 + s2 * s2))
@@ -308,14 +315,15 @@ def log_contraction_series(sys: ModelSystem, x0: Point, n: int,
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    t = np.float64(x0.base)
-    s1, s2 = map(np.float64, slopes0)
+    # a length-1 orbit runs the array loops of the batched scans, so it
+    # rounds like them (numpy's scalar power may differ in the last ulp)
+    t = np.array([x0.base])
+    s1, s2 = (np.array([s], dtype=float) for s in slopes0)
     vals = np.empty(n)
     for j in range(n):
-        s1n, s2n, expansion = sys.push_tangent(t, s1, s2)
-        vals[j] = -np.log(expansion)
+        s1, s2, expansion = sys.push_tangent(t, s1, s2)
+        vals[j] = -np.log(expansion)[0]
         t = sys.base_map(t)
-        s1, s2 = s1n, s2n
     return LogSeries(vals, origin=x0)
 
 

@@ -34,10 +34,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import (DITHER, ModelSystem, Point, circle_dist, circle_offset, frac,
-                       log_contraction_series)
+from .dynamics import ModelSystem, Point, circle_dist, circle_offset
 from .errors import BoundaryClipped, DensityNotReached
-from .pliss import geometric_grid, pliss_times
+from .pliss import PlissScan, disk_grid_points, geometric_grid
 
 SCHEMA_VERSION = 1
 
@@ -217,20 +216,14 @@ class ConstructionState:
     n: int
     p_base: float
     points: np.ndarray       # grid points in the radius-delta0 arc (fixed)
-    x: np.ndarray            # g^n of each point (frozen at carve time)
-    s1: np.ndarray
-    s2: np.ndarray
-    bsum: np.ndarray         # prefix sums of a_j - log sigma
-    bmin: np.ndarray
+    scan: PlissScan          # g^n of each point (frozen at carve time), Pliss state
     last_hyp: np.ndarray
-    log_deriv: np.ndarray    # log (g^n)' along the orbit
+    log_deriv: np.ndarray    # log (g^n)' along the orbit (frozen at carve time)
     log_deriv_hyp: np.ndarray
-    hyp_now: np.ndarray      # bool: n is a hyperbolic time
     t: np.ndarray            # wait function t_n (valid on active points)
     R: np.ndarray            # return time; 0 = not carved
     n_hyp: np.ndarray        # hyperbolic-time tag of carved points
     log_deriv_carve: np.ndarray
-    rng: np.random.Generator = None
     violations: int = 0
     trace: list = field(default_factory=list)
 
@@ -247,18 +240,18 @@ class ConstructionState:
 
 def init_state(sys: ModelSystem, params: ConstructionParams, p_base: float,
                seed: int = 0) -> ConstructionState:
-    m = params.grid_size
-    h = 2.0 * params.delta0 / m
-    pts = (p_base - params.delta0 + h * (np.arange(m) + 0.5)) % 1.0
+    pts = disk_grid_points(p_base, params.delta0, params.grid_size)
+    m = len(pts)
     z = np.zeros(m)
+    # sub-resolution dither models each grid point as a real point drawn
+    # from its cell: pure binary base maps otherwise exhaust the mantissa
+    # and collapse every orbit onto the fixed point after ~52 steps
+    scan = PlissScan(pts, params.sigma, rng=np.random.Generator(np.random.Philox(seed)))
     return ConstructionState(
-        n=0, p_base=p_base, points=pts, x=pts.copy(), s1=z.copy(), s2=z.copy(),
-        bsum=z.copy(), bmin=z.copy(), last_hyp=np.zeros(m, dtype=np.int64),
+        n=0, p_base=p_base, points=pts, scan=scan, last_hyp=np.zeros(m, dtype=np.int64),
         log_deriv=z.copy(), log_deriv_hyp=z.copy(),
-        hyp_now=np.zeros(m, dtype=bool),
         t=np.zeros(m, dtype=np.int64), R=np.zeros(m, dtype=np.int64),
-        n_hyp=np.zeros(m, dtype=np.int64), log_deriv_carve=z.copy(),
-        rng=np.random.Generator(np.random.Philox(seed)))
+        n_hyp=np.zeros(m, dtype=np.int64), log_deriv_carve=z.copy())
 
 
 def _stable_burn_in(sys: ModelSystem, params: ConstructionParams) -> int:
@@ -278,25 +271,16 @@ def step_partition(state: ConstructionState, sys: ModelSystem,
         rings = build_rings(params)
     n = state.n + 1
     act = state.active
-    # advance the cocycle on active points only (carved points stay frozen
-    # at their return image, which compose_returns uses later)
-    gp = sys.base_deriv(state.x)
-    s1n, s2n, expansion = sys.push_tangent(state.x, state.s1, state.s2)
-    a = -np.log(expansion)
-    state.bsum = np.where(act, state.bsum + (a - math.log(params.sigma)), state.bsum)
-    hyp = act & (state.bsum <= state.bmin)
-    state.hyp_now = hyp
+    # every orbit advances, but carved points go back to their return image
+    # (read by compose_returns; roaming, they would also slow the intermittent
+    # branch test); log_deriv stays frozen on them so exp() below cannot overflow
+    x_prev = state.scan.t
+    gp = sys.base_deriv(x_prev)
+    _, hyp = state.scan.advance(sys)
+    x = state.scan.t = np.where(act, state.scan.t, x_prev)
     np.copyto(state.last_hyp, n, where=hyp)
-    state.bmin = np.where(act, np.minimum(state.bmin, state.bsum), state.bmin)
     state.log_deriv = np.where(act, state.log_deriv + np.log(gp), state.log_deriv)
     np.copyto(state.log_deriv_hyp, state.log_deriv, where=hyp)
-    # sub-resolution dither models each grid point as a real point drawn
-    # from its cell: pure binary base maps otherwise exhaust the mantissa
-    # and collapse every orbit onto the fixed point after ~52 steps
-    dither = state.rng.random(len(state.x)) * DITHER if state.rng is not None else 0.0
-    state.x = np.where(act, frac(sys.base_map(state.x) + dither), state.x)
-    state.s1 = np.where(act, s1n, state.s1)
-    state.s2 = np.where(act, s2n, state.s2)
     state.n = n
 
     t_prev = state.t.copy()
@@ -309,12 +293,12 @@ def step_partition(state: ConstructionState, sys: ModelSystem,
            "carved": 0, "ringed_from_A": 0, "B_to_A": 0, "violations": 0}
 
     if n > params.R0 and n >= _stable_burn_in(sys, params):
-        d = np.abs(circle_offset(state.x, state.p_base))
+        d = np.abs(circle_offset(x, state.p_base))
         # A^eps_{n-1}: A itself plus active neighbors within epsilon along
         # the image curve; the curve length between adjacent cells is
         # cell * (g^n)' (circle offsets would alias across curve wraps)
         aeps = a_prev.copy()
-        cell = 2.0 * params.delta0 / len(state.x)
+        cell = 2.0 * params.delta0 / len(x)
         seglen = cell * np.exp(0.5 * (state.log_deriv[1:] + state.log_deriv[:-1]))
         near = seglen < params.epsilon
         aeps[1:] |= act[1:] & a_prev[:-1] & near
@@ -426,7 +410,7 @@ def run_construction(sys: ModelSystem, params: ConstructionParams,
     return GibbsMarkovStructure(
         params=params, p_base=p_base, points=state.points, R=state.R,
         n_hyp=state.n_hyp, log_deriv_carve=state.log_deriv_carve,
-        x_final=state.x, ring_table=rings, violations=state.violations,
+        x_final=state.scan.t, ring_table=rings, violations=state.violations,
         trace=state.trace, nonconvergent=leftover > 0.5)
 
 
@@ -534,20 +518,16 @@ def hyperbolic_preball(sys: ModelSystem, x: float, n: int,
     otherwise) and raises BoundaryClipped if the preimage leaves the
     reference disk.
     """
-    series = log_contraction_series(sys, Point(float(x)), n)
-    if n not in pliss_times(series, params.sigma):
-        raise ValueError(f"{n} is not a sigma-hyperbolic time for this point")
-    img = float(x)
-    der = 1.0
+    scan = PlissScan([x], params.sigma)
     for _ in range(n):
-        der *= float(sys.base_deriv(img))
-        img = float(sys.base_map(img))
-    move = 2.0 * params.delta1 / der + 4.0 * params.delta1 / der
-    steps = np.array([n, n])
-    lo, err = _newton_edges(sys, np.array([x]), steps[:1], img,
-                            np.array([-params.delta1]), move)
-    hi, err2 = _newton_edges(sys, np.array([x]), steps[:1], img,
-                             np.array([params.delta1]), move)
+        _, hyp = scan.advance(sys)
+    if n < 1 or not hyp[0]:
+        raise ValueError(f"{n} is not a sigma-hyperbolic time for this point")
+    steps = np.array([n])
+    img, der = _evolve_with_deriv(sys, [x], steps, steps)
+    move = 2.0 * params.delta1 / der[0] + 4.0 * params.delta1 / der[0]
+    lo, _ = _newton_edges(sys, np.array([x]), steps, img[0], np.array([-params.delta1]), move)
+    hi, _ = _newton_edges(sys, np.array([x]), steps, img[0], np.array([params.delta1]), move)
     lo, hi = float(lo[0]), float(hi[0])
     for edge in (lo, hi):
         if abs(circle_offset(edge, p_base)) > params.delta1:
@@ -890,30 +870,19 @@ def calibrate_construction_constants(sys: ModelSystem, params: ConstructionParam
     by the <= N0 extra iterates between the certifying hyperbolic time and
     the actual carve; C1 = 1 exactly because stable fibers are vertical.
     """
-    h = 2.0 * params.delta0 / probe_grid
-    t = (p_base - params.delta0 + h * (np.arange(probe_grid) + 0.5)) % 1.0
-    s1 = np.zeros(probe_grid)
-    s2 = np.zeros(probe_grid)
-    bsum = np.zeros(probe_grid)
-    bmin = np.zeros(probe_grid)
+    scan = PlissScan(disk_grid_points(p_base, params.delta0, probe_grid), params.sigma)
     last_hyp = np.zeros(probe_grid, dtype=np.int64)
     logd = np.zeros(probe_grid)
     logd_hyp = np.zeros(probe_grid)
-    log_sigma = math.log(params.sigma)
     c0 = 1.0
     for n in range(1, probe_steps + 1):
-        gp = sys.base_deriv(t)
-        s1n, s2n, expansion = sys.push_tangent(t, s1, s2)
-        bsum += -np.log(expansion) - log_sigma
-        hyp = bsum <= bmin
+        gp = sys.base_deriv(scan.t)
+        _, hyp = scan.advance(sys)
         np.copyto(last_hyp, n, where=hyp)
-        np.minimum(bmin, bsum, out=bmin)
         logd += np.log(gp)
         np.copyto(logd_hyp, logd, where=hyp)
-        t = sys.base_map(t)
-        s1, s2 = s1n, s2n
         if n > params.R0:
-            d = np.abs(circle_offset(t, p_base))
+            d = np.abs(circle_offset(scan.t, p_base))
             site = (d < 2.0 * params.delta0) & (n - last_hyp <= params.N0)
             if site.any():
                 c0 = max(c0, float(np.max(np.exp(logd[site] - logd_hyp[site]))))

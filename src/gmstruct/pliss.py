@@ -7,6 +7,10 @@ B_n for the prefix sums of b (B_0 = 0), this is equivalent to B_n being a
 record minimum: B_n <= B_m for all 0 <= m < n, which a running-minimum
 scan detects in linear time.
 
+Along many orbits at once :class:`PlissScan` streams this scan with the
+tangent cocycle; the disk scan, the inducing construction, its C0
+calibration and the pre-ball check all step their orbits through it.
+
 The expansion time of an orbit is the first index N from which every
 running average of the a_j stays below -c.  On a finite horizon the tail
 of the condition is unobservable, so results whose certifying suffix is
@@ -20,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import LogSeries, ModelSystem
+from .dynamics import LogSeries, ModelSystem, dither
 from .errors import EmptySubset
 
 DEFAULT_GUARD_FRAC = 0.1
@@ -149,6 +153,39 @@ def disk_grid_points(center: float, radius: float, grid: int) -> np.ndarray:
     return (center - radius + h * (np.arange(grid) + 0.5)) % 1.0
 
 
+class PlissScan:
+    """Streaming Pliss scan: tangent cocycle and record minima along many orbits.
+
+    ``t`` holds the current base points, ``s1``/``s2`` their cu slopes
+    (horizontal at the start), ``bsum`` the prefix sums B_n and ``bmin`` the
+    running minimum of B_m over m < n.  With ``rng`` every step is dithered.
+    """
+
+    def __init__(self, points, sigma: float, rng=None):
+        self.t = np.array(points, dtype=float)
+        self.s1 = np.zeros(len(self.t))
+        self.s2 = np.zeros(len(self.t))
+        self.bsum = np.zeros(len(self.t))
+        self.bmin = np.zeros(len(self.t))
+        self.log_sigma = math.log(sigma)
+        self.rng = rng
+
+    def advance(self, sys: ModelSystem):
+        """Step every orbit once; returns (a_n, n is sigma-hyperbolic) per orbit."""
+        s1, s2, expansion = sys.push_tangent(self.t, self.s1, self.s2)
+        a = -np.log(expansion)
+        self.bsum += a - self.log_sigma
+        hyp = self.bsum <= self.bmin
+        np.minimum(self.bmin, self.bsum, out=self.bmin)
+        self.t = sys.base_map(self.t)
+        # old slopes released only after the base step: releasing them first
+        # made a fresh process's coupled scan ~20% slower (allocator effects)
+        self.s1, self.s2 = s1, s2
+        if self.rng is not None:
+            self.t = dither(self.t, self.rng)
+        return a, hyp
+
+
 def disk_scan(sys: ModelSystem, points, horizon: int, sigma: float, c: float,
               checkpoints=(), guard_frac: float = DEFAULT_GUARD_FRAC) -> DiskScan:
     """Vectorized orbit scan computing E and hyperbolic-time counts per point.
@@ -156,34 +193,23 @@ def disk_scan(sys: ModelSystem, points, horizon: int, sigma: float, c: float,
     Runs the tangent cocycle along every orbit simultaneously; memory stays
     O(grid) by streaming over time instead of materializing the series.
     """
-    t = np.array(points, dtype=float)
-    m = len(t)
-    s1 = np.zeros(m)
-    s2 = np.zeros(m)
+    scan = PlissScan(points, sigma)
+    m = len(scan.t)
     ssum = np.zeros(m)            # prefix sum of a_j
-    bsum = np.zeros(m)            # prefix sum of a_j - log sigma
-    bmin = np.zeros(m)            # running minimum of bsum over m < n
     last_fail = np.zeros(m, dtype=np.int64)
     hyp_count = np.zeros(m, dtype=np.int64)
     hyp_count_at = {}
-    log_sigma = math.log(sigma)
     max_neg_a = 0.0
     checkpoints = sorted(set(int(k) for k in checkpoints))
     for n in range(1, horizon + 1):
-        s1n, s2n, expansion = sys.push_tangent(t, s1, s2)
-        a = -np.log(expansion)
+        a, hyp = scan.advance(sys)
         max_neg_a = max(max_neg_a, float(np.max(-a)))
         ssum += a
-        bsum += a - log_sigma
-        hyp = bsum <= bmin
         hyp_count += hyp
-        np.minimum(bmin, bsum, out=bmin)
         np.copyto(last_fail, n, where=(ssum >= -c * n))
         if checkpoints and n == checkpoints[0]:
             hyp_count_at[n] = hyp_count.copy()
             checkpoints.pop(0)
-        t = sys.base_map(t)
-        s1, s2 = s1n, s2n
     evalue = last_fail + 1
     guard = max(1, int(math.ceil(guard_frac * horizon)))
     censored = evalue > horizon - guard + 1

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dynamics import DITHER, ModelSystem, cu_directions
+from .dynamics import ModelSystem, cu_directions, dither
 from .errors import DegenerateSample
 
 GROWTH_DEPTH = 100          # forward growth steps defining an unstable curve
@@ -173,7 +173,7 @@ def holder_exponent_cu(sys: ModelSystem, sample_pairs: int = 10 ** 4,
         t, u, v = (float(w) for w in sys.step_arrays(t, u, v))
         # sub-ulp dither keeps binary base maps from collapsing the orbit
         # onto the fixed point once the mantissa is exhausted
-        t = (t + rng.random() * DITHER) % 1.0
+        t = dither(t, rng)
     # row k holds every point's history position k (oldest first) as a view
     dirs = cu_directions(sys, sliding_window_view(base_hist[burn:], n_pts), settle)
     pts = np.column_stack([base_hist[burn + settle:], fibers[burn + settle:]])

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import DITHER, ModelSystem, Point, frac
+from .dynamics import ModelSystem, Point, dither
 from .errors import DegenerateVariance, InsufficientData
 from .pliss import geometric_grid
 
@@ -79,8 +79,18 @@ def distance_to(point) -> Observable:
 
 def _advance(sys, t, u, v, rng):
     t, u, v = sys.step_arrays(t, u, v)
-    t = frac(t + rng.random(np.shape(t)) * DITHER)
-    return t, u, v
+    return dither(t, rng), u, v
+
+
+def _ensemble(sys, walkers, burn, seed):
+    """(rng, t, u, v): uniform base starts on the zero fiber, advanced burn steps."""
+    rng = _rng(seed)
+    t = rng.random(walkers)
+    u = np.zeros(walkers)
+    v = np.zeros(walkers)
+    for _ in range(burn):
+        t, u, v = _advance(sys, t, u, v, rng)
+    return rng, t, u, v
 
 
 def _ensemble_series(sys, observables, walkers, steps, burn, seed):
@@ -88,12 +98,7 @@ def _ensemble_series(sys, observables, walkers, steps, burn, seed):
 
     Returns a list of arrays of shape (steps, walkers), one per observable.
     """
-    rng = _rng(seed)
-    t = rng.random(walkers)
-    u = np.zeros(walkers)
-    v = np.zeros(walkers)
-    for _ in range(burn):
-        t, u, v = _advance(sys, t, u, v, rng)
+    rng, t, u, v = _ensemble(sys, walkers, burn, seed)
     out = [np.empty((steps, walkers)) for _ in observables]
     for j in range(steps):
         for row, phi in zip(out, observables):
@@ -254,12 +259,7 @@ def clt_test(sys: ModelSystem, phi: Observable, n: int, ensemble: int,
     if sigma2 < 10.0 * mc:
         raise DegenerateVariance(
             f"sigma2 = {sigma2:.3e} below noise floor {mc:.3e} (near-coboundary)")
-    rng = _rng(seed)
-    t = rng.random(ensemble)
-    u = np.zeros(ensemble)
-    v = np.zeros(ensemble)
-    for _ in range(burn):
-        t, u, v = _advance(sys, t, u, v, rng)
+    rng, t, u, v = _ensemble(sys, ensemble, burn, seed)
     s = np.zeros(ensemble)
     for _ in range(n):
         s += phi(t, u, v)
@@ -287,12 +287,7 @@ def large_deviations(sys: ModelSystem, phi: Observable, eps: float,
     if ensemble < 10 ** 4:
         raise ValueError("ensemble must be >= 1e4")
     n_grid = np.asarray(sorted(int(n) for n in n_grid), dtype=np.int64)
-    rng = _rng(seed)
-    t = rng.random(ensemble)
-    u = np.zeros(ensemble)
-    v = np.zeros(ensemble)
-    for _ in range(burn):
-        t, u, v = _advance(sys, t, u, v, rng)
+    rng, t, u, v = _ensemble(sys, ensemble, burn, seed)
     if mean is None:
         gk = green_kubo_sigma2(sys, phi, seed=seed + 1)
         mean = gk["mean"]

@@ -28,6 +28,7 @@ from gmstruct.inducing import (
     verify_markov,
 )
 from gmstruct.pliss import (
+    PlissScan,
     disk_grid_points,
     disk_scan,
     expansion_tail,
@@ -61,19 +62,6 @@ INTERMITTENT_03 = intermittent_solenoid(alpha=0.3)
 # base map; verification geometry degenerates when the arc straddles it
 P_UNIFORM = 0.37
 P_INTERMITTENT = 0.3
-
-
-def _log_series_matrix(sys_, t0, n):
-    """a_j series for many orbits at once: shape (n, len(t0))."""
-    t = np.array(t0, dtype=float)
-    s1 = np.zeros_like(t)
-    s2 = np.zeros_like(t)
-    out = np.empty((n, len(t)))
-    for j in range(n):
-        s1, s2, expansion = sys_.push_tangent(t, s1, s2)
-        out[j] = -np.log(expansion)
-        t = sys_.base_map(t)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +100,8 @@ def test_criterion_1_pliss_oracle():
                                         (INTERMITTENT_05, math.exp(-0.05))])
 def test_criterion_2_hyperbolic_time_contraction(sys_, sigma):
     rng = np.random.default_rng(2)
-    series = _log_series_matrix(sys_, rng.random(100), 10 ** 4)
+    scan = PlissScan(rng.random(100), sigma)
+    series = np.array([scan.advance(sys_)[0] for _ in range(10 ** 4)])
     for i in range(series.shape[1]):
         col = series[:, i]
         times = pliss_times(LogSeries(col), sigma).times

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gmstruct.dynamics import (
+    DITHER,
     TWO_PI,
     Family,
     Point,
@@ -17,6 +18,7 @@ from gmstruct.dynamics import (
     cone_invariance_violations,
     cu_direction,
     cu_directions,
+    dither,
     frac,
     intermittent_solenoid,
     log_contraction_series,
@@ -88,17 +90,6 @@ def test_cu_direction_short_history_raises():
                      history=backward_base_orbit(sys, 0.1, 50))
 
 
-def test_cu_direction_transverse_to_fiber_plane():
-    # angle between e_cu and the stable (fiber) plane bounded below
-    sys = uniform_solenoid(lambda_s=0.25, coupling=1.0)
-    rng = np.random.default_rng(3)
-    angles = []
-    for t0 in rng.random(1000):
-        v = cu_direction(sys, Point(t0), settle=80, rng=rng)
-        angles.append(math.asin(abs(v[0])))
-    assert min(angles) > 0.1
-
-
 # ---------------------------------------------------------------------------
 # the array form of the cu-direction solve
 
@@ -146,6 +137,13 @@ def test_cu_directions_bitwise_equal_to_scalar_loop(sys, settle):
     # the one-point form is the same kernel
     _assert_bitwise(cu_direction(sys, Point(rows[-1, 7]), settle=settle, history=rows[:, 7]),
                     ref[7])
+
+
+def test_cu_direction_transverse_to_fiber_plane():
+    # angle between e_cu and the stable (fiber) plane bounded below
+    sys = uniform_solenoid(lambda_s=0.25, coupling=1.0)
+    dirs = cu_directions(sys, _histories(sys, 1000, 80, seed=3), 80)
+    assert np.min(np.arcsin(np.abs(dirs[:, 0]))) > 0.1
 
 
 def test_cu_directions_uncoupled_exact():
@@ -340,6 +338,16 @@ def test_frac_matches_mod_on_edge_values():
 @given(st.floats(allow_nan=True, allow_infinity=True))
 def test_frac_matches_mod_property(x):
     _assert_bitwise(frac(np.float64(x)), np.mod(np.float64(x), 1.0))
+
+
+def test_dither_draws_one_uniform_per_entry():
+    t = np.random.default_rng(6).random(1000) * 0.999 + 1e-3
+    rng, ref = np.random.default_rng(7), np.random.default_rng(7)
+    _assert_bitwise(dither(t, rng), frac(t + ref.random(len(t)) * DITHER))
+    # a scalar takes one draw, the same as the scalar rng.random()
+    for x in (0.0, 0.3, 1.0 - 2.0 ** -53):
+        _assert_bitwise(dither(x, rng), (x + ref.random() * DITHER) % 1.0)
+    assert rng.random() == ref.random()
 
 
 KERNEL_SYSTEMS = [

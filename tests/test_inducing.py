@@ -215,6 +215,16 @@ def test_intermittent_construction_basics(intermittent_structure):
     assert st.gcd_R() == 1
 
 
+@pytest.mark.parametrize("fixture", ["uniform_structure", "intermittent_structure"])
+def test_return_images_frozen_at_carve_time(fixture, request):
+    # a point is carved when g^R lands within delta0 of p; the stored image
+    # is that one, not where the orbit went on to after the carve
+    st, params = request.getfixturevalue(fixture)
+    carved = st.R > 0
+    assert carved.any()
+    assert np.all(np.abs(circle_offset(st.x_final[carved], st.p_base)) < params.delta0)
+
+
 def test_elements_partition_carved_points(uniform_structure):
     st, _ = uniform_structure
     assert int(np.sum(st.element_counts())) == int(np.count_nonzero(st.R > 0))

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from gmstruct.dynamics import LogSeries, Point, intermittent_solenoid, log_contraction_series, uniform_solenoid
 from gmstruct.errors import EmptySubset
 from gmstruct.pliss import (
+    PlissScan,
     contraction_slack,
     disk_grid_points,
     disk_scan,
@@ -78,6 +79,25 @@ def test_monotone_in_sigma(vals, s_a, s_b):
     t1 = set(pliss_times(LogSeries(np.array(vals)), s1).times.tolist())
     t2 = set(pliss_times(LogSeries(np.array(vals)), s2).times.tolist())
     assert t1 <= t2
+
+
+@pytest.mark.parametrize("sys,sigma", [
+    (uniform_solenoid(coupling=0.0), 0.5),     # B_n == 0: every time ties
+    (uniform_solenoid(lambda_s=0.25, coupling=1.0), 0.5),
+    (intermittent_solenoid(alpha=0.5), 0.6),   # about 60% of the times
+    (intermittent_solenoid(alpha=0.5, lambda_s=0.1, coupling=0.5), 0.6),
+], ids=["uniform", "uniform-coupled", "intermittent", "intermittent-coupled"])
+def test_streaming_scan_matches_series_reference(sys, sigma):
+    # per-step a_n and hyperbolic flags of the array scan, bit for bit
+    # against the one-orbit series and the prefix-sum Pliss detection
+    pts = np.random.default_rng(8).random(16)
+    n = 1000
+    scan = PlissScan(pts, sigma)
+    a, hyp = (np.array(col) for col in zip(*(scan.advance(sys) for _ in range(n))))
+    for j, t0 in enumerate(pts):
+        series = log_contraction_series(sys, Point(t0), n)
+        assert np.array_equal(a[:, j].view(np.uint64), series.values.view(np.uint64))
+        assert np.array_equal(np.flatnonzero(hyp[:, j]) + 1, pliss_times(series, sigma).times)
 
 
 def test_contraction_slack_on_model_orbits():
