@@ -76,7 +76,7 @@ def stage_induce(cfg: ExperimentConfig, out: Path, ctx: dict):
     sys_ = cfg.system()
     structure = run_construction(sys_, cfg.construction_params(), seed=cfg.seed)
     ctx["structure"] = structure
-    write_structure_json(structure, out / "structure.json", sys_)
+    write_structure_json(structure, out / "structure.json")
     write_tail_csv(out / "tail_R.csv", return_tail(structure), censored=False)
     flow = measure_flow_constants(structure)
     flow["gcd_R"] = structure.gcd_R()
@@ -117,7 +117,7 @@ def stage_regularity(cfg: ExperimentConfig, out: Path, ctx: dict):
 
 def stage_limits(cfg: ExperimentConfig, out: Path, ctx: dict):
     sys_ = cfg.system()
-    phi = _observable(cfg.observables[0])
+    phi = _observable(cfg.observable)
     corr = correlation(sys_, phi, phi, cfg.stats_n_max, cfg.orbit_len,
                        seed=cfg.seed)
     write_correlation_csv(out / "correlation.csv", corr)

@@ -98,7 +98,7 @@ class ExperimentConfig:
     n_max: int
     resolution: float
     epsilon: float
-    observables: tuple
+    observable: str
     stats_n_max: int
     orbit_len: int
     ensemble: int
@@ -130,7 +130,7 @@ class ExperimentConfig:
             "inducing.n_max": self.n_max,
             "inducing.resolution": self.resolution,
             "inducing.epsilon": self.epsilon,
-            "stats.observables": ",".join(self.observables),
+            "stats.observables": self.observable,
             "stats.n_max": self.stats_n_max,
             "stats.orbit_len": self.orbit_len,
             "stats.ensemble": self.ensemble,
@@ -229,16 +229,16 @@ def config_from_raw(raw: dict) -> ExperimentConfig:
     if epsilon_raw == "auto":
         rules["inducing.epsilon"] = (
             f"auto -> epsilon_max/2 = (C1/C0) delta0 (sigma^-1/2 - 1)/2"
-            f" = {params.epsilon!r}")
+            f" = {params.epsilon!r} (C1 = 1; C0 = 2 is a fixed bound, not calibrated)")
     epsilon = params.epsilon
 
-    obs = tuple(tok.strip() for tok in merged["stats.observables"].split(",") if tok.strip())
-    if not obs:
-        raise ConfigError("stats.observables", "at least one observable required")
-    for tok in obs:
-        if not _OBS_TOKEN.match(tok):
-            raise ConfigError("stats.observables",
-                              f"unknown observable {tok!r} (use trigK or fiber_norm)")
+    observable = merged["stats.observables"]
+    if "," in observable:
+        raise ConfigError("stats.observables",
+                          f"takes one observable, not the list {observable!r}")
+    if not _OBS_TOKEN.match(observable):
+        raise ConfigError("stats.observables",
+                          f"unknown observable {observable!r} (use trigK or fiber_norm)")
     stats_n_max = _int(merged, "stats.n_max")
     if stats_n_max < 100:
         raise ConfigError("stats.n_max",
@@ -261,7 +261,7 @@ def config_from_raw(raw: dict) -> ExperimentConfig:
         family=family, alpha=alpha, lambda_s=lambda_s, coupling=coupling,
         c=c, sigma=sigma, horizon=horizon, grid=grid,
         delta0=delta0, R0=R0, n_max=n_max, resolution=resolution, epsilon=epsilon,
-        observables=obs, stats_n_max=stats_n_max, orbit_len=orbit_len,
+        observable=observable, stats_n_max=stats_n_max, orbit_len=orbit_len,
         ensemble=ensemble, eps=eps, seed=seed, output_dir=merged["output_dir"],
         resolved_rules=rules)
 

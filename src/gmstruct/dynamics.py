@@ -57,24 +57,20 @@ class ModelSystem:
 
     ``base_param`` is the base expansion factor (must be 2) for the uniform
     family and the intermittency exponent alpha in (0, 1) for the
-    intermittent family.  ``lambda_s`` is the fiber contraction rate,
-    ``coupling`` the amplitude A of the base-to-fiber coupling, and
-    ``cone_width`` the half-width of the cone fields used in diagnostics.
+    intermittent family.  ``lambda_s`` is the fiber contraction rate and
+    ``coupling`` the amplitude A of the base-to-fiber coupling.
     """
 
     family: Family
     base_param: float
     lambda_s: float = 0.25
     coupling: float = 0.0
-    cone_width: float = 0.5
 
     def __post_init__(self):
         if not 0.0 < self.lambda_s < 1.0:
             raise ValueError("lambda_s must lie in (0, 1)")
         if not self.coupling >= 0.0:
             raise ValueError("coupling must be >= 0")
-        if not 0.0 < self.cone_width < 1.0:
-            raise ValueError("cone_width must lie in (0, 1)")
         if self.family is Family.UNIFORM and self.base_param != 2.0:
             raise ValueError("uniform family is defined with base_param = 2")
         if self.family is Family.INTERMITTENT and not 0.0 < self.base_param < 1.0:
@@ -165,12 +161,12 @@ def _invert_intermittent_left(t, alpha, iters=80):
     return 0.5 * (lo + hi)
 
 
-def uniform_solenoid(lambda_s=0.25, coupling=0.0, cone_width=0.5):
-    return ModelSystem(Family.UNIFORM, 2.0, lambda_s, coupling, cone_width)
+def uniform_solenoid(lambda_s=0.25, coupling=0.0):
+    return ModelSystem(Family.UNIFORM, 2.0, lambda_s, coupling)
 
 
-def intermittent_solenoid(alpha=0.5, lambda_s=0.1, coupling=0.0, cone_width=0.5):
-    return ModelSystem(Family.INTERMITTENT, alpha, lambda_s, coupling, cone_width)
+def intermittent_solenoid(alpha=0.5, lambda_s=0.1, coupling=0.0):
+    return ModelSystem(Family.INTERMITTENT, alpha, lambda_s, coupling)
 
 
 # ---------------------------------------------------------------------------
@@ -200,23 +196,6 @@ def circle_offset(a, b):
     """Signed representative of a - b in (-1/2, 1/2]."""
     d = frac(np.asarray(a, dtype=float) - np.asarray(b, dtype=float))
     return np.where(d > 0.5, d - 1.0, d)
-
-
-def step(sys: ModelSystem, x: Point) -> Point:
-    """Apply f to a single point."""
-    t, u, v = sys.step_arrays(np.float64(x.base), np.float64(x.fiber[0]), np.float64(x.fiber[1]))
-    return Point(float(t), (float(u), float(v)))
-
-
-def orbit_base(sys: ModelSystem, t0, n):
-    """Forward base orbit [t0, g(t0), ..., g^n(t0)] as an array of length n+1."""
-    out = np.empty(n + 1)
-    out[0] = t0 % 1.0
-    t = out[0]
-    for j in range(n):
-        t = float(sys.base_map(t))
-        out[j + 1] = t
-    return out
 
 
 def backward_base_orbit(sys: ModelSystem, t, n, rng=None, branches=None):
@@ -325,54 +304,3 @@ def log_contraction_series(sys: ModelSystem, x0: Point, n: int,
         vals[j] = -np.log(expansion)[0]
         t = sys.base_map(t)
     return LogSeries(vals, origin=x0)
-
-
-def _settled_cu(sys: ModelSystem, samples, seed, settle):
-    """(t, s1, s2, c1, c2, expansion): cu slopes settled ``settle`` steps from random t,
-    then pushed once more by Df at t."""
-    t = np.random.default_rng(seed).random(samples)
-    s1 = np.zeros(samples)
-    s2 = np.zeros(samples)
-    for _ in range(settle):
-        s1, s2, _ = sys.push_tangent(t, s1, s2)
-        t = sys.base_map(t)
-    return (t, s1, s2) + sys.push_tangent(t, s1, s2)
-
-
-def check_domination(sys: ModelSystem, samples: int = 1000, seed=0, settle=100):
-    """Measure max ||Df|E^s|| * ||Df^-1|E^cu|| over random attractor points.
-
-    ||Df|E^s|| = lambda_s exactly (the fiber derivative is lambda_s * Id) and
-    ||Df^-1|E^cu_{f x}|| = 1 / ||Df e_cu(x)|| since E^cu is one-dimensional.
-    """
-    if samples < 100:
-        raise ValueError("samples must be >= 100")
-    *_, expansion = _settled_cu(sys, samples, seed, settle)
-    lam = sys.lambda_s / np.min(expansion)
-    return {"lambda_measured": float(lam), "pass": bool(lam < 1.0)}
-
-
-def cone_invariance_violations(sys: ModelSystem, samples=10000, directions=16, seed=0,
-                               settle=60):
-    """Count violations of Df C_a^cu(x) subset C_{lambda a}^cu(f x).
-
-    Cones are centered on the computed cu-direction with the (exact)
-    vertical stable plane as complement; the contraction factor checked is
-    the measured domination constant.
-    """
-    a = sys.cone_width
-    t, s1, s2, c1, c2, expansion = _settled_cu(sys, samples, seed, settle)
-    lam = float(sys.lambda_s / np.min(expansion))
-    violations = 0
-    theta = np.linspace(0.0, TWO_PI, directions, endpoint=False)
-    for th in theta:
-        # boundary vector e_cu + a * (unit stable vector)
-        w1 = s1 + a * math.cos(th) * np.sqrt(1.0 + s1 * s1 + s2 * s2)
-        w2 = s2 + a * math.sin(th) * np.sqrt(1.0 + s1 * s1 + s2 * s2)
-        n1, n2, _ = sys.push_tangent(t, w1, w2)
-        # stable component of the image relative to the image cu-direction
-        d1 = n1 - c1
-        d2 = n2 - c2
-        ratio = np.sqrt(d1 * d1 + d2 * d2) / np.sqrt(1.0 + c1 * c1 + c2 * c2)
-        violations += int(np.sum(ratio > lam * a * (1.0 + 1e-9)))
-    return violations

@@ -9,16 +9,8 @@ class NotSettled(GmstructError):
     """Power iteration for the unstable direction did not converge."""
 
 
-class DensityNotReached(GmstructError):
-    """No backward orbit segment achieved the requested density."""
-
-
 class EmptySubset(GmstructError):
     """A subset selection matched no grid points."""
-
-
-class BoundaryClipped(GmstructError):
-    """A hyperbolic pre-ball reached the boundary of the reference disk."""
 
 
 class NonConvergent(GmstructError):

@@ -34,8 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import ModelSystem, Point, circle_dist, circle_offset
-from .errors import BoundaryClipped, DensityNotReached
+from .dynamics import ModelSystem, circle_offset
 from .pliss import PlissScan, disk_grid_points, geometric_grid
 
 SCHEMA_VERSION = 1
@@ -45,43 +44,46 @@ SCHEMA_VERSION = 1
 # parameters and rings
 
 
+#: radius of the reference disk D (and of hyperbolic pre-ball images)
+DELTA1 = 0.45
+#: guaranteed image-disk radius at hyperbolic times
+DELTA2 = DELTA1 / 4.0
+#: stable-leaf length of the cylinders
+DELTA_S = DELTA1 / 4.0
+#: longest wait between the certifying hyperbolic time and a carve
+N0 = 64
+#: backward-contraction constant of eq. (P3): a fixed bound, not calibrated
+C0 = 2.0
+#: stable/cu angle constant; exactly 1 for vertical fibers
+C1 = 1.0
+#: sup ||Df^-1|E^cu||; <= 1 when the base map never contracts
+K0 = 1.0
+
+
 @dataclass
 class ConstructionParams:
     """Constants of the inductive construction.
 
-    ``delta0`` is the radius of the partitioned arc, ``delta1`` the radius
-    of the reference disk (and of hyperbolic pre-ball images), ``delta2``
-    the guaranteed image-disk radius at hyperbolic times, ``delta_s`` the
-    stable-leaf length of the cylinders, ``epsilon`` the A^eps margin.
-    ``resolution`` is the sampling cell width of the pointwise grid.
+    ``delta0`` is the radius of the partitioned arc, ``epsilon`` the A^eps
+    margin and ``resolution`` the sampling cell width of the pointwise grid;
+    the remaining constants are the module-level DELTA1 ... K0.
     """
 
     delta0: float
     sigma: float
     c: float
     n_max: int
-    delta1: float = 0.45
-    delta2: float = None
-    delta_s: float = None
     epsilon: float = None
-    N0: int = 64
     R0: int = 20
     resolution: float = 2.0 ** -20
-    C0: float = 2.0   # backward-contraction constant of eq. (P3), calibrated
-    C1: float = 1.0   # stable/cu angle constant; exactly 1 for vertical fibers
-    K0: float = 1.0   # sup ||Df^-1|E^cu||; <= 1 when the base map never contracts
 
     def __post_init__(self):
-        if self.delta2 is None:
-            self.delta2 = self.delta1 / 4.0
-        if self.delta_s is None:
-            self.delta_s = self.delta1 / 4.0
         if self.epsilon is None:
             self.epsilon = 0.5 * self.epsilon_max()
 
     def epsilon_max(self):
         """Largest admissible A^eps margin keeping carves off waiting points."""
-        return (self.C1 / self.C0) * self.delta0 * (self.sigma ** -0.5 - 1.0)
+        return (C1 / C0) * self.delta0 * (self.sigma ** -0.5 - 1.0)
 
     def validate(self):
         """Check the constant ordering; returns a list of soft warnings."""
@@ -90,21 +92,17 @@ class ConstructionParams:
             raise ValueError("sigma must lie in (0, 1)")
         if self.c <= 0.0:
             raise ValueError("c must be > 0")
-        if self.delta0 <= 0.0 or self.delta1 <= 0.0:
-            raise ValueError("radii must be positive")
-        if 2.0 * math.sqrt(self.delta0) >= self.delta1:
+        if self.delta0 <= 0.0:
+            raise ValueError("delta0 must be positive")
+        if 2.0 * math.sqrt(self.delta0) >= DELTA1:
             raise ValueError("outer cylinder 2*sqrt(delta0) must fit inside delta1")
-        if not self.delta_s < self.delta1 / 2.0:
-            raise ValueError("delta_s must be < delta1/2")
         if not self.epsilon < self.epsilon_max():
             raise ValueError("epsilon exceeds the admissible bound")
         if not self.epsilon <= self.delta0 / 2.0:
             raise ValueError("epsilon must be << delta0")
         if self.resolution <= 0.0 or self.resolution >= self.delta0:
             raise ValueError("resolution must be positive and below delta0")
-        if not 2.0 * self.delta0 <= self.delta2 < self.delta1:
-            warnings.append("delta0 not small relative to delta2")
-        if not 5.0 * self.delta0 * self.K0 ** self.N0 < self.delta1 / 4.0:
+        if not 5.0 * self.delta0 * K0 ** N0 < DELTA1 / 4.0:
             warnings.append("5*delta0*K0^N0 >= delta1/4 (worst-case window bound fails)")
         return warnings
 
@@ -150,59 +148,15 @@ def build_rings(params: ConstructionParams) -> RingTable:
 # base point
 
 
-def choose_base_point(sys: ModelSystem, rho: float, search_len: int,
-                      seed: int = 0) -> dict:
-    """Pick q with a rho-dense backward orbit and the disk point p over it.
+def choose_base_point(seed: int = 0) -> float:
+    """Base coordinate of the disk center p, uniform on the circle.
 
-    Density is checked against a 1000-point attractor sample (a burned-in
-    forward orbit).  Stable fibers are vertical, so p simply shares the
-    base coordinate of q.
+    Every backward orbit is 1-dense, so p needs no density search; stable
+    fibers are vertical, so p is fixed by its base coordinate alone.  It is
+    the 1001st draw of ``default_rng(seed)``; the artifact checksums pin
+    this position in the stream.
     """
-    if rho <= 0.0:
-        raise ValueError("rho must be > 0")
-    if search_len < 1000:
-        raise ValueError("search_len must be >= 1000")
-    rng = np.random.default_rng(seed)
-    # the sample starts are drawn even when rho >= 1 (every orbit is
-    # 1-dense) so that q_base comes from the same place in the stream
-    t = rng.random(1000)
-    q_base = float(rng.random())
-    if rho >= 1.0:
-        q = _attractor_point(sys, q_base)
-        return {"p": q, "q": q, "N0": 0}
-    # attractor sample on the base circle
-    u = np.zeros(1000)
-    v = np.zeros(1000)
-    for _ in range(100):
-        t, u, v = sys.step_arrays(t, u, v)
-    sample = np.sort(t)
-    # grow the backward orbit one preimage at a time until rho-dense
-    cur = q_base
-    uncovered = circle_dist(sample, q_base) > rho
-    for n in range(1, search_len + 1):
-        cur = float(sys.base_inverse(cur, int(rng.integers(0, 2))))
-        uncovered &= circle_dist(sample, cur) > rho
-        if not uncovered.any():
-            q = _attractor_point(sys, q_base)
-            return {"p": q, "q": q, "N0": n}
-    raise DensityNotReached(f"no backward orbit of length <= {search_len} is {rho}-dense")
-
-
-def _attractor_point(sys, base, burn=200):
-    """A point of the attractor on the given vertical fiber."""
-    # run any point forward, then adjust the base to the requested fiber:
-    # the fiber coordinate of the attractor over a base t is a function of
-    # the backward itinerary; for the uncoupled case it is just 0.
-    if sys.coupling == 0.0:
-        return Point(base, (0.0, 0.0))
-    t, u, v = float(base), 0.0, 0.0
-    hist = [t]
-    for _ in range(burn):
-        t = float(sys.base_inverse(t, 0))
-        hist.append(t)
-    for t_prev in reversed(hist[1:]):
-        _, u, v = sys.step_arrays(t_prev, u, v)
-    return Point(base, (float(u), float(v)))
+    return float(np.random.default_rng(seed).random(1001)[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -255,8 +209,8 @@ def init_state(sys: ModelSystem, params: ConstructionParams, p_base: float,
 
 
 def _stable_burn_in(sys: ModelSystem, params: ConstructionParams) -> int:
-    """Steps until every fiber is within delta_s/4 of the attractor."""
-    return max(1, int(math.ceil(math.log(8.0 / params.delta_s)
+    """Steps until every fiber is within DELTA_S/4 of the attractor."""
+    return max(1, int(math.ceil(math.log(8.0 / DELTA_S)
                                 / math.log(1.0 / sys.lambda_s))))
 
 
@@ -271,9 +225,10 @@ def step_partition(state: ConstructionState, sys: ModelSystem,
         rings = build_rings(params)
     n = state.n + 1
     act = state.active
-    # every orbit advances, but carved points go back to their return image
-    # (read by compose_returns; roaming, they would also slow the intermittent
-    # branch test); log_deriv stays frozen on them so exp() below cannot overflow
+    # every orbit advances, but carved points go back to their return image:
+    # x_final is g^R of each element (test_return_images_frozen_at_carve_time
+    # pins it), and roaming orbits would slow the intermittent branch test;
+    # log_deriv stays frozen on them so exp() below cannot overflow
     x_prev = state.scan.t
     gp = sys.base_deriv(x_prev)
     _, hyp = state.scan.advance(sys)
@@ -296,7 +251,9 @@ def step_partition(state: ConstructionState, sys: ModelSystem,
         d = np.abs(circle_offset(x, state.p_base))
         # A^eps_{n-1}: A itself plus active neighbors within epsilon along
         # the image curve; the curve length between adjacent cells is
-        # cell * (g^n)' (circle offsets would alias across curve wraps)
+        # cell * (g^n)' (circle offsets would alias across curve wraps).
+        # Removing the neighbor rule left R and the whole trace identical
+        # on both shipped configs; it stays as part of the definition
         aeps = a_prev.copy()
         cell = 2.0 * params.delta0 / len(x)
         seglen = cell * np.exp(0.5 * (state.log_deriv[1:] + state.log_deriv[:-1]))
@@ -306,9 +263,9 @@ def step_partition(state: ConstructionState, sys: ModelSystem,
         # recent hyperbolic time => a pre-ball certifies the u-crossing,
         # provided the pre-ball fits inside D and the image ball of radius
         # delta1 contains the outer cylinder arc
-        fits = state.log_deriv_hyp >= math.log(params.delta1 / (params.delta1 - params.delta0))
-        gate = act & aeps & (n - state.last_hyp <= params.N0) & fits \
-            & (d + 2.0 * math.sqrt(params.delta0) <= params.delta1)
+        fits = state.log_deriv_hyp >= math.log(DELTA1 / (DELTA1 - params.delta0))
+        gate = act & aeps & (n - state.last_hyp <= N0) & fits \
+            & (d + 2.0 * math.sqrt(params.delta0) <= DELTA1)
         carve = gate & (d < params.delta0)
         ring = gate & ~carve & (d >= params.delta0) & (d < 2.0 * params.delta0)
         bad = int(np.count_nonzero((carve | ring) & (t_prev >= 1)))
@@ -354,7 +311,7 @@ class GibbsMarkovStructure:
     nonconvergent: bool
     elem_lo: np.ndarray = None   # grid-index runs of equal R (computed on build)
     elem_hi: np.ndarray = None   # inclusive
-    _edges: dict = field(default_factory=dict, repr=False)
+    _edges: dict = field(default_factory=dict, repr=False)   # element_edges cache
 
     def __post_init__(self):
         if self.elem_lo is None:
@@ -384,10 +341,6 @@ class GibbsMarkovStructure:
     def element_counts(self):
         return self.elem_hi - self.elem_lo + 1
 
-    def element_width_est(self):
-        """Crude width estimate 2 delta0 / (g^R)' from the carve derivative."""
-        return 2.0 * self.params.delta0 * np.exp(-self.log_deriv_carve[self.elem_lo])
-
     def leftover_mass(self):
         return float(np.count_nonzero(self.R == 0)) / self.grid_size
 
@@ -401,7 +354,7 @@ def run_construction(sys: ModelSystem, params: ConstructionParams,
     """Iterate the step machine to n_max and package the result."""
     params.validate()
     if p_base is None:
-        p_base = choose_base_point(sys, rho=1.0, search_len=1000, seed=seed)["p"].base
+        p_base = choose_base_point(seed)
     rings = build_rings(params)
     state = init_state(sys, params, p_base, seed=seed)
     for _ in range(params.n_max):
@@ -418,12 +371,12 @@ def run_construction(sys: ModelSystem, params: ConstructionParams,
 # element interval recovery (Newton on the base coordinate)
 
 
-def _evolve_with_deriv(sys, t, steps, mask_steps):
+def _evolve_with_deriv(sys, t, steps):
     """g^{n}(t) and (g^{n})'(t) with per-entry step counts."""
     val = np.array(t, dtype=float)
     der = np.ones_like(val)
-    for n in range(1, int(np.max(mask_steps)) + 1 if len(mask_steps) else 0):
-        m = n <= mask_steps
+    for n in range(1, int(np.max(steps)) + 1 if len(steps) else 0):
+        m = n <= steps
         gp = sys.base_deriv(val)
         der = np.where(m, der * gp, der)
         val = np.where(m, sys.base_map(val), val)
@@ -438,7 +391,7 @@ def _newton_edges(sys, t0, steps, center, targets, max_move, iters=60, tol=1e-12
     best_t = t.copy()
     best_err = np.full_like(t, np.inf)
     for _ in range(iters):
-        val, der = _evolve_with_deriv(sys, t, steps, steps)
+        val, der = _evolve_with_deriv(sys, t, steps)
         err = circle_offset(val, center) - targets
         better = np.abs(err) < best_err
         np.copyto(best_t, t, where=better)
@@ -449,19 +402,16 @@ def _newton_edges(sys, t0, steps, center, targets, max_move, iters=60, tol=1e-12
     return best_t, best_err
 
 
-def element_edges(structure: GibbsMarkovStructure, sys: ModelSystem, idx,
-                  radius: float = None):
-    """Refined (lo, hi) base intervals of the selected elements.
+def element_edges(structure: GibbsMarkovStructure, sys: ModelSystem, idx):
+    """Refined (lo, hi) base intervals of the elements holding the given points.
 
-    ``idx`` indexes into the element arrays; ``radius`` is the image
-    half-width to solve for (delta0 for omega^0, 2*delta0 / sqrt(delta0) /
-    2*sqrt(delta0) for the enclosing rings).  Results are cached.
+    ``idx`` holds grid-point indices (carved samples); each is solved for
+    the interval its g^R maps onto the radius-delta0 arc around p.  Results
+    are cached by point index.
     """
     idx = np.asarray(idx, dtype=np.int64)
-    if radius is None:
-        radius = structure.params.delta0
-    key = float(radius)
-    cache = structure._edges.setdefault(key, {})
+    d0 = structure.params.delta0
+    cache = structure._edges
     missing = [i for i in idx.tolist() if i not in cache]
     if missing:
         miss = np.array(missing, dtype=np.int64)
@@ -473,12 +423,11 @@ def element_edges(structure: GibbsMarkovStructure, sys: ModelSystem, idx,
         # solve escape into a neighboring injectivity branch of g^R once
         # elements are narrower than a cell.
         t_seed = structure.points[miss]
-        move = 1e-12 + 4.0 * (radius + structure.params.delta0) * np.exp(
-            -structure.log_deriv_carve[miss])
+        move = 1e-12 + 8.0 * d0 * np.exp(-structure.log_deriv_carve[miss])
         lo_vals, e1 = _newton_edges(sys, t_seed, steps, structure.p_base,
-                                    np.full(len(miss), -radius), move)
+                                    np.full(len(miss), -d0), move)
         hi_vals, e2 = _newton_edges(sys, t_seed, steps, structure.p_base,
-                                    np.full(len(miss), radius), move)
+                                    np.full(len(miss), d0), move)
         for j, i in enumerate(missing):
             cache[i] = (float(lo_vals[j]), float(hi_vals[j]),
                         max(float(e1[j]), float(e2[j])))
@@ -508,31 +457,6 @@ def _verifiable_elements(structure, width_floor, max_elements, seed):
         rng = np.random.default_rng(seed)
         reps = np.sort(rng.choice(reps, size=max_elements, replace=False))
     return reps
-
-
-def hyperbolic_preball(sys: ModelSystem, x: float, n: int,
-                       params: ConstructionParams, p_base: float):
-    """The connected preimage V_n(x) of the delta1-ball around g^n(x).
-
-    Requires n to be a sigma-hyperbolic time for x (checked; ValueError
-    otherwise) and raises BoundaryClipped if the preimage leaves the
-    reference disk.
-    """
-    scan = PlissScan([x], params.sigma)
-    for _ in range(n):
-        _, hyp = scan.advance(sys)
-    if n < 1 or not hyp[0]:
-        raise ValueError(f"{n} is not a sigma-hyperbolic time for this point")
-    steps = np.array([n])
-    img, der = _evolve_with_deriv(sys, [x], steps, steps)
-    move = 2.0 * params.delta1 / der[0] + 4.0 * params.delta1 / der[0]
-    lo, _ = _newton_edges(sys, np.array([x]), steps, img[0], np.array([-params.delta1]), move)
-    hi, _ = _newton_edges(sys, np.array([x]), steps, img[0], np.array([params.delta1]), move)
-    lo, hi = float(lo[0]), float(hi[0])
-    for edge in (lo, hi):
-        if abs(circle_offset(edge, p_base)) > params.delta1:
-            raise BoundaryClipped("hyperbolic pre-ball reaches the disk boundary")
-    return lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -569,13 +493,13 @@ def verify_markov(structure: GibbsMarkovStructure, sys: ModelSystem,
     report["checked"] = len(lo)
     # covering: the endpoint images must hit the arc boundary, and the map
     # must be monotone across the element (checked at interior samples)
-    vlo, _ = _evolve_with_deriv(sys, lo, steps, steps)
-    vhi, _ = _evolve_with_deriv(sys, hi, steps, steps)
+    vlo, _ = _evolve_with_deriv(sys, lo, steps)
+    vhi, _ = _evolve_with_deriv(sys, hi, steps)
     olo = circle_offset(vlo, p)
     ohi = circle_offset(vhi, p)
     bad = (np.abs(olo + d0) > tol + err) | (np.abs(ohi - d0) > tol + err)
     interior = lo + 0.5 * (hi - lo)
-    vmid, _ = _evolve_with_deriv(sys, interior, steps, steps)
+    vmid, _ = _evolve_with_deriv(sys, interior, steps)
     omid = circle_offset(vmid, p)
     bad |= (omid <= -d0) | (omid >= d0)
     report["covering_violations"] = int(np.count_nonzero(bad))
@@ -703,7 +627,7 @@ def verify_distortion(structure: GibbsMarkovStructure, sys: ModelSystem,
 
 
 # ---------------------------------------------------------------------------
-# tails, flow constants, composed returns
+# tails and flow constants
 
 
 def return_tail(structure: GibbsMarkovStructure):
@@ -770,55 +694,15 @@ def measure_flow_constants(structure: GibbsMarkovStructure) -> dict:
             "a0_ring_prediction": 1.0 - math.sqrt(structure.params.sigma)}
 
 
-def compose_returns(structure: GibbsMarkovStructure, depth: int) -> dict:
-    """Consecutive return times s_n by element-table lookup of the images.
-
-    Images are resolved at grid-cell precision: the cell of the return
-    image (stored frozen at carve time) decides which element continues
-    the itinerary; landing in a leftover cell drops the point (mass
-    logged per level).
-    """
-    if depth < 1:
-        raise ValueError("depth must be >= 1")
-    m = structure.grid_size
-    d0 = structure.params.delta0
-    alive = structure.R > 0
-    s = structure.R.astype(np.int64).copy()
-    cur_img = structure.x_final.copy()
-    levels = [{"depth": 1, "resolved_mass": float(np.count_nonzero(alive)) / m,
-               "min_s": int(np.min(s[alive])) if alive.any() else 0}]
-    for level in range(2, depth + 1):
-        off = circle_offset(cur_img, structure.p_base)
-        cells = np.clip(np.floor((off + d0) / structure.cell_width).astype(np.int64),
-                        0, m - 1)
-        next_r = np.where(alive, structure.R[cells], 0)
-        alive = alive & (next_r > 0)
-        s = s + np.where(alive, next_r, 0)
-        cur_img = np.where(alive, structure.x_final[cells], cur_img)
-        levels.append({"depth": level,
-                       "resolved_mass": float(np.count_nonzero(alive)) / m,
-                       "min_s": int(np.min(s[alive])) if alive.any() else 0})
-    return {"s": s, "resolved": alive, "levels": levels}
-
-
 # ---------------------------------------------------------------------------
 # serialization
 
 
-def structure_to_json(structure: GibbsMarkovStructure, sys: ModelSystem = None,
-                      refine: bool = False, width_floor: float = 1e-11) -> dict:
+def structure_to_json(structure: GibbsMarkovStructure) -> dict:
     """JSON document with element intervals, leftover, params and gcd."""
     cell = structure.cell_width
     lo = (structure.points[structure.elem_lo] - 0.5 * cell) % 1.0
     hi = (structure.points[structure.elem_hi] + 0.5 * cell) % 1.0
-    if refine and sys is not None:
-        idx = np.flatnonzero(structure.element_width_est() >= width_floor)
-        if len(idx):
-            rlo, rhi, _ = element_edges(structure, sys, structure.elem_lo[idx])
-            lo = lo.copy()
-            hi = hi.copy()
-            lo[idx] = rlo % 1.0
-            hi[idx] = rhi % 1.0
     elements = [{"lo": float(a), "hi": float(b), "R": int(r), "n_hyp": int(h)}
                 for a, b, r, h in zip(lo, hi, structure.element_R(),
                                       structure.n_hyp[structure.elem_lo])]
@@ -833,8 +717,8 @@ def structure_to_json(structure: GibbsMarkovStructure, sys: ModelSystem = None,
         "violations": structure.violations,
         "nonconvergent": structure.nonconvergent,
         "p_base": structure.p_base,
-        "params": {"delta0": p.delta0, "delta1": p.delta1, "delta2": p.delta2,
-                   "delta_s": p.delta_s, "epsilon": p.epsilon, "N0": p.N0,
+        "params": {"delta0": p.delta0, "delta1": DELTA1, "delta2": DELTA2,
+                   "delta_s": DELTA_S, "epsilon": p.epsilon, "N0": N0,
                    "R0": p.R0, "sigma": p.sigma, "c": p.c, "n_max": p.n_max,
                    "resolution": p.resolution},
     }
@@ -855,36 +739,7 @@ def _runs_to_intervals(structure, mask):
     return out
 
 
-def write_structure_json(structure: GibbsMarkovStructure, path, sys: ModelSystem = None):
-    doc = structure_to_json(structure, sys)
+def write_structure_json(structure: GibbsMarkovStructure, path):
+    doc = structure_to_json(structure)
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=1)
-
-
-def calibrate_construction_constants(sys: ModelSystem, params: ConstructionParams,
-                                     p_base: float, probe_grid: int = 2048,
-                                     probe_steps: int = 400) -> dict:
-    """Measure C0 (expansion overshoot between hyperbolic time and carve site).
-
-    C0 bounds how much the sigma^{k/2} pre-ball contraction can be beaten
-    by the <= N0 extra iterates between the certifying hyperbolic time and
-    the actual carve; C1 = 1 exactly because stable fibers are vertical.
-    """
-    scan = PlissScan(disk_grid_points(p_base, params.delta0, probe_grid), params.sigma)
-    last_hyp = np.zeros(probe_grid, dtype=np.int64)
-    logd = np.zeros(probe_grid)
-    logd_hyp = np.zeros(probe_grid)
-    c0 = 1.0
-    for n in range(1, probe_steps + 1):
-        gp = sys.base_deriv(scan.t)
-        _, hyp = scan.advance(sys)
-        np.copyto(last_hyp, n, where=hyp)
-        logd += np.log(gp)
-        np.copyto(logd_hyp, logd, where=hyp)
-        if n > params.R0:
-            d = np.abs(circle_offset(scan.t, p_base))
-            site = (d < 2.0 * params.delta0) & (n - last_hyp <= params.N0)
-            if site.any():
-                c0 = max(c0, float(np.max(np.exp(logd[site] - logd_hyp[site]))))
-    eps_max = (params.C1 / c0) * params.delta0 * (params.sigma ** -0.5 - 1.0)
-    return {"C0": c0, "C1": 1.0, "eps_max": eps_max, "epsilon": 0.5 * eps_max}

@@ -8,8 +8,8 @@ record minimum: B_n <= B_m for all 0 <= m < n, which a running-minimum
 scan detects in linear time.
 
 Along many orbits at once :class:`PlissScan` streams this scan with the
-tangent cocycle; the disk scan, the inducing construction, its C0
-calibration and the pre-ball check all step their orbits through it.
+tangent cocycle; the disk scan and the inducing construction step their
+orbits through it.
 
 The expansion time of an orbit is the first index N from which every
 running average of the a_j stays below -c.  On a finite horizon the tail
@@ -35,13 +35,6 @@ class HyperbolicTimeSet:
     times: np.ndarray          # sorted 1-based hyperbolic times
     sigma: float
     series_length: int
-
-    def density(self, n):
-        return float(np.searchsorted(self.times, n, side="right")) / n
-
-    def __contains__(self, n):
-        i = np.searchsorted(self.times, n)
-        return i < len(self.times) and self.times[i] == n
 
 
 @dataclass
@@ -99,14 +92,6 @@ def expansion_time(series: LogSeries, c: float, horizon: int,
     if value > horizon - guard + 1:
         return ExpansionTime(value=horizon, censored=True, horizon=horizon, c=c)
     return ExpansionTime(value=value, censored=False, horizon=horizon, c=c)
-
-
-def hyperbolic_density(series: LogSeries, sigma: float, n: int) -> float:
-    """Fraction of [1, n] that are sigma-hyperbolic times."""
-    vals = series.values if isinstance(series, LogSeries) else np.asarray(series)
-    if n > len(vals):
-        raise ValueError("n exceeds series length")
-    return pliss_times(series, sigma).density(n)
 
 
 def theta_pliss(c: float, sigma: float, expansion_bound: float) -> float:

@@ -1,4 +1,4 @@
-"""Empirical SRB measure and limit-law experiments.
+"""Limit-law experiments.
 
 Correlation decay, the central limit theorem, and large deviations for
 Hölder observables of the solenoid models, plus the power-law fitting
@@ -16,11 +16,11 @@ from __future__ import annotations
 import csv
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ModelSystem, Point, dither
+from .dynamics import ModelSystem, dither
 from .errors import DegenerateVariance, InsufficientData
 from .pliss import geometric_grid
 
@@ -37,25 +37,17 @@ def _rng(seed):
 class Observable:
     """Hölder observable, normalized to sup norm <= 1.
 
-    kinds: ``trig`` (cos(2 pi k t)), ``fiber_norm`` (|(u, v)| scaled),
-    ``distance`` (3-d distance to a reference point, scaled).
+    kinds: ``trig`` (cos(2 pi k t)), ``fiber_norm`` (|(u, v)|), ``constant``.
     """
 
     kind: str
     k: int = 1
-    point: tuple = (0.0, 0.0, 0.0)
 
     def __call__(self, t, u, v):
         if self.kind == "trig":
             return np.cos(2.0 * math.pi * self.k * np.asarray(t))
         if self.kind == "fiber_norm":
             return np.hypot(u, v)
-        if self.kind == "distance":
-            p = self.point
-            dt = np.abs((np.asarray(t) - p[0] + 0.5) % 1.0 - 0.5)
-            d = np.sqrt(dt ** 2 + (np.asarray(u) - p[1]) ** 2
-                        + (np.asarray(v) - p[2]) ** 2)
-            return d / math.sqrt(0.25 + 2.0)      # diameter bound of S^1 x D^2
         if self.kind == "constant":
             return np.ones_like(np.asarray(t, dtype=float))
         raise ValueError(f"unknown observable kind {self.kind!r}")
@@ -67,10 +59,6 @@ def trig_base(k: int = 1) -> Observable:
 
 def fiber_norm() -> Observable:
     return Observable(kind="fiber_norm")
-
-
-def distance_to(point) -> Observable:
-    return Observable(kind="distance", point=tuple(point))
 
 
 # ---------------------------------------------------------------------------
@@ -105,75 +93,6 @@ def _ensemble_series(sys, observables, walkers, steps, burn, seed):
             row[j] = phi(t, u, v)
         t, u, v = _advance(sys, t, u, v, rng)
     return out
-
-
-# ---------------------------------------------------------------------------
-# SRB measure
-
-
-@dataclass
-class EmpiricalMeasure:
-    """Histogram over base x fiber-norm cells from one long orbit."""
-
-    histogram: np.ndarray
-    orbit_length: int
-    burn_in: int
-    base_edges: np.ndarray
-    fiber_edges: np.ndarray
-    means: dict = field(default_factory=dict)
-
-    def base_marginal(self):
-        return self.histogram.sum(axis=1)
-
-    def tv_distance(self, other):
-        return 0.5 * float(np.sum(np.abs(self.histogram - other.histogram)))
-
-
-def srb_measure(sys: ModelSystem, x0: Point, burn_in: int, n: int,
-                base_cells: int = 64, fiber_cells: int = 16,
-                seed: int = 0) -> EmpiricalMeasure:
-    """Empirical physical measure from the orbit of x0 after burn-in."""
-    if n < 10 ** 5:
-        raise ValueError("n must be >= 1e5")
-    if burn_in < 10 ** 3:
-        raise ValueError("burn_in must be >= 1e3")
-    if burn_in >= n:
-        raise ValueError("burn_in must be < n (histogram would be empty)")
-    rng = _rng(seed)
-    r_max = sys.lambda_s + sys.coupling / 2.0 + 1e-12
-    t = np.array([x0.base])
-    u = np.array([x0.fiber[0]])
-    v = np.array([x0.fiber[1]])
-    # chunked scalar orbit: keep positions, histogram in blocks
-    hist = np.zeros((base_cells, fiber_cells))
-    block = 4096
-    done = 0
-    for _ in range(burn_in):
-        t, u, v = _advance(sys, t, u, v, rng)
-    ts = np.empty(block)
-    rs = np.empty(block)
-    fill = 0
-    obs_sums = np.zeros(3)
-    while done < n - burn_in:
-        ts[fill] = t[0]
-        rs[fill] = np.hypot(u[0], v[0])
-        fill += 1
-        done += 1
-        if fill == block or done == n - burn_in:
-            bi = np.minimum((ts[:fill] * base_cells).astype(int), base_cells - 1)
-            fi = np.minimum((rs[:fill] / r_max * fiber_cells).astype(int),
-                            fiber_cells - 1)
-            np.add.at(hist, (bi, fi), 1.0)
-            obs_sums += [np.sum(np.cos(2 * math.pi * ts[:fill])),
-                         np.sum(rs[:fill]), float(fill)]
-            fill = 0
-        t, u, v = _advance(sys, t, u, v, rng)
-    hist /= hist.sum()
-    means = {"trig1": obs_sums[0] / obs_sums[2], "fiber_norm": obs_sums[1] / obs_sums[2]}
-    return EmpiricalMeasure(histogram=hist, orbit_length=n, burn_in=burn_in,
-                            base_edges=np.linspace(0, 1, base_cells + 1),
-                            fiber_edges=np.linspace(0, r_max, fiber_cells + 1),
-                            means=means)
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,15 @@ def test_exit_2_before_a_stage_would_crash(tmp_path, capsys, old, new, key):
     assert not out.exists()
 
 
+def test_exit_2_on_observable_list(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_text(QUICK + "stats.observables = trig1,fiber_norm\n")
+    out = tmp_path / "o"
+    assert _run("limits", "--config", str(path), "--out", str(out)) == 2
+    assert "stats.observables" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_exit_2_on_missing_config(tmp_path):
     assert _run("tails", "--config", str(tmp_path / "nope.cfg"),
                 "--out", str(tmp_path / "o")) == 2

@@ -144,6 +144,16 @@ def test_bad_observable_token():
         config_from_raw(_raw(**{"stats.observables": "sin"}))
 
 
+def test_observables_takes_one_token():
+    # the limits stage runs one observable; a list would lose all but its first
+    for value in ("trig1,fiber_norm", "trig1,"):
+        with pytest.raises(ConfigError, match="stats.observables"):
+            config_from_raw(_raw(**{"stats.observables": value}))
+    cfg = config_from_raw(_raw(**{"stats.observables": "fiber_norm"}))
+    assert cfg.observable == "fiber_norm"
+    assert cfg.echo()["stats.observables"] == "fiber_norm"
+
+
 def test_seed_range():
     with pytest.raises(ConfigError, match="seed"):
         config_from_raw(_raw(seed="-1"))

@@ -13,17 +13,13 @@ from gmstruct.dynamics import (
     Family,
     Point,
     backward_base_orbit,
-    check_domination,
     circle_dist,
-    cone_invariance_violations,
     cu_direction,
     cu_directions,
     dither,
     frac,
     intermittent_solenoid,
     log_contraction_series,
-    orbit_base,
-    step,
     uniform_solenoid,
 )
 from gmstruct.errors import NotSettled
@@ -31,10 +27,10 @@ from gmstruct.errors import NotSettled
 
 def test_step_uniform_arithmetic():
     sys = uniform_solenoid(lambda_s=0.25, coupling=0.0)
-    y = step(sys, Point(0.3, (0.7, 0.0)))
-    assert y.base == pytest.approx(0.6, abs=1e-15)
-    assert y.fiber[0] == pytest.approx(0.175, abs=1e-15)
-    assert y.fiber[1] == pytest.approx(0.0, abs=1e-15)
+    t, u, v = sys.step_arrays(np.array([0.3]), np.array([0.7]), np.array([0.0]))
+    assert t[0] == pytest.approx(0.6, abs=1e-15)
+    assert u[0] == pytest.approx(0.175, abs=1e-15)
+    assert v[0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_intermittent_base_formula():
@@ -217,34 +213,8 @@ def test_cocycle_additivity():
     assert np.array_equal(full.values, glued)
 
 
-def test_check_domination_uniform_exact():
-    rep = check_domination(uniform_solenoid(lambda_s=0.25, coupling=0.0))
-    assert rep["lambda_measured"] == pytest.approx(0.125, abs=1e-15)
-    assert rep["pass"]
-
-
-def test_check_domination_intermittent_bound():
-    rep = check_domination(intermittent_solenoid(alpha=0.5, lambda_s=0.1))
-    assert rep["lambda_measured"] <= 0.1 + 1e-12
-    assert rep["pass"]
-
-
-def test_check_domination_coupled():
-    rep = check_domination(uniform_solenoid(lambda_s=0.25, coupling=1.0), samples=10 ** 4)
-    assert rep["lambda_measured"] < 1.0
-    assert rep["pass"]
-
-
-def test_cone_invariance():
-    assert cone_invariance_violations(uniform_solenoid(lambda_s=0.25, coupling=1.0)) == 0
-    assert cone_invariance_violations(intermittent_solenoid(alpha=0.5, lambda_s=0.1,
-                                                            coupling=0.3)) == 0
-
-
 def test_orbit_helpers():
     sys = uniform_solenoid()
-    fwd = orbit_base(sys, 0.1, 5)
-    assert fwd[1] == pytest.approx(0.2)
     back = backward_base_orbit(sys, 0.4, 3, branches=[0, 1, 0])
     assert np.max(np.abs([float(sys.base_map(back[i])) - back[i + 1] for i in range(3)])) < 1e-12
 

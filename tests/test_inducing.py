@@ -7,15 +7,11 @@ import numpy as np
 import pytest
 
 from gmstruct.dynamics import circle_offset, intermittent_solenoid, uniform_solenoid
-from gmstruct.errors import BoundaryClipped, DensityNotReached
 from gmstruct.inducing import (
     ConstructionParams,
     build_rings,
-    calibrate_construction_constants,
     choose_base_point,
-    compose_returns,
     element_edges,
-    hyperbolic_preball,
     init_state,
     measure_flow_constants,
     return_tail,
@@ -101,44 +97,9 @@ def test_grid_size_matches_resolution():
 
 
 def test_choose_base_point_trivial_density():
-    out = choose_base_point(UNIFORM, rho=1.0, search_len=1000, seed=0)
-    assert out["N0"] == 0
-    assert out["p"].base == out["q"].base
-
-
-def test_choose_base_point_dense_orbit():
-    out = choose_base_point(UNIFORM, rho=0.2, search_len=1000, seed=0)
-    assert 1 <= out["N0"] <= 1000
-
-
-def test_choose_base_point_unreachable():
-    with pytest.raises(DensityNotReached):
-        choose_base_point(UNIFORM, rho=1e-7, search_len=1000, seed=0)
-
-
-# ---------------------------------------------------------------------------
-# hyperbolic pre-balls
-
-
-def test_preball_uniform_exact():
-    params = ConstructionParams(delta0=0.02, sigma=0.51, c=0.5, n_max=10)
-    lo, hi = hyperbolic_preball(UNIFORM, 0.37, 10, params, 0.37)
-    assert lo == pytest.approx(0.37 - 0.45 / 2 ** 10, abs=1e-12)
-    assert hi == pytest.approx(0.37 + 0.45 / 2 ** 10, abs=1e-12)
-
-
-def test_preball_requires_hyperbolic_time():
-    # sigma < 1/2 on the doubling base: no time is sigma-hyperbolic
-    params = ConstructionParams(delta0=0.02, sigma=0.4, c=0.5, n_max=10)
-    with pytest.raises(ValueError):
-        hyperbolic_preball(UNIFORM, 0.37, 10, params, 0.37)
-
-
-def test_preball_boundary_clipped():
-    params = ConstructionParams(delta0=0.02, sigma=0.51, c=0.5, n_max=10)
-    # pre-ball edge at 0.3 + 0.225 sits 0.47 > delta1 away from the disk center
-    with pytest.raises(BoundaryClipped):
-        hyperbolic_preball(UNIFORM, 0.3, 1, params, 0.995)
+    # every orbit is 1-dense: p is the 1001st draw of the seed's stream
+    assert choose_base_point(0) == 0.013007673374885287
+    assert choose_base_point(7) == 0.8690497571674405
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +269,7 @@ def test_distortion_intermittent_holder(intermittent_structure):
 
 
 # ---------------------------------------------------------------------------
-# tails, flow constants, composed returns
+# tails and flow constants
 
 
 def test_return_tail_shape(uniform_structure):
@@ -334,25 +295,6 @@ def test_flow_constants_positive(uniform_structure):
     assert flow["a0_ring_prediction"] == pytest.approx(1.0 - math.sqrt(0.51))
 
 
-def test_compose_returns_levels(uniform_structure):
-    st, _ = uniform_structure
-    out = compose_returns(st, 3)
-    lv = out["levels"]
-    assert lv[0]["resolved_mass"] == pytest.approx(1.0 - st.leftover_mass())
-    assert lv[0]["min_s"] == int(st.element_R().min())
-    assert lv[1]["min_s"] >= 2 * lv[0]["min_s"]
-    assert lv[2]["min_s"] >= 3 * lv[0]["min_s"]
-    # composed mass shrinks roughly like the carved fraction per level
-    assert lv[1]["resolved_mass"] >= 0.9 * (1.0 - st.leftover_mass()) ** 2
-    assert np.all(out["s"][out["resolved"]] >= 3 * lv[0]["min_s"])
-
-
-def test_compose_returns_depth_validation(uniform_structure):
-    st, _ = uniform_structure
-    with pytest.raises(ValueError):
-        compose_returns(st, 0)
-
-
 def test_empty_construction():
     # n_max below R0: nothing can be carved
     params = ConstructionParams(delta0=0.02, sigma=0.51, c=0.5, n_max=10,
@@ -366,7 +308,7 @@ def test_empty_construction():
 
 
 # ---------------------------------------------------------------------------
-# serialization and calibration
+# serialization
 
 
 def test_structure_json_roundtrip(tmp_path, uniform_structure):
@@ -384,14 +326,6 @@ def test_structure_json_roundtrip(tmp_path, uniform_structure):
     loaded = json.loads(path.read_text())
     assert loaded["schema"] == 1
     assert len(loaded["elements"]) == st.n_elements
-
-
-def test_calibration_constants():
-    params = ConstructionParams(delta0=0.02, sigma=0.51, c=0.5, n_max=200)
-    cal = calibrate_construction_constants(UNIFORM, params, 0.37)
-    assert cal["C1"] == 1.0
-    assert cal["C0"] >= 1.0
-    assert cal["epsilon"] < cal["eps_max"]
 
 
 def test_element_edges_match_expected_width(uniform_structure):

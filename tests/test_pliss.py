@@ -17,7 +17,6 @@ from gmstruct.pliss import (
     expansion_tail,
     expansion_time,
     geometric_grid,
-    hyperbolic_density,
     pliss_times,
     summed_density_check,
     theta_pliss,
@@ -143,11 +142,6 @@ def test_expansion_time_matches_brute_force():
             assert got.censored
         else:
             assert not got.censored and got.value == want
-
-
-def test_hyperbolic_density_uniform_is_one():
-    series = LogSeries(np.full(100, math.log(0.5)))
-    assert hyperbolic_density(series, 0.6, 100) == 1.0
 
 
 def test_theta_pliss_values():

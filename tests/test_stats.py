@@ -1,4 +1,4 @@
-"""Tests for the SRB estimate, limit laws, and power-law fitting."""
+"""Tests for the limit laws and power-law fitting."""
 
 import csv
 import json
@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 
-from gmstruct.dynamics import Point, intermittent_solenoid, uniform_solenoid
+from gmstruct.dynamics import uniform_solenoid
 from gmstruct.errors import DegenerateVariance, InsufficientData
 from gmstruct.stats import (
     CorrelationCurve,
@@ -15,11 +15,9 @@ from gmstruct.stats import (
     Observable,
     clt_test,
     correlation,
-    distance_to,
     fiber_norm,
     fit_power_law,
     large_deviations,
-    srb_measure,
     trig_base,
     write_clt_json,
     write_correlation_csv,
@@ -30,7 +28,6 @@ from gmstruct.stats import (
 
 UNIFORM = uniform_solenoid(lambda_s=0.25, coupling=0.0)
 COUPLED = uniform_solenoid(lambda_s=0.25, coupling=1.0)
-INTERMITTENT = intermittent_solenoid(alpha=0.5)
 
 
 # ---------------------------------------------------------------------------
@@ -45,57 +42,13 @@ def test_observables_bounded():
     ang = 2.0 * math.pi * rng.random(500)
     u = rad * np.cos(ang)
     v = rad * np.sin(ang)
-    for phi in (trig_base(1), trig_base(3), fiber_norm(),
-                distance_to((0.2, 0.0, 0.1))):
+    for phi in (trig_base(1), trig_base(3), fiber_norm()):
         assert np.max(np.abs(phi(t, u, v))) <= 1.0 + 1e-12
 
 
 def test_observable_unknown_kind():
     with pytest.raises(ValueError):
         Observable(kind="nope")(0.1, 0.0, 0.0)
-
-
-# ---------------------------------------------------------------------------
-# SRB measure
-
-
-@pytest.fixture(scope="module")
-def srb_uniform():
-    return srb_measure(UNIFORM, Point(0.3), 1000, 10 ** 5, seed=1)
-
-
-def test_srb_uniform_base_marginal(srb_uniform):
-    # doubling preserves Lebesgue: base marginal close to uniform
-    marginal = srb_uniform.base_marginal()
-    assert np.max(np.abs(marginal - 1.0 / 64.0)) < 5e-3
-
-
-def test_srb_two_starts_agree(srb_uniform):
-    other = srb_measure(UNIFORM, Point(0.7), 1000, 10 ** 5, seed=2)
-    assert srb_uniform.tv_distance(other) <= 0.05
-
-
-def test_srb_intermittent_neutral_mass():
-    m = srb_measure(INTERMITTENT, Point(0.3), 1000, 10 ** 5, seed=1)
-    marginal = m.base_marginal()
-    # density grows near the neutral point: [0, 0.1] holds > 0.1 of the mass
-    cells = int(0.1 * 64)
-    assert marginal[:cells].sum() > 0.1
-
-
-def test_srb_contract_violations():
-    with pytest.raises(ValueError):
-        srb_measure(UNIFORM, Point(0.3), 10 ** 5, 10 ** 5)   # empty histogram
-    with pytest.raises(ValueError):
-        srb_measure(UNIFORM, Point(0.3), 1000, 10 ** 4)      # n too small
-    with pytest.raises(ValueError):
-        srb_measure(UNIFORM, Point(0.3), 10, 10 ** 5)        # burn-in too small
-
-
-def test_srb_ergodicity_cross_check(srb_uniform):
-    # SRB mean of cos(2 pi t) is 0 for the uniform model
-    mc = 1.0 / math.sqrt(srb_uniform.orbit_length - srb_uniform.burn_in)
-    assert abs(srb_uniform.means["trig1"]) <= 4.0 * mc
 
 
 # ---------------------------------------------------------------------------
