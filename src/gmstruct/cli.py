@@ -30,12 +30,11 @@ from .inducing import (
     measure_flow_constants,
     return_tail,
     run_construction,
-    verify_backward_contraction,
-    verify_distortion,
     verify_markov,
+    verify_pairs,
     write_structure_json,
 )
-from .pliss import expansion_tail
+from .pliss import expansion_tail, geometric_grid
 from .regularity import regularity_report
 from .stats import (
     _fmt,
@@ -96,9 +95,7 @@ def stage_verify(cfg: ExperimentConfig, out: Path, ctx: dict):
         ctx["structure"] = structure
     doc = {
         "markov": verify_markov(structure, sys_, seed=cfg.seed),
-        "backward_contraction": verify_backward_contraction(structure, sys_,
-                                                            seed=cfg.seed),
-        "distortion": verify_distortion(structure, sys_, seed=cfg.seed),
+        **verify_pairs(structure, sys_, seed=cfg.seed),
         "construction_violations": structure.violations,
     }
     with open(out / "verify.json", "w") as fh:
@@ -123,7 +120,6 @@ def stage_limits(cfg: ExperimentConfig, out: Path, ctx: dict):
     write_correlation_csv(out / "correlation.csv", corr)
     clt = clt_test(sys_, phi, cfg.stats_n_max * 10, cfg.ensemble, seed=cfg.seed)
     write_clt_json(out / "clt.json", clt)
-    from .pliss import geometric_grid
     n_grid = [int(n) for n in geometric_grid(cfg.stats_n_max * 10) if n >= 5]
     ld = large_deviations(sys_, phi, cfg.eps, n_grid, max(cfg.ensemble, 10 ** 4),
                           seed=cfg.seed)
@@ -142,7 +138,7 @@ def stage_limits(cfg: ExperimentConfig, out: Path, ctx: dict):
 
 
 def _read_curve(path, value_col):
-    rows = list(csv.DictReader(open(path)))
+    rows = list(csv.DictReader(path.read_text().splitlines()))
 
     class _C:
         n_values = np.array([int(r["n"]) for r in rows])
@@ -203,14 +199,14 @@ def build_report(cfg: ExperimentConfig, out: Path) -> dict:
             doc["pending"].append("limits")
 
     if present["flow.json"].exists():
-        flow = json.load(open(present["flow.json"]))
+        flow = json.loads(present["flow.json"].read_text())
         doc["flow_constants"] = flow
         doc["checks"]["leftover_small"] = bool(flow["leftover_mass"] < 1e-3)
         doc["checks"]["a0_positive"] = bool(flow["a0"] > 0.0)
         doc["checks"]["c1_positive"] = bool(flow["c1"] > 0.0)
 
     if present["verify.json"].exists():
-        ver = json.load(open(present["verify.json"]))
+        ver = json.loads(present["verify.json"].read_text())
         doc["verification"] = {
             "P1_markov_violations": ver["markov"]["covering_violations"]
             + ver["markov"]["overlap_violations"],
@@ -229,7 +225,7 @@ def build_report(cfg: ExperimentConfig, out: Path) -> dict:
         doc["pending"].append("verify")
 
     if present["regularity.json"].exists():
-        reg = json.load(open(present["regularity.json"]))
+        reg = json.loads(present["regularity.json"].read_text())
         doc["regularity"] = {k: reg[k] for k in
                              ("beta_fit", "alpha_fit", "holder_r_squared",
                               "holonomy_J_example", "holonomy_max_rel_err")}
@@ -241,7 +237,7 @@ def build_report(cfg: ExperimentConfig, out: Path) -> dict:
         doc["pending"].append("regularity")
 
     if present["clt.json"].exists():
-        clt = json.load(open(present["clt.json"]))
+        clt = json.loads(present["clt.json"].read_text())
         doc["ks_distance"] = clt["ks_distance"]
         doc["sigma2"] = clt["sigma2"]
         bound = 0.08 if cfg.family == "intermittent" else 0.05

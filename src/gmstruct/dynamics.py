@@ -186,12 +186,6 @@ class Point:
             raise ValueError("fiber norm must be <= 1")
 
 
-def circle_dist(a, b):
-    """Distance on the unit circle R/Z (vectorized)."""
-    d = frac(np.abs(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)))
-    return np.minimum(d, 1.0 - d)
-
-
 def circle_offset(a, b):
     """Signed representative of a - b in (-1/2, 1/2]."""
     d = frac(np.asarray(a, dtype=float) - np.asarray(b, dtype=float))

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import ModelSystem, circle_offset
-from .pliss import PlissScan, disk_grid_points, geometric_grid
+from .pliss import PlissScan, TailCurve, disk_grid_points, geometric_grid
 
 SCHEMA_VERSION = 1
 
@@ -129,9 +129,6 @@ class RingTable:
         ratio = np.maximum(d / self.delta0 - 1.0, 1e-300)
         k = np.floor(2.0 * np.log(ratio) / math.log(self.sigma)).astype(np.int64) + 1
         return np.clip(k, 1, self.k_max)
-
-    def width(self, k):
-        return self.delta0 * (self.sigma ** ((k - 1) / 2.0) - self.sigma ** (k / 2.0))
 
 
 def build_rings(params: ConstructionParams) -> RingTable:
@@ -324,10 +321,6 @@ class GibbsMarkovStructure:
             self.elem_hi = ends[keep]
 
     @property
-    def n_elements(self):
-        return len(self.elem_lo)
-
-    @property
     def grid_size(self):
         return len(self.R)
 
@@ -337,9 +330,6 @@ class GibbsMarkovStructure:
 
     def element_R(self):
         return self.R[self.elem_lo]
-
-    def element_counts(self):
-        return self.elem_hi - self.elem_lo + 1
 
     def leftover_mass(self):
         return float(np.count_nonzero(self.R == 0)) / self.grid_size
@@ -515,10 +505,34 @@ def verify_markov(structure: GibbsMarkovStructure, sys: ModelSystem,
     return report
 
 
-def _sample_pairs(structure, sys, idx, pairs_per_element, seed):
-    """Pair sample inside refined element intervals; returns y, z, steps."""
+def verify_pairs(structure: GibbsMarkovStructure, sys: ModelSystem,
+                 pairs_per_element: int = 8, width_floor: float = 1e-11,
+                 max_elements: int = 300, seed: int = 0) -> dict:
+    """Check (P3) and (P4) on one pair sample inside refined element intervals.
+
+    (P3): dist(f^{R-k}y, f^{R-k}z) <= C sigma^{k/2} dist(f^Ry, f^Rz).  C_fit
+    is the smallest constant making every sampled pair pass, so the
+    violation count against C_fit is zero by construction; the ratio
+    distribution is reported instead.
+
+    (P4): |log det ratio of D(f^R)^u| <= C dist(f^Ry, f^Rz)^eta.  eta comes
+    from least squares on the log-log cloud; C is then lifted to the
+    envelope value making the bound an inequality for every sampled pair,
+    so max_residual_factor <= 1 by construction and the least-squares
+    residuals are reported separately.
+    """
+    sigma = structure.params.sigma
+    idx = _verifiable_elements(structure, width_floor, max_elements, seed)
+    skipped = int(np.count_nonzero(structure.R > 0)) - len(idx)
+    back = {"C_fit": 0.0, "violations": 0, "pairs": 0,
+            "skipped_elements": skipped, "ratio_p50": 0.0, "ratio_p90": 0.0}
+    dist = {"C2_fit": 0.0, "eta_fit": 1.0, "max_residual_factor": 0.0,
+            "r_squared": 1.0, "pairs": 0, "exact_zero": False,
+            "skipped_elements": skipped}
+    out = {"backward_contraction": back, "distortion": dist}
+    if len(idx) == 0:
+        return out
     lo, hi, _ = element_edges(structure, sys, idx)
-    steps = structure.R[idx]
     rng = np.random.default_rng(seed)
     k = pairs_per_element
     u1 = rng.random((len(idx), k))
@@ -528,87 +542,40 @@ def _sample_pairs(structure, sys, idx, pairs_per_element, seed):
     z = lo[:, None] + u2 * w
     # keep pairs separated so distances stay resolvable
     tiny = np.abs(u1 - u2) < 0.05
-    z = np.where(tiny, lo[:, None] + ((u1 + 0.5) % 1.0) * w, z)
-    steps = np.repeat(steps, k)
-    return y.ravel(), z.ravel(), steps
-
-
-def verify_backward_contraction(structure: GibbsMarkovStructure, sys: ModelSystem,
-                                pairs_per_element: int = 8, width_floor: float = 1e-11,
-                                max_elements: int = 300, seed: int = 0) -> dict:
-    """Check (P3): dist(f^{R-k}y, f^{R-k}z) <= C sigma^{k/2} dist(f^Ry, f^Rz).
-
-    C_fit is the smallest constant making every sampled pair pass, so the
-    violation count against C_fit is zero by construction; the ratio
-    distribution is reported instead.
-    """
-    sigma = structure.params.sigma
-    idx = _verifiable_elements(structure, width_floor, max_elements, seed)
-    out = {"C_fit": 0.0, "violations": 0, "pairs": 0,
-           "skipped_elements": int(np.count_nonzero(structure.R > 0)) - len(idx),
-           "ratio_p50": 0.0, "ratio_p90": 0.0}
-    if len(idx) == 0:
-        return out
-    y, z, steps = _sample_pairs(structure, sys, idx, pairs_per_element, seed)
+    z = np.where(tiny, lo[:, None] + ((u1 + 0.5) % 1.0) * w, z).ravel()
+    y = y.ravel()
+    steps = np.repeat(structure.R[idx], k)
     # running max of d_n sigma^{n/2} for n < R gives the binding k at once
     run_max = np.abs(circle_offset(y, z))   # n = 0 term
-    yv, zv = y.copy(), z.copy()
-    d_final = np.zeros_like(yv)
-    n_max = int(np.max(steps))
-    for n in range(1, n_max + 1):
-        m = n <= steps
-        yv = np.where(m, sys.base_map(yv), yv)
-        zv = np.where(m, sys.base_map(zv), zv)
-        d = np.abs(circle_offset(yv, zv))
-        run_max = np.where(m, np.maximum(run_max, d * sigma ** (n / 2.0)), run_max)
-        np.copyto(d_final, d, where=m & (n == steps))
-    ratios = run_max / (sigma ** (steps / 2.0) * d_final)
-    out["C_fit"] = float(np.max(ratios))
-    out["pairs"] = len(ratios)
-    out["ratio_p50"] = float(np.percentile(ratios, 50))
-    out["ratio_p90"] = float(np.percentile(ratios, 90))
-    return out
-
-
-def verify_distortion(structure: GibbsMarkovStructure, sys: ModelSystem,
-                      pairs_per_element: int = 8, width_floor: float = 1e-11,
-                      max_elements: int = 300, seed: int = 0) -> dict:
-    """Check (P4): |log det ratio of D(f^R)^u| <= C dist(f^Ry, f^Rz)^eta.
-
-    eta comes from least squares on the log-log cloud; C is then lifted to
-    the envelope value making the bound an inequality for every sampled
-    pair, so max_residual_factor <= 1 by construction and the least-squares
-    residuals are reported separately.
-    """
-    idx = _verifiable_elements(structure, width_floor, max_elements, seed)
-    out = {"C2_fit": 0.0, "eta_fit": 1.0, "max_residual_factor": 0.0,
-           "r_squared": 1.0, "pairs": 0, "exact_zero": False,
-           "skipped_elements": int(np.count_nonzero(structure.R > 0)) - len(idx)}
-    if len(idx) == 0:
-        return out
-    y, z, steps = _sample_pairs(structure, sys, idx, pairs_per_element, seed)
     ys1 = np.zeros_like(y)
     ys2 = np.zeros_like(y)
     zs1 = np.zeros_like(z)
     zs2 = np.zeros_like(z)
     logratio = np.zeros_like(y)
-    yv, zv = y.copy(), z.copy()
-    n_max = int(np.max(steps))
-    for n in range(1, n_max + 1):
+    for n in range(1, int(np.max(steps)) + 1):
         m = n <= steps
-        a1, a2, ey = sys.push_tangent(yv, ys1, ys2)
-        b1, b2, ez = sys.push_tangent(zv, zs1, zs2)
+        a1, a2, ey = sys.push_tangent(y, ys1, ys2)
+        b1, b2, ez = sys.push_tangent(z, zs1, zs2)
         logratio = np.where(m, logratio + np.log(ey) - np.log(ez), logratio)
-        yv = np.where(m, sys.base_map(yv), yv)
-        zv = np.where(m, sys.base_map(zv), zv)
+        y = np.where(m, sys.base_map(y), y)
+        z = np.where(m, sys.base_map(z), z)
         ys1, ys2 = np.where(m, a1, ys1), np.where(m, a2, ys2)
         zs1, zs2 = np.where(m, b1, zs1), np.where(m, b2, zs2)
-    d = np.abs(circle_offset(yv, zv))
+        d = np.abs(circle_offset(y, z))
+        run_max = np.where(m, np.maximum(run_max, d * sigma ** (n / 2.0)), run_max)
+    # y and z stay frozen at f^R once n passes R, so d is dist(f^Ry, f^Rz)
+    d = np.abs(circle_offset(y, z))
+
+    ratios = run_max / (sigma ** (steps / 2.0) * d)
+    back["C_fit"] = float(np.max(ratios))
+    back["pairs"] = len(ratios)
+    back["ratio_p50"] = float(np.percentile(ratios, 50))
+    back["ratio_p90"] = float(np.percentile(ratios, 90))
+
     r = np.abs(logratio)
-    out["pairs"] = len(r)
+    dist["pairs"] = len(r)
     if np.max(r) < 1e-14:
-        out["exact_zero"] = True
-        out["C2_fit"] = 0.0
+        dist["exact_zero"] = True
         return out
     keep = (r > 1e-14) & (d > 1e-14)
     lx = np.log(d[keep])
@@ -617,12 +584,12 @@ def verify_distortion(structure: GibbsMarkovStructure, sys: ModelSystem,
     resid = ly - (eta * lx + intercept)
     ss = 1.0 - np.sum(resid ** 2) / max(np.sum((ly - ly.mean()) ** 2), 1e-300)
     env = intercept + float(np.max(resid))
-    out["eta_fit"] = float(eta)
-    out["C2_fit"] = float(math.exp(env))
-    out["ls_intercept"] = float(intercept)
-    out["r_squared"] = float(ss)
+    dist["eta_fit"] = float(eta)
+    dist["C2_fit"] = float(math.exp(env))
+    dist["ls_intercept"] = float(intercept)
+    dist["r_squared"] = float(ss)
     # residual factor relative to the envelope line (<= 1 by construction)
-    out["max_residual_factor"] = float(np.max(np.exp(ly - (eta * lx + env))))
+    dist["max_residual_factor"] = float(np.max(np.exp(ly - (eta * lx + env))))
     return out
 
 
@@ -632,7 +599,6 @@ def verify_distortion(structure: GibbsMarkovStructure, sys: ModelSystem,
 
 def return_tail(structure: GibbsMarkovStructure):
     """Survival Leb{R > n} (leftover counts as R = infinity)."""
-    from .pliss import TailCurve
     m = structure.grid_size
     rvals = np.where(structure.R == 0, np.iinfo(np.int64).max, structure.R)
     ngrid = np.concatenate([[0], geometric_grid(structure.params.n_max)])

@@ -81,6 +81,24 @@ def _ensemble(sys, walkers, burn, seed):
     return rng, t, u, v
 
 
+def _birkhoff_sums(sys, phi, walkers, ns, burn, seed):
+    """S_n = sum_{j<n} phi(f^j x) over a burned-in ensemble, one row per n.
+
+    ``ns`` must be increasing; the ensemble advances once per summed term.
+    """
+    rng, t, u, v = _ensemble(sys, walkers, burn, seed)
+    s = np.zeros(walkers)
+    out = np.empty((len(ns), walkers))
+    step_no = 0
+    for i, n in enumerate(ns):
+        while step_no < n:
+            s += phi(t, u, v)
+            t, u, v = _advance(sys, t, u, v, rng)
+            step_no += 1
+        out[i] = s
+    return out
+
+
 def _ensemble_series(sys, observables, walkers, steps, burn, seed):
     """Per-step observable values over a burned-in vectorized ensemble.
 
@@ -178,11 +196,7 @@ def clt_test(sys: ModelSystem, phi: Observable, n: int, ensemble: int,
     if sigma2 < 10.0 * mc:
         raise DegenerateVariance(
             f"sigma2 = {sigma2:.3e} below noise floor {mc:.3e} (near-coboundary)")
-    rng, t, u, v = _ensemble(sys, ensemble, burn, seed)
-    s = np.zeros(ensemble)
-    for _ in range(n):
-        s += phi(t, u, v)
-        t, u, v = _advance(sys, t, u, v, rng)
+    (s,) = _birkhoff_sums(sys, phi, ensemble, [n], burn, seed)
     # center with the pooled ensemble mean (n * ensemble samples): the
     # short Green-Kubo orbit mean has MC error that sqrt(n) would amplify
     mean = float(np.mean(s)) / n
@@ -206,19 +220,12 @@ def large_deviations(sys: ModelSystem, phi: Observable, eps: float,
     if ensemble < 10 ** 4:
         raise ValueError("ensemble must be >= 1e4")
     n_grid = np.asarray(sorted(int(n) for n in n_grid), dtype=np.int64)
-    rng, t, u, v = _ensemble(sys, ensemble, burn, seed)
     if mean is None:
         gk = green_kubo_sigma2(sys, phi, seed=seed + 1)
         mean = gk["mean"]
-    s = np.zeros(ensemble)
-    vals = np.empty(len(n_grid))
-    step_no = 0
-    for i, n in enumerate(n_grid):
-        while step_no < n:
-            s += phi(t, u, v)
-            t, u, v = _advance(sys, t, u, v, rng)
-            step_no += 1
-        vals[i] = float(np.mean(np.abs(s / n - mean) > eps))
+    sums = _birkhoff_sums(sys, phi, ensemble, n_grid, burn, seed)
+    vals = np.array([float(np.mean(np.abs(s / n - mean) > eps))
+                     for s, n in zip(sums, n_grid)])
     return DeviationCurve(n_values=n_grid, values=vals,
                           monte_carlo_error=1.0 / math.sqrt(ensemble), eps=eps)
 

@@ -23,9 +23,8 @@ from gmstruct.inducing import (
     measure_flow_constants,
     return_tail,
     run_construction,
-    verify_backward_contraction,
-    verify_distortion,
     verify_markov,
+    verify_pairs,
 )
 from gmstruct.pliss import (
     PlissScan,
@@ -230,12 +229,12 @@ def test_criterion_6_verification(which, uniform_structure,
     assert markov["covering_violations"] == 0
     assert markov["overlap_violations"] == 0
 
-    back = verify_backward_contraction(st, sys_, pairs_per_element=8, seed=0)
+    back = verify_pairs(st, sys_, pairs_per_element=8, seed=0)["backward_contraction"]
     assert np.isfinite(back["C_fit"]) and back["C_fit"] > 0.0
-    double = verify_backward_contraction(st, sys_, pairs_per_element=16, seed=0)
+    double = verify_pairs(st, sys_, pairs_per_element=16, seed=0)["backward_contraction"]
     assert abs(double["C_fit"] - back["C_fit"]) <= 0.1 * back["C_fit"]
 
-    dist = verify_distortion(st, sys_, seed=0)
+    dist = verify_pairs(st, sys_, seed=0)["distortion"]
     assert dist["max_residual_factor"] <= 2.0
 
 
@@ -300,8 +299,8 @@ def test_criterion_8_a0_ring_prediction(flow_sweeps, intermittent_structure):
     # model with nonzero distortion, so a0 is checked on the intermittent
     # sweep with C2 fitted from its own structure
     inter, _ = flow_sweeps
-    c2 = verify_distortion(intermittent_structure, INTERMITTENT_05,
-                           seed=0)["C2_fit"]
+    c2 = verify_pairs(intermittent_structure, INTERMITTENT_05,
+                      seed=0)["distortion"]["C2_fit"]
     slack = math.exp(min(c2, 500.0))
     for d0, fc in inter.items():
         assert fc["a0"] > 0.0, d0

@@ -1,10 +1,13 @@
 """End-to-end tests of the experiment runner."""
 
+import gc
 import json
+import warnings
 
 import pytest
 
-from gmstruct.cli import main
+from gmstruct.cli import build_report, main
+from gmstruct.config import load_config
 
 QUICK = """
 system.family = uniform
@@ -175,6 +178,16 @@ def test_seed_override_changes_stats(full_run, quick_cfg, tmp_path):
     man1 = json.loads((out1 / "manifest.json").read_text())
     man2 = json.loads((out2 / "manifest.json").read_text())
     assert man1["checksums"]["clt.json"] != man2["checksums"]["clt.json"]
+
+
+def test_build_report_closes_its_files(full_run, quick_cfg):
+    _, out = full_run
+    cfg = load_config(quick_cfg)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        build_report(cfg, out)
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 # sha256 of every artifact of the QUICK ``all`` run, pinned before the kernel

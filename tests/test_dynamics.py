@@ -13,7 +13,6 @@ from gmstruct.dynamics import (
     Family,
     Point,
     backward_base_orbit,
-    circle_dist,
     cu_direction,
     cu_directions,
     dither,
@@ -219,10 +218,6 @@ def test_orbit_helpers():
     assert np.max(np.abs([float(sys.base_map(back[i])) - back[i + 1] for i in range(3)])) < 1e-12
 
 
-def test_circle_dist_wraps():
-    assert circle_dist(0.05, 0.95) == pytest.approx(0.1)
-
-
 def test_invalid_params_rejected():
     with pytest.raises(ValueError):
         uniform_solenoid(lambda_s=1.5)
@@ -338,7 +333,7 @@ def test_kernel_matches_general_formula(sys, slopes):
     if slopes == "zero":
         s1 = np.zeros_like(t)
         s2 = np.zeros_like(t)
-    else:       # what cone_invariance_violations pushes
+    else:       # generic cone slopes, off the uncoupled zero-slope shortcut
         s1 = rng.uniform(-0.5, 0.5, len(t))
         s2 = rng.uniform(-0.5, 0.5, len(t))
     _assert_kernel_matches(sys, t, s1, s2)

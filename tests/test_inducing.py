@@ -18,9 +18,8 @@ from gmstruct.inducing import (
     run_construction,
     step_partition,
     structure_to_json,
-    verify_backward_contraction,
-    verify_distortion,
     verify_markov,
+    verify_pairs,
     write_structure_json,
 )
 
@@ -57,15 +56,17 @@ def test_ring_table_frozen_example():
     assert rings.boundaries[2] == pytest.approx(0.0625)
     assert rings.ring_index(0.08) == 1      # I_1 = (0.075, 0.100)
     assert rings.ring_index(0.07) == 2      # I_2 = (0.0625, 0.075)
-    assert rings.width(1) == pytest.approx(0.025)
-    assert rings.width(2) == pytest.approx(0.0125)  # geometric, ratio sqrt(sigma)
+    widths = -np.diff(rings.boundaries)     # widths[k - 1] is the width of I_k
+    assert widths[0] == pytest.approx(0.025)
+    assert widths[1] == pytest.approx(0.0125)  # geometric, ratio sqrt(sigma)
 
 
 def test_ring_truncation_at_resolution():
     params = ConstructionParams(delta0=0.05, sigma=0.25, c=0.5, n_max=10,
                                 resolution=1e-2)
     rings = build_rings(params)
-    assert rings.width(rings.k_max) >= params.resolution
+    assert rings.boundaries[rings.k_max - 1] - rings.boundaries[rings.k_max] \
+        >= params.resolution
     d0, s = params.delta0, params.sigma
     assert d0 * (s ** ((rings.k_max + 1) / 2.0)
                  - s ** ((rings.k_max + 2) / 2.0)) < params.resolution
@@ -188,7 +189,7 @@ def test_return_images_frozen_at_carve_time(fixture, request):
 
 def test_elements_partition_carved_points(uniform_structure):
     st, _ = uniform_structure
-    assert int(np.sum(st.element_counts())) == int(np.count_nonzero(st.R > 0))
+    assert int(np.sum(st.elem_hi - st.elem_lo + 1)) == int(np.count_nonzero(st.R > 0))
 
 
 # ---------------------------------------------------------------------------
@@ -233,39 +234,55 @@ def test_markov_detects_broken_covering(uniform_structure):
 def test_backward_contraction_uniform_exact(uniform_structure):
     # each backward step contracts by 2 > sigma^{-1/2}, so C = 1 exactly
     st, _ = uniform_structure
-    rep = verify_backward_contraction(st, UNIFORM, max_elements=100, seed=3)
+    rep = verify_pairs(st, UNIFORM, max_elements=100, seed=3)["backward_contraction"]
     assert rep["pairs"] > 100
     assert rep["C_fit"] == pytest.approx(1.0, abs=1e-9)
-    again = verify_backward_contraction(st, UNIFORM, max_elements=100, seed=3,
-                                        pairs_per_element=16)
+    again = verify_pairs(st, UNIFORM, max_elements=100, seed=3,
+                         pairs_per_element=16)["backward_contraction"]
     assert abs(again["C_fit"] - rep["C_fit"]) <= 0.1 * rep["C_fit"]
 
 
 def test_backward_contraction_intermittent(intermittent_structure):
     st, _ = intermittent_structure
-    rep = verify_backward_contraction(st, INTERMITTENT, max_elements=100, seed=3)
+    rep = verify_pairs(st, INTERMITTENT, max_elements=100, seed=3)["backward_contraction"]
     assert rep["pairs"] > 100
     assert rep["C_fit"] < 10.0
-    again = verify_backward_contraction(st, INTERMITTENT, max_elements=100, seed=3,
-                                        pairs_per_element=16)
+    again = verify_pairs(st, INTERMITTENT, max_elements=100, seed=3,
+                         pairs_per_element=16)["backward_contraction"]
     assert abs(again["C_fit"] - rep["C_fit"]) <= 0.1 * max(rep["C_fit"], again["C_fit"])
 
 
 def test_distortion_uniform_exactly_zero(uniform_structure):
     # constant derivative: log det ratios vanish identically
     st, _ = uniform_structure
-    rep = verify_distortion(st, UNIFORM, max_elements=100, seed=3)
+    rep = verify_pairs(st, UNIFORM, max_elements=100, seed=3)["distortion"]
     assert rep["exact_zero"]
     assert rep["C2_fit"] == 0.0
 
 
 def test_distortion_intermittent_holder(intermittent_structure):
     st, _ = intermittent_structure
-    rep = verify_distortion(st, INTERMITTENT, max_elements=100, seed=3)
+    rep = verify_pairs(st, INTERMITTENT, max_elements=100, seed=3)["distortion"]
     assert not rep["exact_zero"]
     assert 0.3 < rep["eta_fit"] <= 1.1
     assert rep["C2_fit"] > 0.0
     assert rep["max_residual_factor"] <= 1.0 + 1e-9
+
+
+def test_verify_pairs_intermittent_pinned(intermittent_structure):
+    # exact (P3) and (P4) reports of the two separate pair loops that
+    # verify_pairs replaced, taken under numpy 2.4.6, Python 3.11.7 on
+    # x86-64 (another numpy or libm may round differently and fail this test)
+    st, _ = intermittent_structure
+    rep = verify_pairs(st, INTERMITTENT, max_elements=100, seed=3)
+    assert rep["backward_contraction"] == {
+        "C_fit": 1.0, "violations": 0, "pairs": 800, "skipped_elements": 556,
+        "ratio_p50": 1.0, "ratio_p90": 1.0}
+    assert rep["distortion"] == {
+        "C2_fit": 1.3631813351879225, "eta_fit": 0.8825882890942276,
+        "max_residual_factor": 1.0000000000000004,
+        "r_squared": 0.23655618932649414, "pairs": 800, "exact_zero": False,
+        "skipped_elements": 556, "ls_intercept": -1.6521455188710494}
 
 
 # ---------------------------------------------------------------------------
@@ -300,7 +317,7 @@ def test_empty_construction():
     params = ConstructionParams(delta0=0.02, sigma=0.51, c=0.5, n_max=10,
                                 resolution=2.0 ** -10)
     st = run_construction(UNIFORM, params, p_base=0.37)
-    assert st.n_elements == 0
+    assert len(st.elem_lo) == 0
     assert st.leftover_mass() == 1.0
     assert st.nonconvergent
     rep = verify_markov(st, UNIFORM)
@@ -315,7 +332,7 @@ def test_structure_json_roundtrip(tmp_path, uniform_structure):
     st, params = uniform_structure
     doc = structure_to_json(st)
     assert doc["schema"] == 1
-    assert len(doc["elements"]) == st.n_elements
+    assert len(doc["elements"]) == len(st.elem_lo)
     assert doc["gcd_R"] == 1
     assert doc["params"]["delta0"] == params.delta0
     total = sum(e["hi"] - e["lo"] for e in doc["elements"]) \
@@ -325,7 +342,7 @@ def test_structure_json_roundtrip(tmp_path, uniform_structure):
     write_structure_json(st, path)
     loaded = json.loads(path.read_text())
     assert loaded["schema"] == 1
-    assert len(loaded["elements"]) == st.n_elements
+    assert len(loaded["elements"]) == len(st.elem_lo)
 
 
 def test_element_edges_match_expected_width(uniform_structure):
