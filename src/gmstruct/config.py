@@ -8,39 +8,45 @@ can echo it.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass, field
 
 from .dynamics import ModelSystem, intermittent_solenoid, uniform_solenoid
-from .errors import ConfigError
+from .errors import ConfigError, ParamError
 from .inducing import ConstructionParams
 from .pliss import default_sigma
 
 _OBS_TOKEN = re.compile(r"^(trig(\d+)|fiber_norm)$")
 
-#: every recognised key with (required, default-as-string)
+#: every recognised key: (ExperimentConfig field, type[, default as text]).
+#: A key without a default is required; a key accepts ``auto`` exactly when
+#: ``auto`` is its default.  ``system.alpha`` (required iff the family is
+#: intermittent) comes last because the manifest echo lists it last.
 _KEYS = {
-    "system.family": (True, None),
-    "system.alpha": (False, None),          # required iff family=intermittent
-    "system.lambda_s": (False, "0.25"),
-    "system.coupling": (False, "0.0"),
-    "pliss.c": (True, None),
-    "pliss.sigma": (False, "auto"),
-    "pliss.horizon": (False, "10000"),
-    "pliss.grid": (False, "16384"),
-    "inducing.delta0": (True, None),
-    "inducing.R0": (False, "20"),
-    "inducing.n_max": (True, None),
-    "inducing.resolution": (False, "auto"),
-    "inducing.epsilon": (False, "auto"),
-    "stats.observables": (False, "trig1"),
-    "stats.n_max": (False, "100"),
-    "stats.orbit_len": (False, "100000"),
-    "stats.ensemble": (False, "10000"),
-    "stats.eps": (False, "0.1"),
-    "seed": (False, "0"),
-    "output_dir": (False, "out"),
+    "system.family": ("family", str),
+    "system.lambda_s": ("lambda_s", float, "0.25"),
+    "system.coupling": ("coupling", float, "0.0"),
+    "pliss.c": ("c", float),
+    "pliss.sigma": ("sigma", float, "auto"),
+    "pliss.horizon": ("horizon", int, "10000"),
+    "pliss.grid": ("grid", int, "16384"),
+    "inducing.delta0": ("delta0", float),
+    "inducing.R0": ("R0", int, "20"),
+    "inducing.n_max": ("n_max", int),
+    "inducing.resolution": ("resolution", float, "auto"),
+    "inducing.epsilon": ("epsilon", float, "auto"),
+    "stats.observables": ("observable", str, "trig1"),
+    "stats.n_max": ("stats_n_max", int, "100"),
+    "stats.orbit_len": ("orbit_len", int, "100000"),
+    "stats.ensemble": ("ensemble", int, "10000"),
+    "stats.eps": ("eps", float, "0.1"),
+    "seed": ("seed", int, "0"),
+    "output_dir": ("output_dir", str, "out"),
+    "system.alpha": ("alpha", float, None),
 }
+#: ModelSystem / ConstructionParams field named by a ParamError -> its key
+_PARAM_KEY = {spec[0]: key for key, spec in _KEYS.items()} | {"base_param": "system.alpha"}
 
 
 def parse_dotted(text: str) -> dict:
@@ -61,24 +67,17 @@ def parse_dotted(text: str) -> dict:
     return out
 
 
-def _float(raw: dict, key: str) -> float:
+def _parse(key: str, text: str, kind: type):
+    if kind is str:
+        return text
     try:
-        return float(raw[key])
+        value = kind(text)
     except ValueError:
-        raise ConfigError(key, f"not a number: {raw[key]!r}") from None
-
-
-def _int(raw: dict, key: str) -> int:
-    try:
-        return int(raw[key])
-    except ValueError:
-        raise ConfigError(key, f"not an integer: {raw[key]!r}") from None
-
-
-def _system(family, alpha, lambda_s, coupling) -> ModelSystem:
-    if family == "uniform":
-        return uniform_solenoid(lambda_s=lambda_s, coupling=coupling)
-    return intermittent_solenoid(alpha=alpha, lambda_s=lambda_s, coupling=coupling)
+        noun = "a number" if kind is float else "an integer"
+        raise ConfigError(key, f"not {noun}: {text!r}") from None
+    if kind is float and not math.isfinite(value):
+        raise ConfigError(key, f"must be finite, not {text!r}")
+    return value
 
 
 @dataclass
@@ -108,7 +107,10 @@ class ExperimentConfig:
     resolved_rules: dict = field(default_factory=dict)
 
     def system(self) -> ModelSystem:
-        return _system(self.family, self.alpha, self.lambda_s, self.coupling)
+        if self.family == "uniform":
+            return uniform_solenoid(lambda_s=self.lambda_s, coupling=self.coupling)
+        return intermittent_solenoid(alpha=self.alpha, lambda_s=self.lambda_s,
+                                     coupling=self.coupling)
 
     def construction_params(self) -> ConstructionParams:
         return ConstructionParams(delta0=self.delta0, sigma=self.sigma, c=self.c,
@@ -117,30 +119,8 @@ class ExperimentConfig:
 
     def echo(self) -> dict:
         """Dotted-key view of every resolved value, for the manifest."""
-        doc = {
-            "system.family": self.family,
-            "system.lambda_s": self.lambda_s,
-            "system.coupling": self.coupling,
-            "pliss.c": self.c,
-            "pliss.sigma": self.sigma,
-            "pliss.horizon": self.horizon,
-            "pliss.grid": self.grid,
-            "inducing.delta0": self.delta0,
-            "inducing.R0": self.R0,
-            "inducing.n_max": self.n_max,
-            "inducing.resolution": self.resolution,
-            "inducing.epsilon": self.epsilon,
-            "stats.observables": self.observable,
-            "stats.n_max": self.stats_n_max,
-            "stats.orbit_len": self.orbit_len,
-            "stats.ensemble": self.ensemble,
-            "stats.eps": self.eps,
-            "seed": self.seed,
-            "output_dir": self.output_dir,
-        }
-        if self.alpha is not None:
-            doc["system.alpha"] = self.alpha
-        return doc
+        values = {key: getattr(self, spec[0]) for key, spec in _KEYS.items()}
+        return {key: value for key, value in values.items() if value is not None}
 
 
 def config_from_raw(raw: dict) -> ExperimentConfig:
@@ -148,122 +128,62 @@ def config_from_raw(raw: dict) -> ExperimentConfig:
     for key in raw:
         if key not in _KEYS:
             raise ConfigError(key, "unknown key")
-    merged = {k: default for k, (_, default) in _KEYS.items() if default is not None}
-    merged.update(raw)
-    for key, (required, _) in _KEYS.items():
-        if required and key not in merged:
+    v = {}
+    for key, (name, kind, *default) in _KEYS.items():
+        if key not in raw and not default:
             raise ConfigError(key, "required key missing")
+        text = raw[key] if key in raw else default[0]
+        auto = text is None or (text == "auto" and default == ["auto"])
+        v[name] = None if auto else _parse(key, text, kind)
+
+    family, alpha, obs = v["family"], v["alpha"], v["observable"]
+    for key, ok, message in (
+        ("system.family", family in ("uniform", "intermittent"),
+         "must be 'uniform' or 'intermittent'"),
+        ("system.alpha", (alpha is None) == (family != "intermittent"),
+         f"{'required' if alpha is None else 'only meaningful'} for the intermittent family"),
+        ("system.lambda_s", 0.0 < v["lambda_s"] < 0.5, "must lie in (0, 1/2)"),
+        # kept here, not left to ConstructionParams: sigma = auto needs c > 0
+        ("pliss.c", v["c"] > 0.0, "must be > 0"),
+        ("pliss.horizon", v["horizon"] >= 1, "must be >= 1"),
+        ("pliss.grid", v["grid"] >= 1000, "must be >= 1000"),
+        ("inducing.R0", v["R0"] >= 1, "must be >= 1"),
+        ("inducing.n_max", v["n_max"] > v["R0"], "must exceed inducing.R0"),
+        ("stats.observables", "," not in obs,
+         f"takes one observable, not the list {obs!r}"),
+        ("stats.observables", _OBS_TOKEN.match(obs),
+         f"unknown observable {obs!r} (use trigK or fiber_norm)"),
+        ("stats.n_max", v["stats_n_max"] >= 100,
+         "must be >= 100 (the CLT test runs 10 * stats.n_max >= 1000 steps)"),
+        ("stats.orbit_len", v["orbit_len"] >= 100 * v["stats_n_max"],
+         "must be >= 100 * stats.n_max"),
+        ("stats.ensemble", v["ensemble"] >= 1000, "must be >= 1000"),
+        ("stats.eps", v["eps"] > 0.0, "must be > 0"),
+        ("seed", 0 <= v["seed"] < 2 ** 64, "must be an unsigned 64-bit integer"),
+    ):
+        if not ok:
+            raise ConfigError(key, message)
 
     rules = {}
-
-    family = merged["system.family"]
-    if family not in ("uniform", "intermittent"):
-        raise ConfigError("system.family", "must be 'uniform' or 'intermittent'")
-    alpha = None
-    if family == "intermittent":
-        if "system.alpha" not in merged:
-            raise ConfigError("system.alpha", "required for the intermittent family")
-        alpha = _float(merged, "system.alpha")
-    elif "system.alpha" in raw:
-        raise ConfigError("system.alpha", "only meaningful for the intermittent family")
-
-    lambda_s = _float(merged, "system.lambda_s")
-    if not 0.0 < lambda_s < 0.5:
-        raise ConfigError("system.lambda_s", "must lie in (0, 1/2)")
-    coupling = _float(merged, "system.coupling")
+    if v["sigma"] is None:
+        v["sigma"] = default_sigma(v["c"])
+        rules["pliss.sigma"] = f"auto -> exp(-c/2) = {v['sigma']!r}"
+    if v["resolution"] is None:
+        v["resolution"] = 2.0 ** -20
+        rules["inducing.resolution"] = f"auto -> 2^-20 = {v['resolution']!r}"
+    cfg = ExperimentConfig(**v, resolved_rules=rules)
     try:
-        _system(family, alpha, lambda_s, coupling)
-    except ValueError as exc:
-        msg = str(exc)
-        key = ("system.alpha" if "exponent" in msg else
-               "system.coupling" if "coupling" in msg else "system.lambda_s")
-        raise ConfigError(key, msg) from None
-
-    c = _float(merged, "pliss.c")
-    if c <= 0.0:
-        raise ConfigError("pliss.c", "must be > 0")
-    if merged["pliss.sigma"] == "auto":
-        sigma = default_sigma(c)
-        rules["pliss.sigma"] = f"auto -> exp(-c/2) = {sigma!r}"
-    else:
-        sigma = _float(merged, "pliss.sigma")
-    if not 0.0 < sigma < 1.0:
-        raise ConfigError("pliss.sigma", "must lie in (0, 1)")
-    horizon = _int(merged, "pliss.horizon")
-    if horizon < 1:
-        raise ConfigError("pliss.horizon", "must be >= 1")
-    grid = _int(merged, "pliss.grid")
-    if grid < 1000:
-        raise ConfigError("pliss.grid", "must be >= 1000")
-
-    delta0 = _float(merged, "inducing.delta0")
-    if delta0 <= 0.0:
-        raise ConfigError("inducing.delta0", "must be > 0")
-    R0 = _int(merged, "inducing.R0")
-    if R0 < 1:
-        raise ConfigError("inducing.R0", "must be >= 1")
-    n_max = _int(merged, "inducing.n_max")
-    if n_max <= R0:
-        raise ConfigError("inducing.n_max", "must exceed inducing.R0")
-    if merged["inducing.resolution"] == "auto":
-        resolution = 2.0 ** -20
-        rules["inducing.resolution"] = f"auto -> 2^-20 = {resolution!r}"
-    else:
-        resolution = _float(merged, "inducing.resolution")
-    epsilon_raw = merged["inducing.epsilon"]
-    epsilon = None if epsilon_raw == "auto" else _float(merged, "inducing.epsilon")
-    try:
-        params = ConstructionParams(delta0=delta0, sigma=sigma, c=c, n_max=n_max,
-                                    R0=R0, resolution=resolution, epsilon=epsilon)
+        cfg.system()
+        params = cfg.construction_params()
         params.validate()
-    except ValueError as exc:
-        msg = str(exc)
-        key = "inducing.delta0"
-        for frag, k in (("sigma", "pliss.sigma"), ("c must", "pliss.c"),
-                        ("resolution", "inducing.resolution"),
-                        ("epsilon", "inducing.epsilon")):
-            if frag in msg:
-                key = k
-                break
-        raise ConfigError(key, msg) from None
-    if epsilon_raw == "auto":
+    except ParamError as exc:
+        raise ConfigError(_PARAM_KEY[exc.param], str(exc)) from None
+    if cfg.epsilon is None:
+        cfg.epsilon = params.epsilon
         rules["inducing.epsilon"] = (
             f"auto -> epsilon_max/2 = (C1/C0) delta0 (sigma^-1/2 - 1)/2"
             f" = {params.epsilon!r} (C1 = 1; C0 = 2 is a fixed bound, not calibrated)")
-    epsilon = params.epsilon
-
-    observable = merged["stats.observables"]
-    if "," in observable:
-        raise ConfigError("stats.observables",
-                          f"takes one observable, not the list {observable!r}")
-    if not _OBS_TOKEN.match(observable):
-        raise ConfigError("stats.observables",
-                          f"unknown observable {observable!r} (use trigK or fiber_norm)")
-    stats_n_max = _int(merged, "stats.n_max")
-    if stats_n_max < 100:
-        raise ConfigError("stats.n_max",
-                          "must be >= 100 (the CLT test runs 10 * stats.n_max >= 1000 steps)")
-    orbit_len = _int(merged, "stats.orbit_len")
-    if orbit_len < 100 * stats_n_max:
-        raise ConfigError("stats.orbit_len", "must be >= 100 * stats.n_max")
-    ensemble = _int(merged, "stats.ensemble")
-    if ensemble < 1000:
-        raise ConfigError("stats.ensemble", "must be >= 1000")
-    eps = _float(merged, "stats.eps")
-    if eps <= 0.0:
-        raise ConfigError("stats.eps", "must be > 0")
-
-    seed = _int(merged, "seed")
-    if not 0 <= seed < 2 ** 64:
-        raise ConfigError("seed", "must be an unsigned 64-bit integer")
-
-    return ExperimentConfig(
-        family=family, alpha=alpha, lambda_s=lambda_s, coupling=coupling,
-        c=c, sigma=sigma, horizon=horizon, grid=grid,
-        delta0=delta0, R0=R0, n_max=n_max, resolution=resolution, epsilon=epsilon,
-        observable=observable, stats_n_max=stats_n_max, orbit_len=orbit_len,
-        ensemble=ensemble, eps=eps, seed=seed, output_dir=merged["output_dir"],
-        resolved_rules=rules)
+    return cfg
 
 
 def load_config(path) -> ExperimentConfig:

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotSettled
+from .errors import NotSettled, ParamError
 
 TWO_PI = 2.0 * math.pi
 #: sub-resolution dither added to base coordinates by the ensemble and
@@ -68,15 +68,15 @@ class ModelSystem:
 
     def __post_init__(self):
         if not 0.0 < self.lambda_s < 1.0:
-            raise ValueError("lambda_s must lie in (0, 1)")
+            raise ParamError("lambda_s", "lambda_s must lie in (0, 1)")
         if not self.coupling >= 0.0:
-            raise ValueError("coupling must be >= 0")
+            raise ParamError("coupling", "coupling must be >= 0")
         if self.family is Family.UNIFORM and self.base_param != 2.0:
-            raise ValueError("uniform family is defined with base_param = 2")
+            raise ParamError("base_param", "uniform family is defined with base_param = 2")
         if self.family is Family.INTERMITTENT and not 0.0 < self.base_param < 1.0:
-            raise ValueError("intermittency exponent must lie in (0, 1)")
+            raise ParamError("base_param", "intermittency exponent must lie in (0, 1)")
         if self.lambda_s + self.coupling / 2.0 > 1.0:
-            raise ValueError("lambda_s + coupling/2 must be <= 1 to keep the fiber invariant")
+            raise ParamError("coupling", "lambda_s + coupling/2 must be <= 1 to keep the fiber invariant")
 
     # -- base circle map -------------------------------------------------
 

@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import ModelSystem, circle_offset
+from .errors import ParamError
 from .pliss import PlissScan, TailCurve, disk_grid_points, geometric_grid
 
 SCHEMA_VERSION = 1
@@ -83,25 +84,26 @@ class ConstructionParams:
 
     def epsilon_max(self):
         """Largest admissible A^eps margin keeping carves off waiting points."""
+        if not 0.0 < self.sigma < 1.0:
+            raise ParamError("sigma", "sigma must lie in (0, 1)")
         return (C1 / C0) * self.delta0 * (self.sigma ** -0.5 - 1.0)
 
     def validate(self):
         """Check the constant ordering; returns a list of soft warnings."""
         warnings = []
-        if not 0.0 < self.sigma < 1.0:
-            raise ValueError("sigma must lie in (0, 1)")
+        epsilon_max = self.epsilon_max()      # checks sigma first
         if self.c <= 0.0:
-            raise ValueError("c must be > 0")
+            raise ParamError("c", "c must be > 0")
         if self.delta0 <= 0.0:
-            raise ValueError("delta0 must be positive")
+            raise ParamError("delta0", "delta0 must be positive")
         if 2.0 * math.sqrt(self.delta0) >= DELTA1:
-            raise ValueError("outer cylinder 2*sqrt(delta0) must fit inside delta1")
-        if not self.epsilon < self.epsilon_max():
-            raise ValueError("epsilon exceeds the admissible bound")
+            raise ParamError("delta0", "outer cylinder 2*sqrt(delta0) must fit inside delta1")
+        if not self.epsilon < epsilon_max:
+            raise ParamError("epsilon", "epsilon exceeds the admissible bound")
         if not self.epsilon <= self.delta0 / 2.0:
-            raise ValueError("epsilon must be << delta0")
+            raise ParamError("epsilon", "epsilon must be << delta0")
         if self.resolution <= 0.0 or self.resolution >= self.delta0:
-            raise ValueError("resolution must be positive and below delta0")
+            raise ParamError("resolution", "resolution must be positive and below delta0")
         if not 5.0 * self.delta0 * K0 ** N0 < DELTA1 / 4.0:
             warnings.append("5*delta0*K0^N0 >= delta1/4 (worst-case window bound fails)")
         return warnings
@@ -174,7 +176,6 @@ class ConstructionState:
     t: np.ndarray            # wait function t_n (valid on active points)
     R: np.ndarray            # return time; 0 = not carved
     n_hyp: np.ndarray        # hyperbolic-time tag of carved points
-    log_deriv_carve: np.ndarray
     violations: int = 0
     trace: list = field(default_factory=list)
 
@@ -202,7 +203,7 @@ def init_state(sys: ModelSystem, params: ConstructionParams, p_base: float,
         n=0, p_base=p_base, points=pts, scan=scan, last_hyp=np.zeros(m, dtype=np.int64),
         log_deriv=z.copy(), log_deriv_hyp=z.copy(),
         t=np.zeros(m, dtype=np.int64), R=np.zeros(m, dtype=np.int64),
-        n_hyp=np.zeros(m, dtype=np.int64), log_deriv_carve=z.copy())
+        n_hyp=np.zeros(m, dtype=np.int64))
 
 
 def _stable_burn_in(sys: ModelSystem, params: ConstructionParams) -> int:
@@ -271,7 +272,6 @@ def step_partition(state: ConstructionState, sys: ModelSystem,
         # carve {R = n}
         state.R[carve] = n
         state.n_hyp[carve] = state.last_hyp[carve]
-        state.log_deriv_carve[carve] = state.log_deriv[carve]
         # three-case wait update on the remaining active points
         new_t = np.where(t_prev > 0, t_prev - 1, 0)
         new_t[ring] = rings.ring_index(d[ring])
@@ -300,7 +300,7 @@ class GibbsMarkovStructure:
     points: np.ndarray
     R: np.ndarray              # per grid point; 0 = leftover
     n_hyp: np.ndarray
-    log_deriv_carve: np.ndarray
+    log_deriv_carve: np.ndarray  # log (g^R)' on carved points
     x_final: np.ndarray        # g^R at carve time (g^{n_max} on leftover)
     ring_table: RingTable
     violations: int
@@ -352,7 +352,7 @@ def run_construction(sys: ModelSystem, params: ConstructionParams,
     leftover = float(np.count_nonzero(state.R == 0)) / len(state.R)
     return GibbsMarkovStructure(
         params=params, p_base=p_base, points=state.points, R=state.R,
-        n_hyp=state.n_hyp, log_deriv_carve=state.log_deriv_carve,
+        n_hyp=state.n_hyp, log_deriv_carve=state.log_deriv,
         x_final=state.scan.t, ring_table=rings, violations=state.violations,
         trace=state.trace, nonconvergent=leftover > 0.5)
 
@@ -483,14 +483,10 @@ def verify_markov(structure: GibbsMarkovStructure, sys: ModelSystem,
     report["checked"] = len(lo)
     # covering: the endpoint images must hit the arc boundary, and the map
     # must be monotone across the element (checked at interior samples)
-    vlo, _ = _evolve_with_deriv(sys, lo, steps)
-    vhi, _ = _evolve_with_deriv(sys, hi, steps)
-    olo = circle_offset(vlo, p)
-    ohi = circle_offset(vhi, p)
+    ends, _ = _evolve_with_deriv(sys, np.concatenate([lo, hi, lo + 0.5 * (hi - lo)]),
+                                 np.tile(steps, 3))
+    olo, ohi, omid = np.split(circle_offset(ends, p), 3)
     bad = (np.abs(olo + d0) > tol + err) | (np.abs(ohi - d0) > tol + err)
-    interior = lo + 0.5 * (hi - lo)
-    vmid, _ = _evolve_with_deriv(sys, interior, steps)
-    omid = circle_offset(vmid, p)
     bad |= (omid <= -d0) | (omid >= d0)
     report["covering_violations"] = int(np.count_nonzero(bad))
     # pairwise disjointness; two representatives may resolve to the same

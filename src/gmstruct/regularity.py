@@ -272,6 +272,12 @@ def absolute_continuity_test(sys: ModelSystem, pair: HolonomyPair,
     Both integrals use composite Simpson on a uniform base grid over
     [lo, hi] split into ``cells`` subintervals; the grid doubles until
     the worst cell estimate moves less than ``refine_tol``.
+
+    For these skew products the product in ``holonomy_jacobian_grid``
+    telescopes to ``speed_dst / speed_src`` (times a tail of order
+    ``lambda_s ** N_trunc``): the test confirms the product formula equals
+    the arclength Jacobian (error 0.0 uncoupled, 2.03e-16 on the pinned
+    coupled pair) and cannot detect a holonomy that is not absolutely continuous.
     """
     prev = None
     while True:

@@ -55,7 +55,9 @@ def test_exit_2_on_bad_sigma(tmp_path, capsys):
     ("system.lambda_s = 0.25\nsystem.coupling = 0.0",
      "system.lambda_s = 0.4\nsystem.coupling = 1.5", "system.coupling"),
     ("stats.n_max = 100", "stats.n_max = 50", "stats.n_max"),
-], ids=["coupling", "stats-n_max"])
+    ("inducing.resolution = 6.103515625e-05", "inducing.resolution = nan",
+     "inducing.resolution"),
+], ids=["coupling", "stats-n_max", "resolution-nan"])
 def test_exit_2_before_a_stage_would_crash(tmp_path, capsys, old, new, key):
     path = tmp_path / "bad.cfg"
     assert old in QUICK

@@ -1,6 +1,7 @@
 """Tests for the dotted-key configuration format and validation."""
 
 import math
+import re
 
 import pytest
 
@@ -132,6 +133,18 @@ def test_model_errors_name_the_key(overrides, key):
         config_from_raw(_raw(**overrides))
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", [
+    "system.alpha", "system.lambda_s", "system.coupling", "pliss.c", "pliss.sigma",
+    "inducing.delta0", "inducing.resolution", "inducing.epsilon", "stats.eps"])
+def test_non_finite_numbers_name_the_key(key, value):
+    overrides = {key: value}
+    if key == "system.alpha":
+        overrides["system.family"] = "intermittent"
+    with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: "):
+        config_from_raw(_raw(**overrides))
+
+
 def test_stats_n_max_covers_clt_length():
     # the limits stage runs the CLT test for 10 * stats.n_max >= 1000 steps
     with pytest.raises(ConfigError, match="stats.n_max"):
@@ -168,6 +181,46 @@ def test_echo_round_trips_resolved_values():
     assert again.sigma == cfg.sigma
     assert again.epsilon == cfg.epsilon
     assert again.resolution == cfg.resolution
+
+
+_EPS_RULE = ("auto -> epsilon_max/2 = (C1/C0) delta0 (sigma^-1/2 - 1)/2 = {}"
+             " (C1 = 1; C0 = 2 is a fixed bound, not calibrated)")
+_RES_RULE = "auto -> 2^-20 = 9.5367431640625e-07"
+
+
+@pytest.mark.parametrize("name, echo, rules", [
+    ("configs/uniform_baseline.cfg",
+     [("system.family", "uniform"), ("system.lambda_s", 0.25),
+      ("system.coupling", 0.0), ("pliss.c", 0.5), ("pliss.sigma", 0.51),
+      ("pliss.horizon", 10000), ("pliss.grid", 16384), ("inducing.delta0", 0.02),
+      ("inducing.R0", 20), ("inducing.n_max", 200),
+      ("inducing.resolution", 9.5367431640625e-07),
+      ("inducing.epsilon", 0.0020014004201400495),
+      ("stats.observables", "trig1"), ("stats.n_max", 100),
+      ("stats.orbit_len", 100000), ("stats.ensemble", 10000), ("stats.eps", 0.1),
+      ("seed", 0), ("output_dir", "out/uniform_baseline")],
+     {"inducing.resolution": _RES_RULE,
+      "inducing.epsilon": _EPS_RULE.format("0.0020014004201400495")}),
+    ("configs/intermittent_alpha05.cfg",
+     [("system.family", "intermittent"), ("system.lambda_s", 0.1),
+      ("system.coupling", 0.0), ("pliss.c", 0.1), ("pliss.sigma", 0.951229424500714),
+      ("pliss.horizon", 10000), ("pliss.grid", 16384), ("inducing.delta0", 0.02),
+      ("inducing.R0", 20), ("inducing.n_max", 2000),
+      ("inducing.resolution", 9.5367431640625e-07),
+      ("inducing.epsilon", 0.0001265756026221443),
+      ("stats.observables", "trig1"), ("stats.n_max", 100),
+      ("stats.orbit_len", 100000), ("stats.ensemble", 10000), ("stats.eps", 0.1),
+      ("seed", 0), ("output_dir", "out/intermittent_alpha05"), ("system.alpha", 0.5)],
+     {"pliss.sigma": "auto -> exp(-c/2) = 0.951229424500714",
+      "inducing.resolution": _RES_RULE,
+      "inducing.epsilon": _EPS_RULE.format("0.0001265756026221443")}),
+], ids=["uniform", "intermittent"])
+def test_shipped_config_surface_pinned(name, echo, rules):
+    # the manifest writes echo() and resolved_rules as they are: pin the key
+    # order, the values and their types (repr tells 0 from 0.0)
+    cfg = load_config(name)
+    assert repr(list(cfg.echo().items())) == repr(echo)
+    assert list(cfg.resolved_rules.items()) == list(rules.items())
 
 
 def test_load_config_missing_file(tmp_path):
