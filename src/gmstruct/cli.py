@@ -14,7 +14,6 @@ Exit codes: 0 success; 2 configuration error; 3 numerical failure under
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import sys as _sys
@@ -40,25 +39,17 @@ from .stats import (
     _fmt,
     clt_test,
     correlation,
-    fiber_norm,
     fit_power_law,
     large_deviations,
-    trig_base,
+    observable,
+    read_curve_csv,
     write_clt_json,
-    write_correlation_csv,
+    write_curve_csv,
     write_fits_json,
-    write_ld_csv,
-    write_tail_csv,
 )
 
 TOOL_VERSION = "0.1.0"
 STAGE_ORDER = ("tails", "induce", "verify", "regularity", "limits", "report")
-
-
-def _observable(token: str):
-    if token == "fiber_norm":
-        return fiber_norm()
-    return trig_base(int(token[4:]))      # trigK
 
 
 # ---------------------------------------------------------------------------
@@ -68,7 +59,7 @@ def _observable(token: str):
 def stage_tails(cfg: ExperimentConfig, out: Path, ctx: dict):
     sys_ = cfg.system()
     curve = expansion_tail(sys_, cfg.grid, cfg.c, cfg.horizon, sigma=cfg.sigma)
-    write_tail_csv(out / "tail_E.csv", curve, censored=True)
+    write_curve_csv(out / "tail_E.csv", curve, "survival", "censored_mass")
 
 
 def stage_induce(cfg: ExperimentConfig, out: Path, ctx: dict):
@@ -76,7 +67,7 @@ def stage_induce(cfg: ExperimentConfig, out: Path, ctx: dict):
     structure = run_construction(sys_, cfg.construction_params(), seed=cfg.seed)
     ctx["structure"] = structure
     write_structure_json(structure, out / "structure.json")
-    write_tail_csv(out / "tail_R.csv", return_tail(structure), censored=False)
+    write_curve_csv(out / "tail_R.csv", return_tail(structure), "survival")
     flow = measure_flow_constants(structure)
     flow["gcd_R"] = structure.gcd_R()
     flow["leftover_mass"] = structure.leftover_mass()
@@ -114,44 +105,27 @@ def stage_regularity(cfg: ExperimentConfig, out: Path, ctx: dict):
 
 def stage_limits(cfg: ExperimentConfig, out: Path, ctx: dict):
     sys_ = cfg.system()
-    phi = _observable(cfg.observable)
+    phi = observable(cfg.observable)
     corr = correlation(sys_, phi, phi, cfg.stats_n_max, cfg.orbit_len,
                        seed=cfg.seed)
-    write_correlation_csv(out / "correlation.csv", corr)
+    write_curve_csv(out / "correlation.csv", corr, "value", "mc_error")
     clt = clt_test(sys_, phi, cfg.stats_n_max * 10, cfg.ensemble, seed=cfg.seed)
     write_clt_json(out / "clt.json", clt)
     n_grid = [int(n) for n in geometric_grid(cfg.stats_n_max * 10) if n >= 5]
     ld = large_deviations(sys_, phi, cfg.eps, n_grid, max(cfg.ensemble, 10 ** 4),
                           seed=cfg.seed)
-    write_ld_csv(out / "ld.csv", ld)
-    fits = {}
-    for name, curve in (("correlation", corr), ("ld", ld)):
-        try:
-            fits[name] = fit_power_law(curve)
-        except InsufficientData:
-            pass
-    write_fits_json(out / "fits.json", fits)
+    write_curve_csv(out / "ld.csv", ld, "value")
 
 
 # ---------------------------------------------------------------------------
 # report
 
 
-def _read_curve(path, value_col):
-    rows = list(csv.DictReader(path.read_text().splitlines()))
-
-    class _C:
-        n_values = np.array([int(r["n"]) for r in rows])
-        values = np.array([float(r[value_col]) for r in rows])
-
-    return _C()
-
-
-def _maybe_fit(curve, window=None):
-    try:
-        return fit_power_law(curve, window=window)
-    except InsufficientData:
-        return None
+#: fitted curves: (name, stage that writes <name>.csv, value column, report key)
+_CURVES = (("tail_E", "tails", "survival", "tau_E"),
+           ("tail_R", "induce", "survival", "tau_R"),
+           ("correlation", "limits", "value", "correlation_exponent"),
+           ("ld", "limits", "value", "ld_exponent"))
 
 
 def build_report(cfg: ExperimentConfig, out: Path) -> dict:
@@ -166,37 +140,22 @@ def build_report(cfg: ExperimentConfig, out: Path) -> dict:
         raise MissingStage(f"no stage outputs in {out}: missing {missing}")
 
     fits = {}
-    tau_e = tau_r = None
-    if present["tail_E.csv"].exists():
-        tau_e = _maybe_fit(_read_curve(present["tail_E.csv"], "survival"))
-        if tau_e:
-            fits["tail_E"] = tau_e
-            doc["tau_E"] = tau_e.exponent
-    else:
-        doc["pending"].append("tails")
-    if present["tail_R.csv"].exists():
-        tau_r = _maybe_fit(_read_curve(present["tail_R.csv"], "survival"))
-        if tau_r:
-            fits["tail_R"] = tau_r
-            doc["tau_R"] = tau_r.exponent
-    else:
-        doc["pending"].append("induce")
-    if tau_e and tau_r:
-        doc["tau_comparison"] = (
-            f"tau_R vs tau_E: {tau_r.exponent:.4f} vs {tau_e.exponent:.4f} "
-            f"(transfer requires tau_R >= tau_E - 0.3)")
-        doc["checks"]["tail_transfer"] = bool(
-            tau_r.exponent >= tau_e.exponent - 0.3)
-
-    for name, col in (("correlation", "value"), ("ld", "value")):
-        p = present[f"{name}.csv"]
-        if p.exists():
-            fit = _maybe_fit(_read_curve(p, col))
-            if fit:
-                fits[name] = fit
-                doc[f"{name}_exponent"] = fit.exponent
-        else:
-            doc["pending"].append("limits")
+    for name, stage, column, key in _CURVES:
+        path = present[f"{name}.csv"]
+        if not path.exists():
+            doc["pending"].append(stage)
+            continue
+        try:
+            fits[name] = fit_power_law(read_curve_csv(path, column))
+        except InsufficientData:
+            continue
+        doc[key] = fits[name].exponent
+        if name == "tail_R" and "tail_E" in fits:
+            tau_e, tau_r = fits["tail_E"].exponent, fits["tail_R"].exponent
+            doc["tau_comparison"] = (
+                f"tau_R vs tau_E: {tau_r:.4f} vs {tau_e:.4f} "
+                f"(transfer requires tau_R >= tau_E - 0.3)")
+            doc["checks"]["tail_transfer"] = bool(tau_r >= tau_e - 0.3)
 
     if present["flow.json"].exists():
         flow = json.loads(present["flow.json"].read_text())
@@ -242,10 +201,10 @@ def build_report(cfg: ExperimentConfig, out: Path) -> dict:
         doc["sigma2"] = clt["sigma2"]
         bound = 0.08 if cfg.family == "intermittent" else 0.05
         doc["checks"]["clt_ks"] = bool(clt["ks_distance"] <= bound)
-    if tau_r is not None and "correlation" in fits:
+    if "tail_R" in fits and "correlation" in fits:
         doc["correlation_vs_tau"] = (
             f"correlation exponent {fits['correlation'].exponent:.4f} vs "
-            f"tau_R - 1 = {tau_r.exponent - 1.0:.4f}")
+            f"tau_R - 1 = {fits['tail_R'].exponent - 1.0:.4f}")
 
     doc["pending"] = sorted(set(doc["pending"]))
     doc["fits"] = {name: {"exponent": f.exponent, "intercept": f.intercept,
@@ -284,8 +243,7 @@ def stage_report(cfg: ExperimentConfig, out: Path, ctx: dict):
     with open(out / "report.json", "w") as fh:
         json.dump(doc, fh, indent=1)
     (out / "report.txt").write_text(_report_text(doc))
-    if fits:
-        write_fits_json(out / "fits.json", fits)
+    write_fits_json(out / "fits.json", fits)
     ctx["report"] = doc
 
 

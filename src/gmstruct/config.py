@@ -9,15 +9,13 @@ can echo it.
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field
 
 from .dynamics import ModelSystem, intermittent_solenoid, uniform_solenoid
 from .errors import ConfigError, ParamError
 from .inducing import ConstructionParams
 from .pliss import default_sigma
-
-_OBS_TOKEN = re.compile(r"^(trig(\d+)|fiber_norm)$")
+from .stats import observable
 
 #: every recognised key: (ExperimentConfig field, type[, default as text]).
 #: A key without a default is required; a key accepts ``auto`` exactly when
@@ -143,16 +141,17 @@ def config_from_raw(raw: dict) -> ExperimentConfig:
         ("system.alpha", (alpha is None) == (family != "intermittent"),
          f"{'required' if alpha is None else 'only meaningful'} for the intermittent family"),
         ("system.lambda_s", 0.0 < v["lambda_s"] < 0.5, "must lie in (0, 1/2)"),
-        # kept here, not left to ConstructionParams: sigma = auto needs c > 0
+        # kept here, not left to ConstructionParams: sigma = auto needs c > 0,
+        # and a c for which exp(-c/2) does not round to 1
         ("pliss.c", v["c"] > 0.0, "must be > 0"),
+        ("pliss.c", v["sigma"] is not None or v["c"] <= 0.0 or default_sigma(v["c"]) < 1.0,
+         "too small for pliss.sigma = auto: exp(-c/2) rounds to 1"),
         ("pliss.horizon", v["horizon"] >= 1, "must be >= 1"),
         ("pliss.grid", v["grid"] >= 1000, "must be >= 1000"),
         ("inducing.R0", v["R0"] >= 1, "must be >= 1"),
         ("inducing.n_max", v["n_max"] > v["R0"], "must exceed inducing.R0"),
         ("stats.observables", "," not in obs,
          f"takes one observable, not the list {obs!r}"),
-        ("stats.observables", _OBS_TOKEN.match(obs),
-         f"unknown observable {obs!r} (use trigK or fiber_norm)"),
         ("stats.n_max", v["stats_n_max"] >= 100,
          "must be >= 100 (the CLT test runs 10 * stats.n_max >= 1000 steps)"),
         ("stats.orbit_len", v["orbit_len"] >= 100 * v["stats_n_max"],
@@ -173,6 +172,7 @@ def config_from_raw(raw: dict) -> ExperimentConfig:
         rules["inducing.resolution"] = f"auto -> 2^-20 = {v['resolution']!r}"
     cfg = ExperimentConfig(**v, resolved_rules=rules)
     try:
+        observable(obs)
         cfg.system()
         params = cfg.construction_params()
         params.validate()

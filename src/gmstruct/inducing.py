@@ -36,7 +36,7 @@ import numpy as np
 
 from .dynamics import ModelSystem, circle_offset
 from .errors import ParamError
-from .pliss import PlissScan, TailCurve, disk_grid_points, geometric_grid
+from .pliss import PlissScan, disk_grid_points, geometric_grid, survival_curve
 
 SCHEMA_VERSION = 1
 
@@ -59,6 +59,10 @@ C0 = 2.0
 C1 = 1.0
 #: sup ||Df^-1|E^cu||; <= 1 when the base map never contracts
 K0 = 1.0
+#: most grid points a construction may sample: each carries about a dozen
+#: 8-byte arrays (orbit, Pliss scan state, log-derivatives, t, R, ...), so
+#: 2^25 points already hold about 3 GB
+MAX_GRID = 2 ** 25
 
 
 @dataclass
@@ -98,12 +102,16 @@ class ConstructionParams:
             raise ParamError("delta0", "delta0 must be positive")
         if 2.0 * math.sqrt(self.delta0) >= DELTA1:
             raise ParamError("delta0", "outer cylinder 2*sqrt(delta0) must fit inside delta1")
+        if not self.epsilon > 0.0:
+            raise ParamError("epsilon", "epsilon must be > 0")
         if not self.epsilon < epsilon_max:
             raise ParamError("epsilon", "epsilon exceeds the admissible bound")
         if not self.epsilon <= self.delta0 / 2.0:
             raise ParamError("epsilon", "epsilon must be << delta0")
         if self.resolution <= 0.0 or self.resolution >= self.delta0:
             raise ParamError("resolution", "resolution must be positive and below delta0")
+        if 2.0 * self.delta0 / self.resolution > MAX_GRID:
+            raise ParamError("resolution", f"resolution gives more than {MAX_GRID} grid points")
         if not 5.0 * self.delta0 * K0 ** N0 < DELTA1 / 4.0:
             warnings.append("5*delta0*K0^N0 >= delta1/4 (worst-case window bound fails)")
         return warnings
@@ -595,12 +603,8 @@ def verify_pairs(structure: GibbsMarkovStructure, sys: ModelSystem,
 
 def return_tail(structure: GibbsMarkovStructure):
     """Survival Leb{R > n} (leftover counts as R = infinity)."""
-    m = structure.grid_size
-    rvals = np.where(structure.R == 0, np.iinfo(np.int64).max, structure.R)
     ngrid = np.concatenate([[0], geometric_grid(structure.params.n_max)])
-    survival = np.array([np.count_nonzero(rvals > n) for n in ngrid], dtype=float) / m
-    return TailCurve(n_values=ngrid, survival=survival,
-                     censored_mass=structure.leftover_mass())
+    return survival_curve(structure.R, structure.R == 0, ngrid)
 
 
 def measure_flow_constants(structure: GibbsMarkovStructure) -> dict:

@@ -46,12 +46,16 @@ class ExpansionTime:
 
 
 @dataclass
-class TailCurve:
-    """Survival curve value[i] = Leb{ quantity > n_values[i] } on a disk."""
+class Curve:
+    """A measured curve: values[i] at n = n_values[i].
+
+    ``error`` is the censored mass of a survival curve, or the Monte Carlo
+    error of an ensemble statistic.
+    """
 
     n_values: np.ndarray
-    survival: np.ndarray
-    censored_mass: float = 0.0
+    values: np.ndarray
+    error: float = 0.0
 
 
 def pliss_times(series: LogSeries, sigma: float) -> HyperbolicTimeSet:
@@ -220,7 +224,7 @@ def geometric_grid(horizon: int, ratio: float = 1.25) -> np.ndarray:
 
 def expansion_tail(sys: ModelSystem, disk_grid: int, c: float, horizon: int,
                    sigma: float | None = None, center: float = 0.25,
-                   radius: float = 0.45, scan: DiskScan | None = None) -> TailCurve:
+                   radius: float = 0.45, scan: DiskScan | None = None) -> Curve:
     """Survival curve Leb_D{ E > n } on a geometric n-grid.
 
     Censored grid points count toward the survival at every n <= horizon.
@@ -232,12 +236,19 @@ def expansion_tail(sys: ModelSystem, disk_grid: int, c: float, horizon: int,
     if scan is None:
         pts = disk_grid_points(center, radius, disk_grid)
         scan = disk_scan(sys, pts, horizon, sigma, c)
-    m = len(scan.points)
-    evals = np.where(scan.censored, np.iinfo(np.int64).max, scan.expansion_time)
-    ngrid = geometric_grid(horizon)
-    survival = np.array([np.count_nonzero(evals > n) for n in ngrid], dtype=float) / m
-    return TailCurve(n_values=ngrid, survival=survival,
-                     censored_mass=float(np.count_nonzero(scan.censored)) / m)
+    return survival_curve(scan.expansion_time, scan.censored, geometric_grid(horizon))
+
+
+def survival_curve(values, censored, ngrid) -> Curve:
+    """Survival Leb{ value > n } for n in ``ngrid``, each value an equal-mass grid point.
+
+    Censored points survive at every n; their share is the curve's error.
+    """
+    m = len(values)
+    vals = np.where(censored, np.iinfo(np.int64).max, values)
+    survival = np.array([np.count_nonzero(vals > n) for n in ngrid], dtype=float) / m
+    return Curve(n_values=ngrid, values=survival,
+                 error=float(np.count_nonzero(censored)) / m)
 
 
 def summed_density_check(sys: ModelSystem, subset_mask, sigma: float, n: int,

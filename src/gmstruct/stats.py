@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import ModelSystem, dither
-from .errors import DegenerateVariance, InsufficientData
-from .pliss import geometric_grid
+from .errors import DegenerateVariance, InsufficientData, ParamError
+from .pliss import Curve, geometric_grid
 
 
 def _rng(seed):
@@ -59,6 +59,15 @@ def trig_base(k: int = 1) -> Observable:
 
 def fiber_norm() -> Observable:
     return Observable(kind="fiber_norm")
+
+
+def observable(token: str) -> Observable:
+    """The observable named by a ``stats.observables`` token: trigK or fiber_norm."""
+    if token == "fiber_norm":
+        return fiber_norm()
+    if token.startswith("trig") and token[4:].isdecimal():
+        return trig_base(int(token[4:]))
+    raise ParamError("observable", f"unknown observable {token!r} (use trigK or fiber_norm)")
 
 
 # ---------------------------------------------------------------------------
@@ -117,24 +126,9 @@ def _ensemble_series(sys, observables, walkers, steps, burn, seed):
 # correlation decay
 
 
-@dataclass
-class CorrelationCurve:
-    n_values: np.ndarray
-    values: np.ndarray
-    monte_carlo_error: float
-
-
-@dataclass
-class DeviationCurve:
-    n_values: np.ndarray
-    values: np.ndarray
-    monte_carlo_error: float
-    eps: float = 0.0
-
-
 def correlation(sys: ModelSystem, phi: Observable, psi: Observable,
                 n_max: int, orbit_len: int, walkers: int = 64,
-                burn: int = 1000, seed: int = 0, n_values=None) -> CorrelationCurve:
+                burn: int = 1000, seed: int = 0, n_values=None) -> Curve:
     """C_n = |avg phi(f^{n+j}x) psi(f^j x) - avg phi avg psi| on pooled orbits.
 
     ``orbit_len`` is the total pooled length, split over independent
@@ -153,8 +147,7 @@ def correlation(sys: ModelSystem, phi: Observable, psi: Observable,
     for i, n in enumerate(n_values):
         vals[i] = abs(float(np.mean(a[n:] * b[:steps - n])) - mean_a * mean_b)
     mc = 1.0 / math.sqrt(walkers * steps)
-    return CorrelationCurve(n_values=np.asarray(n_values, dtype=np.int64),
-                            values=vals, monte_carlo_error=mc)
+    return Curve(n_values=np.asarray(n_values, dtype=np.int64), values=vals, error=mc)
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +206,7 @@ def clt_test(sys: ModelSystem, phi: Observable, n: int, ensemble: int,
 
 def large_deviations(sys: ModelSystem, phi: Observable, eps: float,
                      n_grid, ensemble: int, seed: int = 0,
-                     burn: int = 1000, mean: float = None) -> DeviationCurve:
+                     burn: int = 1000, mean: float = None) -> Curve:
     """D_n = fraction of ensemble starts with |n-average - mu(phi)| > eps."""
     if eps <= 0.0:
         raise ValueError("eps must be > 0")
@@ -226,8 +219,7 @@ def large_deviations(sys: ModelSystem, phi: Observable, eps: float,
     sums = _birkhoff_sums(sys, phi, ensemble, n_grid, burn, seed)
     vals = np.array([float(np.mean(np.abs(s / n - mean) > eps))
                      for s, n in zip(sums, n_grid)])
-    return DeviationCurve(n_values=n_grid, values=vals,
-                          monte_carlo_error=1.0 / math.sqrt(ensemble), eps=eps)
+    return Curve(n_values=n_grid, values=vals, error=1.0 / math.sqrt(ensemble))
 
 
 # ---------------------------------------------------------------------------
@@ -243,17 +235,14 @@ class RateFit:
     points: int = 0
 
 
-def fit_power_law(curve, window=None) -> RateFit:
+def fit_power_law(curve: Curve, window=None) -> RateFit:
     """Least squares on (log n, log value); decay exponent is positive.
 
-    ``curve`` is anything with ``n_values`` and ``values`` (or ``survival``)
-    arrays.  The default window [10, n_max/10] drops the transient decade
-    and the noise-floor decade.
+    The default window [10, n_max/10] drops the transient decade and the
+    noise-floor decade.
     """
     n = np.asarray(curve.n_values, dtype=float)
-    vals = np.asarray(getattr(curve, "values", None)
-                      if getattr(curve, "values", None) is not None
-                      else curve.survival, dtype=float)
+    vals = np.asarray(curve.values, dtype=float)
     if window is None:
         window = (10, max(int(np.max(n)) // 10, 11))
     lo, hi = window
@@ -280,34 +269,22 @@ def _fmt(x):
     return format(float(x), ".17g")
 
 
-def write_tail_csv(path, curve, censored=True):
-    """tail_E.csv / tail_R.csv writer."""
+def write_curve_csv(path, curve: Curve, value_col: str, error_col: str = None):
+    """Columns n and ``value_col``; with ``error_col``, the curve's error on every row."""
+    error = [_fmt(curve.error)] if error_col else []
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        if censored:
-            w.writerow(["n", "survival", "censored_mass"])
-            for n, s in zip(curve.n_values, curve.survival):
-                w.writerow([int(n), _fmt(s), _fmt(curve.censored_mass)])
-        else:
-            w.writerow(["n", "survival"])
-            for n, s in zip(curve.n_values, curve.survival):
-                w.writerow([int(n), _fmt(s)])
-
-
-def write_correlation_csv(path, curve: CorrelationCurve):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["n", "value", "mc_error"])
+        w.writerow(["n", value_col] + ([error_col] if error_col else []))
         for n, val in zip(curve.n_values, curve.values):
-            w.writerow([int(n), _fmt(val), _fmt(curve.monte_carlo_error)])
+            w.writerow([int(n), _fmt(val)] + error)
 
 
-def write_ld_csv(path, curve: DeviationCurve):
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["n", "value"])
-        for n, val in zip(curve.n_values, curve.values):
-            w.writerow([int(n), _fmt(val)])
+def read_curve_csv(path, value_col: str) -> Curve:
+    """The n and ``value_col`` columns of a curve CSV written by write_curve_csv."""
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    return Curve(n_values=np.array([int(r["n"]) for r in rows]),
+                 values=np.array([float(r[value_col]) for r in rows]))
 
 
 def write_clt_json(path, result: dict):

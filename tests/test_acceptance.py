@@ -366,7 +366,7 @@ def limits_clock():
 def test_criterion_10_uniform_correlation(limits_clock):
     corr = correlation(UNIFORM, trig_base(1), trig_base(1), 100, 10 ** 5,
                        seed=4)
-    assert np.max(corr.values[1:]) <= 1e-3 + 2.0 * corr.monte_carlo_error
+    assert np.max(corr.values[1:]) <= 1e-3 + 2.0 * corr.error
 
 
 def test_criterion_10_clt(limits_clock):

@@ -6,7 +6,7 @@ import warnings
 
 import pytest
 
-from gmstruct.cli import build_report, main
+from gmstruct.cli import STAGE_ORDER, build_report, main
 from gmstruct.config import load_config
 
 QUICK = """
@@ -164,12 +164,19 @@ def test_manifest_wall_times(full_run):
 
 
 def test_reproducibility_checksums(full_run, quick_cfg, tmp_path):
+    # a second ``all``, and the six stages run one command each into one
+    # directory (standalone verify rebuilds the construction), give the
+    # same artifacts as the first ``all``
     _, out1 = full_run
     out2 = tmp_path / "again"
     assert _run("all", "--config", quick_cfg, "--out", str(out2)) == 0
+    out3 = tmp_path / "staged"
+    for stage in STAGE_ORDER:
+        assert _run(stage, "--config", quick_cfg, "--out", str(out3)) == 0
     man1 = json.loads((out1 / "manifest.json").read_text())
-    man2 = json.loads((out2 / "manifest.json").read_text())
-    assert man1["checksums"] == man2["checksums"]
+    for out in (out2, out3):
+        man2 = json.loads((out / "manifest.json").read_text())
+        assert man1["checksums"] == man2["checksums"]
 
 
 def test_seed_override_changes_stats(full_run, quick_cfg, tmp_path):

@@ -126,7 +126,15 @@ def test_coupling_bound_matches_model():
     ({"system.coupling": "-0.1"}, "system.coupling"),
     ({"system.coupling": "nan"}, "system.coupling"),
     ({"system.lambda_s": "0.6"}, "system.lambda_s"),
-], ids=["alpha-range", "alpha-nan", "coupling-sign", "coupling-nan", "lambda_s"])
+    # 2^-20 resolution gives 41,944 grid points; 1e-12 would give 4e10
+    ({"inducing.resolution": "1e-12"}, "inducing.resolution"),
+    ({"inducing.epsilon": "-1"}, "inducing.epsilon"),
+    ({"inducing.epsilon": "0"}, "inducing.epsilon"),
+    # sigma = auto is exp(-c/2), which rounds to 1 for these c
+    ({"pliss.c": "1e-300", "pliss.sigma": "auto"}, "pliss.c"),
+    ({"pliss.c": "1e-17", "pliss.sigma": "auto"}, "pliss.c"),
+], ids=["alpha-range", "alpha-nan", "coupling-sign", "coupling-nan", "lambda_s",
+        "resolution-grid-cap", "epsilon-negative", "epsilon-zero", "c-tiny", "c-below-ulp"])
 def test_model_errors_name_the_key(overrides, key):
     # the model parameters are checked by ModelSystem itself
     with pytest.raises(ConfigError, match=key):

@@ -292,10 +292,10 @@ def test_verify_pairs_intermittent_pinned(intermittent_structure):
 def test_return_tail_shape(uniform_structure):
     st, _ = uniform_structure
     tail = return_tail(st)
-    assert tail.survival[0] == 1.0
-    assert np.all(np.diff(tail.survival) <= 1e-15)
-    assert tail.survival[-1] >= st.leftover_mass() - 1e-15
-    assert tail.censored_mass == st.leftover_mass()
+    assert tail.values[0] == 1.0
+    assert np.all(np.diff(tail.values) <= 1e-15)
+    assert tail.values[-1] >= st.leftover_mass() - 1e-15
+    assert tail.error == st.leftover_mass()
 
 
 def test_flow_constants_positive(uniform_structure):

@@ -177,15 +177,15 @@ def test_geometric_grid_shape():
 
 def test_expansion_tail_uniform_is_zero():
     curve = expansion_tail(uniform_solenoid(), 1000, 0.5, 50)
-    assert np.all(curve.survival == 0.0)
-    assert curve.censored_mass == 0.0
+    assert np.all(curve.values == 0.0)
+    assert curve.error == 0.0
 
 
 def test_expansion_tail_monotone_intermittent():
     curve = expansion_tail(intermittent_solenoid(alpha=0.5), 2048, 0.1, 2000)
-    assert np.all(np.diff(curve.survival) <= 1e-15)
-    assert curve.survival[-1] >= curve.censored_mass - 1e-15
-    assert curve.survival[0] > 0.0
+    assert np.all(np.diff(curve.values) <= 1e-15)
+    assert curve.values[-1] >= curve.error - 1e-15
+    assert curve.values[0] > 0.0
 
 
 def test_summed_density_uniform_is_one():

@@ -9,9 +9,8 @@ import pytest
 
 from gmstruct.dynamics import uniform_solenoid
 from gmstruct.errors import DegenerateVariance, InsufficientData
+from gmstruct.pliss import Curve
 from gmstruct.stats import (
-    CorrelationCurve,
-    DeviationCurve,
     Observable,
     clt_test,
     correlation,
@@ -20,10 +19,8 @@ from gmstruct.stats import (
     large_deviations,
     trig_base,
     write_clt_json,
-    write_correlation_csv,
+    write_curve_csv,
     write_fits_json,
-    write_ld_csv,
-    write_tail_csv,
 )
 
 UNIFORM = uniform_solenoid(lambda_s=0.25, coupling=0.0)
@@ -64,7 +61,7 @@ def test_correlation_constant_observable():
 def test_correlation_uniform_trig_orthogonality():
     c = correlation(UNIFORM, trig_base(1), trig_base(1), 100, 10 ** 5, seed=4)
     assert c.values[0] == pytest.approx(0.5, abs=0.01)
-    assert np.max(c.values[1:]) <= 1e-3 + 2.0 * c.monte_carlo_error
+    assert np.max(c.values[1:]) <= 1e-3 + 2.0 * c.error
 
 
 def test_correlation_symmetry():
@@ -72,7 +69,7 @@ def test_correlation_symmetry():
                     seed=7)
     b = correlation(UNIFORM, fiber_norm(), trig_base(1), 50, 10 ** 4 * 100 // 100,
                     seed=7)
-    assert np.max(np.abs(a.values - b.values)) <= 4.0 * a.monte_carlo_error
+    assert np.max(np.abs(a.values - b.values)) <= 4.0 * a.error
 
 
 def test_correlation_orbit_length_contract():
@@ -185,28 +182,27 @@ def test_fit_custom_window():
 
 
 def test_csv_emitters(tmp_path):
-    curve = CorrelationCurve(n_values=np.array([0, 1, 2]),
-                             values=np.array([0.5, 0.25, 1.0 / 3.0]),
-                             monte_carlo_error=1e-3)
+    curve = Curve(n_values=np.array([0, 1, 2]),
+                  values=np.array([0.5, 0.25, 1.0 / 3.0]),
+                  error=1e-3)
     path = tmp_path / "correlation.csv"
-    write_correlation_csv(path, curve)
+    write_curve_csv(path, curve, "value", "mc_error")
     rows = list(csv.reader(path.open()))
     assert rows[0] == ["n", "value", "mc_error"]
     assert float(rows[3][1]) == 1.0 / 3.0   # 17 significant digits roundtrip
 
-    ld = DeviationCurve(n_values=np.array([10, 20]), values=np.array([0.1, 0.05]),
-                        monte_carlo_error=1e-2, eps=0.1)
-    write_ld_csv(tmp_path / "ld.csv", ld)
+    ld = Curve(n_values=np.array([10, 20]), values=np.array([0.1, 0.05]),
+               error=1e-2)
+    write_curve_csv(tmp_path / "ld.csv", ld, "value")
     rows = list(csv.reader((tmp_path / "ld.csv").open()))
     assert rows[0] == ["n", "value"]
 
-    from gmstruct.pliss import TailCurve
-    tail = TailCurve(n_values=np.array([1, 2]), survival=np.array([0.5, 0.25]),
-                     censored_mass=0.1)
-    write_tail_csv(tmp_path / "tail_E.csv", tail, censored=True)
+    tail = Curve(n_values=np.array([1, 2]), values=np.array([0.5, 0.25]),
+                 error=0.1)
+    write_curve_csv(tmp_path / "tail_E.csv", tail, "survival", "censored_mass")
     rows = list(csv.reader((tmp_path / "tail_E.csv").open()))
     assert rows[0] == ["n", "survival", "censored_mass"]
-    write_tail_csv(tmp_path / "tail_R.csv", tail, censored=False)
+    write_curve_csv(tmp_path / "tail_R.csv", tail, "survival")
     rows = list(csv.reader((tmp_path / "tail_R.csv").open()))
     assert rows[0] == ["n", "survival"]
 
