@@ -36,6 +36,7 @@ from .inducing import (
 from .pliss import expansion_tail, geometric_grid
 from .regularity import regularity_report
 from .stats import (
+    LD_MIN_ENSEMBLE,
     _fmt,
     clt_test,
     correlation,
@@ -109,10 +110,10 @@ def stage_limits(cfg: ExperimentConfig, out: Path, ctx: dict):
     corr = correlation(sys_, phi, phi, cfg.stats_n_max, cfg.orbit_len,
                        seed=cfg.seed)
     write_curve_csv(out / "correlation.csv", corr, "value", "mc_error")
-    clt = clt_test(sys_, phi, cfg.stats_n_max * 10, cfg.ensemble, seed=cfg.seed)
-    write_clt_json(out / "clt.json", clt)
-    n_grid = [int(n) for n in geometric_grid(cfg.stats_n_max * 10) if n >= 5]
-    ld = large_deviations(sys_, phi, cfg.eps, n_grid, max(cfg.ensemble, 10 ** 4),
+    n = 10 * cfg.stats_n_max
+    write_clt_json(out / "clt.json", clt_test(sys_, phi, n, cfg.ensemble, seed=cfg.seed))
+    n_grid = [int(k) for k in geometric_grid(n) if k >= 5]
+    ld = large_deviations(sys_, phi, cfg.eps, n_grid, max(cfg.ensemble, LD_MIN_ENSEMBLE),
                           seed=cfg.seed)
     write_curve_csv(out / "ld.csv", ld, "value")
 
@@ -128,8 +129,11 @@ _CURVES = (("tail_E", "tails", "survival", "tau_E"),
            ("ld", "limits", "value", "ld_exponent"))
 
 
-def build_report(cfg: ExperimentConfig, out: Path) -> dict:
-    """Aggregate whatever stage artifacts exist; absent stages are 'pending'."""
+def build_report(cfg: ExperimentConfig, out: Path) -> tuple[dict, dict]:
+    """(report document, fits by curve name) from whatever stage artifacts exist.
+
+    Absent stages are listed as 'pending' in the document.
+    """
     doc = {"pending": [], "fits": {}, "checks": {}}
     present = {name: out / name for name in
                ("tail_E.csv", "tail_R.csv", "structure.json", "flow.json",

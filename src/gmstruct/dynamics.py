@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,6 +31,8 @@ TWO_PI = 2.0 * math.pi
 #: construction orbits (binary base maps otherwise exhaust the mantissa and
 #: collapse every orbit onto a fixed point after ~52 steps)
 DITHER = 2.0 ** -51
+#: bisection steps that close the intermittent left-branch bracket [0, 1/2]
+BISECTION_ITERS = 80
 
 
 def frac(x):
@@ -148,11 +150,11 @@ class ModelSystem:
         return n1, n2, expansion
 
 
-def _invert_intermittent_left(t, alpha, iters=80):
+def _invert_intermittent_left(t, alpha):
     """Solve s (1 + (2 s)^alpha) = t on [0, 1/2] by bisection."""
     lo = np.zeros_like(t)
     hi = np.full_like(t, 0.5)
-    for _ in range(iters):
+    for _ in range(BISECTION_ITERS):
         mid = 0.5 * (lo + hi)
         val = mid * (1.0 + (2.0 * mid) ** alpha)
         smaller = val < t
@@ -215,30 +217,14 @@ def backward_base_orbit(sys: ModelSystem, t, n, rng=None, branches=None):
 # unstable direction and the log-contraction cocycle
 
 
-@dataclass
-class LogSeries:
-    """Per-orbit log contraction factors a_j = log ||Df^{-1} | E^cu_{f^j x}||.
-
-    ``values[j-1]`` holds a_j for j = 1..n.  Because E^cu is one-dimensional,
-    a_j = -log ||Df e_cu|| evaluated at f^{j-1}(x).
-    """
-
-    values: np.ndarray
-    origin: Point = field(default_factory=lambda: Point(0.0))
-
-    def __len__(self):
-        return len(self.values)
-
-
-def cu_direction(sys: ModelSystem, x: Point, settle: int = 100, history=None,
-                 rng=None, tol=1e-10):
+def cu_direction(sys: ModelSystem, x: Point, settle: int = 100, history=None, tol=1e-10):
     """Unit vector spanning E^cu at x: :func:`cu_directions` for one point.
 
     ``history`` is a backward base orbit ending at x (as produced by
     :func:`backward_base_orbit`), sampled at random if absent and needed.
     """
     if history is None:
-        history = backward_base_orbit(sys, x.base, settle, rng=rng) if sys.coupling else [x.base]
+        history = backward_base_orbit(sys, x.base, settle) if sys.coupling else [x.base]
     return cu_directions(sys, np.asarray(history, dtype=float)[-settle - 1:, None], settle, tol)[0]
 
 
@@ -279,9 +265,10 @@ def _row_norms(v):
 
 
 def log_contraction_series(sys: ModelSystem, x0: Point, n: int,
-                           slopes0=(0.0, 0.0)) -> LogSeries:
-    """Series a_j = -log ||Df e_cu|| along the forward orbit of x0.
+                           slopes0=(0.0, 0.0)) -> np.ndarray:
+    """Log contraction factors a_j = log ||Df^{-1} | E^cu|| along the orbit of x0.
 
+    Entry j-1 holds a_j = -log ||Df e_cu|| at f^{j-1}(x0), for j = 1..n.
     The tangent slopes start at ``slopes0`` (horizontal by default) and are
     pushed forward with the orbit; by domination they converge to the true
     unstable direction at rate lambda_s / g'.
@@ -297,4 +284,4 @@ def log_contraction_series(sys: ModelSystem, x0: Point, n: int,
         s1, s2, expansion = sys.push_tangent(t, s1, s2)
         vals[j] = -np.log(expansion)[0]
         t = sys.base_map(t)
-    return LogSeries(vals, origin=x0)
+    return vals

@@ -63,6 +63,12 @@ K0 = 1.0
 #: 8-byte arrays (orbit, Pliss scan state, log-derivatives, t, R, ...), so
 #: 2^25 points already hold about 3 GB
 MAX_GRID = 2 ** 25
+#: narrowest predicted element width that verification resolves and checks
+WIDTH_FLOOR = 1e-11
+#: Newton edge refinement: iteration cap and the residual that stops it
+NEWTON_ITERS, NEWTON_TOL = 60, 1e-12
+#: P1 edge-image tolerance, widened by the worst Newton residual
+EDGE_TOL = 1e-9
 
 
 @dataclass
@@ -381,20 +387,19 @@ def _evolve_with_deriv(sys, t, steps):
     return val, der
 
 
-def _newton_edges(sys, t0, steps, center, targets, max_move, iters=60, tol=1e-12):
+def _newton_edges(sys, t0, steps, center, targets, max_move):
     """Solve circle_offset(g^steps(t), center) = target near t0 (vectorized)."""
     t = np.array(t0, dtype=float)
-    lo = t0 - max_move
-    hi = t0 + max_move
+    lo, hi = t0 - max_move, t0 + max_move
     best_t = t.copy()
     best_err = np.full_like(t, np.inf)
-    for _ in range(iters):
+    for _ in range(NEWTON_ITERS):
         val, der = _evolve_with_deriv(sys, t, steps)
         err = circle_offset(val, center) - targets
         better = np.abs(err) < best_err
         np.copyto(best_t, t, where=better)
         np.copyto(best_err, np.abs(err), where=better)
-        if np.max(best_err) < tol:
+        if np.max(best_err) < NEWTON_TOL:
             break
         t = np.clip(t - err / der, lo, hi)
     return best_t, best_err
@@ -435,7 +440,7 @@ def element_edges(structure: GibbsMarkovStructure, sys: ModelSystem, idx):
     return lo, hi, err
 
 
-def _verifiable_elements(structure, width_floor, max_elements, seed):
+def _verifiable_elements(structure, max_elements, seed):
     """Carved-sample representatives of distinct true elements (point indices).
 
     At fine resolutions a contiguous carved run spans many true elements,
@@ -450,7 +455,7 @@ def _verifiable_elements(structure, width_floor, max_elements, seed):
         stride = max(1, int(round(w_all[lo] / cell)))
         reps.extend(range(int(lo), int(hi) + 1, stride))
     reps = np.array(reps, dtype=np.int64)
-    reps = reps[w_all[reps] >= width_floor]
+    reps = reps[w_all[reps] >= WIDTH_FLOOR]
     if max_elements is not None and len(reps) > max_elements:
         rng = np.random.default_rng(seed)
         reps = np.sort(rng.choice(reps, size=max_elements, replace=False))
@@ -462,9 +467,7 @@ def _verifiable_elements(structure, width_floor, max_elements, seed):
 
 
 def verify_markov(structure: GibbsMarkovStructure, sys: ModelSystem,
-                  width_floor: float = 1e-11, max_elements: int = 400,
-                  tol: float = 1e-9, seed: int = 0,
-                  intervals=None) -> dict:
+                  max_elements: int = 400, seed: int = 0, intervals=None) -> dict:
     """Check (P1): disjoint elements whose f^R images cover the delta0 arc.
 
     ``intervals`` may supply explicit (lo, hi, R) triples (used by negative
@@ -476,7 +479,7 @@ def verify_markov(structure: GibbsMarkovStructure, sys: ModelSystem,
     d0 = structure.params.delta0
     p = structure.p_base
     if intervals is None:
-        idx = _verifiable_elements(structure, width_floor, max_elements, seed)
+        idx = _verifiable_elements(structure, max_elements, seed)
         report["skipped"] = int(np.count_nonzero(structure.R > 0)) - len(idx)
         if len(idx) == 0:
             return report
@@ -494,15 +497,15 @@ def verify_markov(structure: GibbsMarkovStructure, sys: ModelSystem,
     ends, _ = _evolve_with_deriv(sys, np.concatenate([lo, hi, lo + 0.5 * (hi - lo)]),
                                  np.tile(steps, 3))
     olo, ohi, omid = np.split(circle_offset(ends, p), 3)
-    bad = (np.abs(olo + d0) > tol + err) | (np.abs(ohi - d0) > tol + err)
+    tol = EDGE_TOL + err
+    bad = (np.abs(olo + d0) > tol) | (np.abs(ohi - d0) > tol)
     bad |= (omid <= -d0) | (omid >= d0)
     report["covering_violations"] = int(np.count_nonzero(bad))
     # pairwise disjointness; two representatives may resolve to the same
     # true element, which shows up as near-identical intervals, not overlap
     order = np.argsort(lo)
     slo, shi = lo[order], hi[order]
-    dup_tol = tol + err
-    dup = (np.abs(np.diff(slo)) <= dup_tol) & (np.abs(np.diff(shi)) <= dup_tol)
+    dup = (np.abs(np.diff(slo)) <= tol) & (np.abs(np.diff(shi)) <= tol)
     overlap = (slo[1:] < shi[:-1] - 1e-15) & ~dup
     report["overlap_violations"] = int(np.count_nonzero(overlap))
     report["duplicates"] = int(np.count_nonzero(dup))
@@ -510,8 +513,8 @@ def verify_markov(structure: GibbsMarkovStructure, sys: ModelSystem,
 
 
 def verify_pairs(structure: GibbsMarkovStructure, sys: ModelSystem,
-                 pairs_per_element: int = 8, width_floor: float = 1e-11,
-                 max_elements: int = 300, seed: int = 0) -> dict:
+                 pairs_per_element: int = 8, max_elements: int = 300,
+                 seed: int = 0) -> dict:
     """Check (P3) and (P4) on one pair sample inside refined element intervals.
 
     (P3): dist(f^{R-k}y, f^{R-k}z) <= C sigma^{k/2} dist(f^Ry, f^Rz).  C_fit
@@ -526,7 +529,7 @@ def verify_pairs(structure: GibbsMarkovStructure, sys: ModelSystem,
     residuals are reported separately.
     """
     sigma = structure.params.sigma
-    idx = _verifiable_elements(structure, width_floor, max_elements, seed)
+    idx = _verifiable_elements(structure, max_elements, seed)
     skipped = int(np.count_nonzero(structure.R > 0)) - len(idx)
     back = {"C_fit": 0.0, "violations": 0, "pairs": 0,
             "skipped_elements": skipped, "ratio_p50": 0.0, "ratio_p90": 0.0}

@@ -24,17 +24,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import LogSeries, ModelSystem, dither
+from .dynamics import ModelSystem, dither
 from .errors import EmptySubset
 
-DEFAULT_GUARD_FRAC = 0.1
+GUARD_FRAC = 0.1        # shortest certifying suffix of an uncensored E, per horizon
+GRID_RATIO = 1.25       # ratio of the geometric n-grids every curve is measured on
+DISK_CENTER = 0.25      # center of the base arc scanned by default
+DISK_RADIUS = 0.45      # radius of the base arc scanned by default
+DENSITY_SCAN_C = 0.1    # c of summed_density_check's own scan (its counts ignore c)
 
 
 @dataclass
 class HyperbolicTimeSet:
     times: np.ndarray          # sorted 1-based hyperbolic times
     sigma: float
-    series_length: int
 
 
 @dataclass
@@ -58,11 +61,11 @@ class Curve:
     error: float = 0.0
 
 
-def pliss_times(series: LogSeries, sigma: float) -> HyperbolicTimeSet:
+def pliss_times(series, sigma: float) -> HyperbolicTimeSet:
     """All sigma-hyperbolic times of the series, by running-minimum scan."""
     if not 0.0 < sigma < 1.0:
         raise ValueError("sigma must lie in (0, 1)")
-    vals = np.asarray(series.values if isinstance(series, LogSeries) else series, dtype=float)
+    vals = np.asarray(series, dtype=float)
     if len(vals) < 1:
         raise ValueError("series must have length >= 1")
     b = vals - math.log(sigma)
@@ -71,31 +74,33 @@ def pliss_times(series: LogSeries, sigma: float) -> HyperbolicTimeSet:
     # n >= 1 is hyperbolic iff B_n <= min over 0 <= m < n
     hyp = prefix[1:] <= running_min[:-1]
     times = np.flatnonzero(hyp) + 1
-    return HyperbolicTimeSet(times=times, sigma=sigma, series_length=len(vals))
+    return HyperbolicTimeSet(times=times, sigma=sigma)
 
 
-def expansion_time(series: LogSeries, c: float, horizon: int,
-                   guard_frac: float = DEFAULT_GUARD_FRAC) -> ExpansionTime:
+def _censored(value, horizon: int):
+    """Whether E = value leaves a certifying suffix shorter than GUARD_FRAC * horizon."""
+    return value > horizon - max(1, int(math.ceil(GUARD_FRAC * horizon))) + 1
+
+
+def expansion_time(series, c: float, horizon: int) -> ExpansionTime:
     """First N with all running averages on [N, horizon] below -c.
 
-    The certifying suffix must be at least ``guard_frac * horizon`` long,
+    The certifying suffix must be at least ``GUARD_FRAC * horizon`` long,
     otherwise the result is censored (a lucky suffix at the very end of the
     observation window says nothing about the true expansion time).
     """
     if c <= 0.0:
         raise ValueError("c must be > 0")
-    vals = np.asarray(series.values if isinstance(series, LogSeries) else series, dtype=float)
+    vals = np.asarray(series, dtype=float)
     if horizon > len(vals):
         raise ValueError("horizon exceeds series length")
     n = np.arange(1, horizon + 1)
     avg = np.cumsum(vals[:horizon]) / n
     failing = np.flatnonzero(avg >= -c)
     last_fail = int(failing[-1]) + 1 if len(failing) else 0
-    value = last_fail + 1
-    guard = max(1, int(math.ceil(guard_frac * horizon)))
-    if value > horizon - guard + 1:
-        return ExpansionTime(value=horizon, censored=True, horizon=horizon, c=c)
-    return ExpansionTime(value=value, censored=False, horizon=horizon, c=c)
+    censored = _censored(last_fail + 1, horizon)
+    return ExpansionTime(value=horizon if censored else last_fail + 1,
+                         censored=censored, horizon=horizon, c=c)
 
 
 def theta_pliss(c: float, sigma: float, expansion_bound: float) -> float:
@@ -176,7 +181,7 @@ class PlissScan:
 
 
 def disk_scan(sys: ModelSystem, points, horizon: int, sigma: float, c: float,
-              checkpoints=(), guard_frac: float = DEFAULT_GUARD_FRAC) -> DiskScan:
+              checkpoints=()) -> DiskScan:
     """Vectorized orbit scan computing E and hyperbolic-time counts per point.
 
     Runs the tangent cocycle along every orbit simultaneously; memory stays
@@ -189,27 +194,25 @@ def disk_scan(sys: ModelSystem, points, horizon: int, sigma: float, c: float,
     hyp_count = np.zeros(m, dtype=np.int64)
     hyp_count_at = {}
     max_neg_a = 0.0
-    checkpoints = sorted(set(int(k) for k in checkpoints))
+    checkpoints = set(int(k) for k in checkpoints)
     for n in range(1, horizon + 1):
         a, hyp = scan.advance(sys)
         max_neg_a = max(max_neg_a, float(np.max(-a)))
         ssum += a
         hyp_count += hyp
         np.copyto(last_fail, n, where=(ssum >= -c * n))
-        if checkpoints and n == checkpoints[0]:
+        if n in checkpoints:
             hyp_count_at[n] = hyp_count.copy()
-            checkpoints.pop(0)
     evalue = last_fail + 1
-    guard = max(1, int(math.ceil(guard_frac * horizon)))
-    censored = evalue > horizon - guard + 1
+    censored = _censored(evalue, horizon)
     evalue = np.where(censored, horizon, evalue)
     return DiskScan(points=np.array(points, dtype=float), expansion_time=evalue,
                     censored=censored, hyp_count=hyp_count, hyp_count_at=hyp_count_at,
                     max_expansion_log=max_neg_a, horizon=horizon, sigma=sigma, c=c)
 
 
-def geometric_grid(horizon: int, ratio: float = 1.25) -> np.ndarray:
-    """n-grid ceil(ratio^k) up to horizon, deduplicated, for log-log fits."""
+def geometric_grid(horizon: int) -> np.ndarray:
+    """n-grid ceil(GRID_RATIO^k) up to horizon, deduplicated, for log-log fits."""
     out = []
     x = 1.0
     while True:
@@ -218,13 +221,13 @@ def geometric_grid(horizon: int, ratio: float = 1.25) -> np.ndarray:
             break
         if not out or n != out[-1]:
             out.append(n)
-        x *= ratio
+        x *= GRID_RATIO
     return np.array(out, dtype=np.int64)
 
 
 def expansion_tail(sys: ModelSystem, disk_grid: int, c: float, horizon: int,
-                   sigma: float | None = None, center: float = 0.25,
-                   radius: float = 0.45, scan: DiskScan | None = None) -> Curve:
+                   sigma: float | None = None, center: float = DISK_CENTER,
+                   radius: float = DISK_RADIUS) -> Curve:
     """Survival curve Leb_D{ E > n } on a geometric n-grid.
 
     Censored grid points count toward the survival at every n <= horizon.
@@ -233,9 +236,7 @@ def expansion_tail(sys: ModelSystem, disk_grid: int, c: float, horizon: int,
         raise ValueError("disk_grid must be >= 1000")
     if sigma is None:
         sigma = default_sigma(c)
-    if scan is None:
-        pts = disk_grid_points(center, radius, disk_grid)
-        scan = disk_scan(sys, pts, horizon, sigma, c)
+    scan = disk_scan(sys, disk_grid_points(center, radius, disk_grid), horizon, sigma, c)
     return survival_curve(scan.expansion_time, scan.censored, geometric_grid(horizon))
 
 
@@ -252,18 +253,17 @@ def survival_curve(values, censored, ngrid) -> Curve:
 
 
 def summed_density_check(sys: ModelSystem, subset_mask, sigma: float, n: int,
-                         scan: DiskScan | None = None, disk_grid: int = 2 ** 14,
-                         c: float = 0.1, center: float = 0.25,
-                         radius: float = 0.45) -> float:
+                         scan: DiskScan | None = None, disk_grid: int = 2 ** 14) -> float:
     """Average over the subset of the hyperbolic-time density up to n.
 
     Computes (1/n) sum_j Leb_D(A cap H_j) / Leb_D(A), which equals the mean
     over A of the pointwise density of hyperbolic times in [1, n].  The
-    caller is responsible for A avoiding { E > n }.
+    caller is responsible for A avoiding { E > n }.  Without ``scan`` the
+    default arc is scanned on ``disk_grid`` points.
     """
     if scan is None:
-        pts = disk_grid_points(center, radius, disk_grid)
-        scan = disk_scan(sys, pts, n, sigma, c, checkpoints=(n,))
+        pts = disk_grid_points(DISK_CENTER, DISK_RADIUS, disk_grid)
+        scan = disk_scan(sys, pts, n, sigma, DENSITY_SCAN_C, checkpoints=(n,))
     mask = np.asarray(subset_mask, dtype=bool)
     if not mask.any():
         raise EmptySubset("subset mask selects no grid points")
@@ -283,7 +283,7 @@ def contraction_slack(series, sigma: float, times=None):
     exp(S_n - S_{n-k} - k log sigma) equals exp(B_n - min_{m<n} B_m).
     Returns max over detected times of that quantity minus one.
     """
-    vals = np.asarray(series.values if isinstance(series, LogSeries) else series, dtype=float)
+    vals = np.asarray(series, dtype=float)
     b = vals - math.log(sigma)
     prefix = np.concatenate([[0.0], np.cumsum(b)])
     running_min = np.minimum.accumulate(prefix)

@@ -31,6 +31,10 @@ from .errors import DegenerateSample
 
 GROWTH_DEPTH = 100          # forward growth steps defining an unstable curve
 DISTANCE_FLOOR = 1e-10      # pairs closer than this are numerical noise
+N_TRUNC = 80                # last index of the holonomy Jacobian product
+HOLDER_SETTLE = 200         # cone-iteration steps settling each E^cu sample
+AC_ARC = (0.05, 0.95)       # base interval of the absolute-continuity test
+AC_REFINE_TOL = 1e-6        # grid doubling stops when the worst cell moves less
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +151,7 @@ def stable_contraction_check(sys: ModelSystem, fiber_pairs: int = 1000,
 
 
 def holder_exponent_cu(sys: ModelSystem, sample_pairs: int = 10 ** 4,
-                       settle: int = 200, seed: int = 0) -> dict:
+                       seed: int = 0) -> dict:
     """Regression of log angle(E^cu(x), E^cu(y)) against log dist(x, y).
 
     Points are taken from a long attractor orbit so every point carries
@@ -160,8 +164,8 @@ def holder_exponent_cu(sys: ModelSystem, sample_pairs: int = 10 ** 4,
     burn = 200
     t = float(rng.random())
     u = v = 0.0
-    base_hist = np.empty(burn + n_pts + settle)
-    fibers = np.empty((burn + n_pts + settle, 2))
+    base_hist = np.empty(burn + n_pts + HOLDER_SETTLE)
+    fibers = np.empty((burn + n_pts + HOLDER_SETTLE, 2))
     for i in range(len(base_hist)):
         base_hist[i] = t
         fibers[i] = (u, v)
@@ -170,8 +174,8 @@ def holder_exponent_cu(sys: ModelSystem, sample_pairs: int = 10 ** 4,
         # onto the fixed point once the mantissa is exhausted
         t = dither(t, rng)
     # row k holds every point's history position k (oldest first) as a view
-    dirs = cu_directions(sys, sliding_window_view(base_hist[burn:], n_pts), settle)
-    pts = np.column_stack([base_hist[burn + settle:], fibers[burn + settle:]])
+    dirs = cu_directions(sys, sliding_window_view(base_hist[burn:], n_pts), HOLDER_SETTLE)
+    pts = np.column_stack([base_hist[burn + HOLDER_SETTLE:], fibers[burn + HOLDER_SETTLE:]])
 
     def pair_stats(i, j):
         d = pts[i] - pts[j]
@@ -237,7 +241,7 @@ def _log_jacobian_terms(sys: ModelSystem, tau, slopes, slopes_prime, n_terms: in
 
 
 def holonomy_jacobian(sys: ModelSystem, pair: HolonomyPair, x,
-                      N_trunc: int = 80) -> dict:
+                      N_trunc: int = N_TRUNC) -> dict:
     """J(x) = prod_{i=0}^{N_trunc} det Df^u(f^i x) / det Df^u(f^i phi(x)).
 
     ``x`` is the base coordinate of the point on ``pair.gamma``.  The tail
@@ -249,45 +253,39 @@ def holonomy_jacobian(sys: ModelSystem, pair: HolonomyPair, x,
     _, _, p1, p2 = pair.gamma_prime.evaluate(x)
     terms = _log_jacobian_terms(sys, x, (s1, s2), (p1, p2), N_trunc + 1)
     totals = np.cumsum(terms[::-1], axis=0)[::-1]   # totals[N] = sum_{i>=N}
-    n_vals = np.arange(N_trunc + 1)
-    tail = ProductTail(N_values=n_vals,
-                       tail_log=np.abs(totals[:, 0]))
+    tail = ProductTail(N_values=np.arange(N_trunc + 1), tail_log=np.abs(totals[:, 0]))
     j = float(np.exp(np.sum(terms[:, 0])))
     return {"J": j, "tail": tail}
 
 
-def holonomy_jacobian_grid(sys: ModelSystem, tau, slopes, slopes_prime,
-                           N_trunc: int = 80) -> np.ndarray:
-    """Vectorized J over a base grid from the two curves' slopes over it."""
-    terms = _log_jacobian_terms(sys, tau, slopes, slopes_prime, N_trunc + 1)
+def holonomy_jacobian_grid(sys: ModelSystem, tau, slopes, slopes_prime) -> np.ndarray:
+    """Vectorized J (product to N_TRUNC) over a base grid from the two curves' slopes."""
+    terms = _log_jacobian_terms(sys, tau, slopes, slopes_prime, N_TRUNC + 1)
     return np.exp(np.sum(terms, axis=0))
 
 
 def absolute_continuity_test(sys: ModelSystem, pair: HolonomyPair,
-                             cells: int = 64, lo: float = 0.05, hi: float = 0.95,
-                             grid: int = 2 ** 12, N_trunc: int = 80,
-                             refine_tol: float = 1e-6) -> dict:
+                             cells: int = 64, grid: int = 2 ** 12) -> dict:
     """Compare arclength of phi(A) with int_A J dLeb_gamma per cell.
 
     Both integrals use composite Simpson on a uniform base grid over
-    [lo, hi] split into ``cells`` subintervals; the grid doubles until
-    the worst cell estimate moves less than ``refine_tol``.
+    AC_ARC = [lo, hi] split into ``cells`` subintervals; the grid doubles
+    until the worst cell estimate moves less than ``AC_REFINE_TOL``.
 
     For these skew products the product in ``holonomy_jacobian_grid``
     telescopes to ``speed_dst / speed_src`` (times a tail of order
-    ``lambda_s ** N_trunc``): the test confirms the product formula equals
+    ``lambda_s ** N_TRUNC``): the test confirms the product formula equals
     the arclength Jacobian (error 0.0 uncoupled, 2.03e-16 on the pinned
     coupled pair) and cannot detect a holonomy that is not absolutely continuous.
     """
+    lo, hi = AC_ARC
     prev = None
     while True:
-        m = grid
-        if m % (2 * cells) != 0:
-            m = 2 * cells * (m // (2 * cells) + 1)
+        m = -(-grid // (2 * cells)) * 2 * cells    # grid rounded up to whole cell pairs
         tau = np.linspace(lo, hi, m + 1)
         _, _, s1, s2 = pair.gamma.evaluate(tau)
         _, _, p1, p2 = pair.gamma_prime.evaluate(tau)
-        jac = holonomy_jacobian_grid(sys, tau, (s1, s2), (p1, p2), N_trunc)
+        jac = holonomy_jacobian_grid(sys, tau, (s1, s2), (p1, p2))
         # arclength elements |gamma'(tau)| of the two graph parametrizations
         speed_src = np.sqrt(1.0 + s1 ** 2 + s2 ** 2)
         speed_dst = np.sqrt(1.0 + p1 ** 2 + p2 ** 2)
@@ -300,14 +298,13 @@ def absolute_continuity_test(sys: ModelSystem, pair: HolonomyPair,
             integral = _simpson((jac * speed_src)[sl], h)
             rel[c] = abs(length_img - integral) / max(abs(length_img), 1e-300)
         worst = float(np.max(rel))
-        if prev is not None and abs(worst - prev) < refine_tol:
+        if prev is not None and abs(worst - prev) < AC_REFINE_TOL:
             return {"max_rel_err": worst, "grid": m, "cells": cells}
         prev = worst
         grid = 2 * m
 
 
 def _simpson(y, h):
-    n = len(y) - 1
     return h / 3.0 * (y[0] + y[-1] + 4.0 * np.sum(y[1:-1:2]) + 2.0 * np.sum(y[2:-1:2]))
 
 
@@ -317,14 +314,14 @@ def _simpson(y, h):
 
 def regularity_report(sys: ModelSystem, fiber_pairs: int = 1000,
                       holder_pairs: int = 10 ** 4, cells: int = 64,
-                      N_trunc: int = 80, seed: int = 0) -> dict:
+                      seed: int = 0) -> dict:
     """All regularity checks in one document (regularity.json payload)."""
     contraction = stable_contraction_check(sys, fiber_pairs, seed=seed)
     holder = holder_exponent_cu(sys, holder_pairs, seed=seed)
     pair = HolonomyPair(gamma=grow_unstable_curve(sys, seed=seed + 1),
                         gamma_prime=grow_unstable_curve(sys, seed=seed + 2))
-    jac = holonomy_jacobian(sys, pair, 0.5, N_trunc=N_trunc)
-    ac = absolute_continuity_test(sys, pair, cells=cells, N_trunc=N_trunc)
+    jac = holonomy_jacobian(sys, pair, 0.5)
+    ac = absolute_continuity_test(sys, pair, cells=cells)
     tail = jac["tail"]
     stride = max(1, len(tail.N_values) // 20)
     table = [{"N": int(n), "tail_log": float(v)}

@@ -24,6 +24,12 @@ from .dynamics import ModelSystem, dither
 from .errors import DegenerateVariance, InsufficientData, ParamError
 from .pliss import Curve, geometric_grid
 
+WALKERS = 64                  # walkers of the correlation and Green-Kubo orbits
+BURN = 1000                   # steps every ensemble advances before it is sampled
+GREEN_KUBO_ORBIT = 10 ** 5    # pooled Green-Kubo orbit length
+GREEN_KUBO_N_MAX = 200        # largest lag the Green-Kubo sum reaches
+LD_MIN_ENSEMBLE = 10 ** 4     # fewest starts of a large-deviation ensemble
+
 
 def _rng(seed):
     return np.random.Generator(np.random.Philox(seed))
@@ -79,23 +85,23 @@ def _advance(sys, t, u, v, rng):
     return dither(t, rng), u, v
 
 
-def _ensemble(sys, walkers, burn, seed):
-    """(rng, t, u, v): uniform base starts on the zero fiber, advanced burn steps."""
+def _ensemble(sys, walkers, seed):
+    """(rng, t, u, v): uniform base starts on the zero fiber, advanced BURN steps."""
     rng = _rng(seed)
     t = rng.random(walkers)
     u = np.zeros(walkers)
     v = np.zeros(walkers)
-    for _ in range(burn):
+    for _ in range(BURN):
         t, u, v = _advance(sys, t, u, v, rng)
     return rng, t, u, v
 
 
-def _birkhoff_sums(sys, phi, walkers, ns, burn, seed):
+def _birkhoff_sums(sys, phi, walkers, ns, seed):
     """S_n = sum_{j<n} phi(f^j x) over a burned-in ensemble, one row per n.
 
     ``ns`` must be increasing; the ensemble advances once per summed term.
     """
-    rng, t, u, v = _ensemble(sys, walkers, burn, seed)
+    rng, t, u, v = _ensemble(sys, walkers, seed)
     s = np.zeros(walkers)
     out = np.empty((len(ns), walkers))
     step_no = 0
@@ -108,13 +114,13 @@ def _birkhoff_sums(sys, phi, walkers, ns, burn, seed):
     return out
 
 
-def _ensemble_series(sys, observables, walkers, steps, burn, seed):
+def _ensemble_series(sys, observables, steps, seed):
     """Per-step observable values over a burned-in vectorized ensemble.
 
-    Returns a list of arrays of shape (steps, walkers), one per observable.
+    Returns a list of arrays of shape (steps, WALKERS), one per observable.
     """
-    rng, t, u, v = _ensemble(sys, walkers, burn, seed)
-    out = [np.empty((steps, walkers)) for _ in observables]
+    rng, t, u, v = _ensemble(sys, WALKERS, seed)
+    out = [np.empty((steps, WALKERS)) for _ in observables]
     for j in range(steps):
         for row, phi in zip(out, observables):
             row[j] = phi(t, u, v)
@@ -127,8 +133,7 @@ def _ensemble_series(sys, observables, walkers, steps, burn, seed):
 
 
 def correlation(sys: ModelSystem, phi: Observable, psi: Observable,
-                n_max: int, orbit_len: int, walkers: int = 64,
-                burn: int = 1000, seed: int = 0, n_values=None) -> Curve:
+                n_max: int, orbit_len: int, seed: int = 0) -> Curve:
     """C_n = |avg phi(f^{n+j}x) psi(f^j x) - avg phi avg psi| on pooled orbits.
 
     ``orbit_len`` is the total pooled length, split over independent
@@ -136,66 +141,70 @@ def correlation(sys: ModelSystem, phi: Observable, psi: Observable,
     """
     if orbit_len < 100 * n_max:
         raise ValueError("orbit_len must be >= 100 * n_max")
-    steps = max(orbit_len // walkers, 2 * n_max)
-    series = _ensemble_series(sys, [phi, psi], walkers, steps, burn, seed)
-    a, b = series
-    mean_a = float(np.mean(a))
-    mean_b = float(np.mean(b))
-    if n_values is None:
-        n_values = np.concatenate([[0], geometric_grid(n_max)])
+    steps = max(orbit_len // WALKERS, 2 * n_max)
+    a, b = _ensemble_series(sys, [phi, psi], steps, seed)
+    mean_ab = float(np.mean(a)) * float(np.mean(b))
+    n_values = np.concatenate([[0], geometric_grid(n_max)])
     vals = np.empty(len(n_values))
     for i, n in enumerate(n_values):
-        vals[i] = abs(float(np.mean(a[n:] * b[:steps - n])) - mean_a * mean_b)
-    mc = 1.0 / math.sqrt(walkers * steps)
-    return Curve(n_values=np.asarray(n_values, dtype=np.int64), values=vals, error=mc)
+        vals[i] = abs(float(np.mean(a[n:] * b[:steps - n])) - mean_ab)
+    mc = 1.0 / math.sqrt(WALKERS * steps)
+    return Curve(n_values=n_values, values=vals, error=mc)
 
 
 # ---------------------------------------------------------------------------
 # central limit theorem
 
 
-def green_kubo_sigma2(sys: ModelSystem, phi: Observable, n_max: int = 200,
-                      orbit_len: int = 10 ** 5, walkers: int = 64,
-                      seed: int = 0) -> dict:
+def green_kubo_sigma2(sys: ModelSystem, phi: Observable, seed: int = 0) -> dict:
     """sigma^2 = c_0 + 2 sum_{k>=1} c_k, truncated at the MC noise floor."""
-    steps = max(orbit_len // walkers, 2 * n_max)
-    (a,) = _ensemble_series(sys, [phi], walkers, steps, 1000, seed)
+    steps = max(GREEN_KUBO_ORBIT // WALKERS, 2 * GREEN_KUBO_N_MAX)
+    (a,) = _ensemble_series(sys, [phi], steps, seed)
     mean_a = float(np.mean(a))
     ac = a - mean_a
-    mc = 1.0 / math.sqrt(walkers * steps)
+    mc = 1.0 / math.sqrt(WALKERS * steps)
     sigma2 = float(np.mean(ac * ac))
-    lag = 0
-    for k in range(1, n_max + 1):
-        ck = float(np.mean(ac[k:] * ac[:steps - k]))
+    for lag in range(1, GREEN_KUBO_N_MAX + 1):
+        ck = float(np.mean(ac[lag:] * ac[:steps - lag]))
         if abs(2.0 * ck) < mc:
-            lag = k
             break
         sigma2 += 2.0 * ck
-        lag = k
     return {"sigma2": sigma2, "truncation_lag": lag, "mc_error": mc,
             "mean": mean_a}
 
 
+def ks_statistic(z, sd: float) -> float:
+    """Two-sided Kolmogorov-Smirnov distance of the sample z to Normal(0, sd^2).
+
+    Equal bit for bit to ``scipy.stats.kstest(z, "norm", args=(0, sd)).statistic``
+    without the ~1 s ``scipy.stats`` import (``math.erfc`` rounds differently).
+    """
+    from scipy.special import ndtr
+    cdf = ndtr(np.sort(z) / sd)
+    n = len(cdf)
+    d_plus = np.max(np.arange(1.0, n + 1) / n - cdf)
+    d_minus = np.max(cdf - np.arange(0.0, n) / n)
+    return float(max(d_plus, d_minus))
+
+
 def clt_test(sys: ModelSystem, phi: Observable, n: int, ensemble: int,
-             seed: int = 0, burn: int = 1000) -> dict:
+             seed: int = 0) -> dict:
     """KS distance of normalized Birkhoff sums to Normal(0, sigma2)."""
     if ensemble < 10 ** 3:
         raise ValueError("ensemble must be >= 1e3")
     if n < 10 ** 3:
         raise ValueError("n must be >= 1e3")
-    from scipy import stats as sps
     gk = green_kubo_sigma2(sys, phi, seed=seed + 1)
     sigma2, mc = gk["sigma2"], gk["mc_error"]
     if sigma2 < 10.0 * mc:
         raise DegenerateVariance(
             f"sigma2 = {sigma2:.3e} below noise floor {mc:.3e} (near-coboundary)")
-    (s,) = _birkhoff_sums(sys, phi, ensemble, [n], burn, seed)
+    (s,) = _birkhoff_sums(sys, phi, ensemble, [n], seed)
     # center with the pooled ensemble mean (n * ensemble samples): the
     # short Green-Kubo orbit mean has MC error that sqrt(n) would amplify
     mean = float(np.mean(s)) / n
     z = (s - n * mean) / math.sqrt(n)
-    ks = sps.kstest(z, "norm", args=(0.0, math.sqrt(sigma2))).statistic
-    return {"ks_distance": float(ks), "sigma2": sigma2,
+    return {"ks_distance": ks_statistic(z, math.sqrt(sigma2)), "sigma2": sigma2,
             "ensemble_var": float(np.var(z)),
             "truncation_lag": gk["truncation_lag"], "n": n, "ensemble": ensemble}
 
@@ -205,18 +214,18 @@ def clt_test(sys: ModelSystem, phi: Observable, n: int, ensemble: int,
 
 
 def large_deviations(sys: ModelSystem, phi: Observable, eps: float,
-                     n_grid, ensemble: int, seed: int = 0,
-                     burn: int = 1000, mean: float = None) -> Curve:
-    """D_n = fraction of ensemble starts with |n-average - mu(phi)| > eps."""
+                     n_grid, ensemble: int, seed: int = 0) -> Curve:
+    """D_n = fraction of ensemble starts with |n-average - mu(phi)| > eps.
+
+    mu(phi) is the Green-Kubo orbit mean.
+    """
     if eps <= 0.0:
         raise ValueError("eps must be > 0")
-    if ensemble < 10 ** 4:
-        raise ValueError("ensemble must be >= 1e4")
+    if ensemble < LD_MIN_ENSEMBLE:
+        raise ValueError(f"ensemble must be >= {LD_MIN_ENSEMBLE}")
     n_grid = np.asarray(sorted(int(n) for n in n_grid), dtype=np.int64)
-    if mean is None:
-        gk = green_kubo_sigma2(sys, phi, seed=seed + 1)
-        mean = gk["mean"]
-    sums = _birkhoff_sums(sys, phi, ensemble, n_grid, burn, seed)
+    mean = green_kubo_sigma2(sys, phi, seed=seed + 1)["mean"]
+    sums = _birkhoff_sums(sys, phi, ensemble, n_grid, seed)
     vals = np.array([float(np.mean(np.abs(s / n - mean) > eps))
                      for s, n in zip(sums, n_grid)])
     return Curve(n_values=n_grid, values=vals, error=1.0 / math.sqrt(ensemble))
@@ -296,10 +305,8 @@ def write_clt_json(path, result: dict):
 
 def write_fits_json(path, fits: dict):
     """fits.json: array of RateFit records keyed by curve identifier."""
-    records = []
-    for name, fit in fits.items():
-        records.append({"curve": name, "exponent": fit.exponent,
-                        "intercept": fit.intercept, "r_squared": fit.r_squared,
-                        "window": list(fit.window), "points": fit.points})
+    records = [{"curve": name, "exponent": fit.exponent, "intercept": fit.intercept,
+                "r_squared": fit.r_squared, "window": list(fit.window), "points": fit.points}
+               for name, fit in fits.items()]
     with open(path, "w") as fh:
         json.dump(records, fh, indent=1)

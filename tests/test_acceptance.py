@@ -14,7 +14,6 @@ import pytest
 
 from gmstruct.cli import main as cli_main
 from gmstruct.dynamics import (
-    LogSeries,
     intermittent_solenoid,
     uniform_solenoid,
 )
@@ -86,7 +85,7 @@ def test_criterion_1_pliss_oracle():
         window_ok = prefix[1:, None] <= prefix[None, :-1]
         brute = np.flatnonzero(
             np.all(window_ok | ~valid[:n, :n], axis=1)) + 1
-        fast = pliss_times(LogSeries(vals), sigma).times
+        fast = pliss_times(vals, sigma).times
         assert np.array_equal(fast, brute)
     assert time.monotonic() - start < 5.0
 
@@ -103,7 +102,7 @@ def test_criterion_2_hyperbolic_time_contraction(sys_, sigma):
     series = np.array([scan.advance(sys_)[0] for _ in range(10 ** 4)])
     for i in range(series.shape[1]):
         col = series[:, i]
-        times = pliss_times(LogSeries(col), sigma).times
+        times = pliss_times(col, sigma).times
         assert contraction_slack(col, sigma, times=times) <= 1e-12
 
 
@@ -130,7 +129,7 @@ def test_criterion_3_expansion_time_oracle():
         # mean drift drawn around zero so all censoring regimes occur
         vals = rng.uniform(-1.0, 1.0, n) + rng.uniform(-0.5, 0.3)
         c = float(rng.uniform(0.05, 0.5))
-        got = expansion_time(LogSeries(vals), c, n)
+        got = expansion_time(vals, c, n)
         value, censored = _oracle_expansion(vals, c, n)
         assert (got.value, got.censored) == (value, censored)
 

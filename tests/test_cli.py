@@ -2,10 +2,15 @@
 
 import gc
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import gmstruct
 from gmstruct.cli import STAGE_ORDER, build_report, main
 from gmstruct.config import load_config
 
@@ -187,6 +192,21 @@ def test_seed_override_changes_stats(full_run, quick_cfg, tmp_path):
     man1 = json.loads((out1 / "manifest.json").read_text())
     man2 = json.loads((out2 / "manifest.json").read_text())
     assert man1["checksums"]["clt.json"] != man2["checksums"]["clt.json"]
+
+
+def test_limits_does_not_import_scipy_stats(quick_cfg, tmp_path):
+    # the CLT's KS distance comes from scipy.special alone; importing
+    # scipy.stats would add about a second to every run
+    script = ("import sys\nfrom gmstruct.cli import main\n"
+              f"code = main(['limits', '--config', {quick_cfg!r}, "
+              f"'--out', {str(tmp_path / 'o')!r}])\n"
+              "print(code, 'scipy.stats' in sys.modules)\n")
+    src = str(Path(gmstruct.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    res = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                         text=True, env=env, check=True)
+    assert res.stdout.split() == ["0", "False"]
 
 
 def test_build_report_closes_its_files(full_run, quick_cfg):

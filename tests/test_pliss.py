@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gmstruct.dynamics import LogSeries, Point, intermittent_solenoid, log_contraction_series, uniform_solenoid
+from gmstruct.dynamics import Point, intermittent_solenoid, log_contraction_series, uniform_solenoid
 from gmstruct.errors import EmptySubset
 from gmstruct.pliss import (
     PlissScan,
@@ -50,13 +50,13 @@ def brute_force_expansion_time(values, c, horizon, guard_frac=0.1):
 
 
 def test_constant_contracting_all_times():
-    series = LogSeries(np.full(40, math.log(0.5)))
+    series = np.full(40, math.log(0.5))
     times = pliss_times(series, 0.6).times
     assert np.array_equal(times, np.arange(1, 41))
 
 
 def test_frozen_two_term_example():
-    series = LogSeries(np.array([math.log(2.0), math.log(0.25)]))
+    series = np.array([math.log(2.0), math.log(0.25)])
     assert len(pliss_times(series, 0.5).times) == 0
 
 
@@ -66,7 +66,7 @@ def test_scan_matches_brute_force_small_corpus():
         n = int(rng.integers(1, 300))
         vals = rng.uniform(-1.0, 1.0, n)
         sigma = float(rng.uniform(0.2, 0.95))
-        assert np.array_equal(pliss_times(LogSeries(vals), sigma).times,
+        assert np.array_equal(pliss_times(vals, sigma).times,
                               brute_force_pliss(vals, sigma))
 
 
@@ -75,8 +75,8 @@ def test_scan_matches_brute_force_small_corpus():
        st.floats(0.05, 0.95), st.floats(0.05, 0.95))
 def test_monotone_in_sigma(vals, s_a, s_b):
     s1, s2 = sorted((s_a, s_b))
-    t1 = set(pliss_times(LogSeries(np.array(vals)), s1).times.tolist())
-    t2 = set(pliss_times(LogSeries(np.array(vals)), s2).times.tolist())
+    t1 = set(pliss_times(np.array(vals), s1).times.tolist())
+    t2 = set(pliss_times(np.array(vals), s2).times.tolist())
     assert t1 <= t2
 
 
@@ -95,7 +95,7 @@ def test_streaming_scan_matches_series_reference(sys, sigma):
     a, hyp = (np.array(col) for col in zip(*(scan.advance(sys) for _ in range(n))))
     for j, t0 in enumerate(pts):
         series = log_contraction_series(sys, Point(t0), n)
-        assert np.array_equal(a[:, j].view(np.uint64), series.values.view(np.uint64))
+        assert np.array_equal(a[:, j].view(np.uint64), series.view(np.uint64))
         assert np.array_equal(np.flatnonzero(hyp[:, j]) + 1, pliss_times(series, sigma).times)
 
 
@@ -108,16 +108,16 @@ def test_contraction_slack_on_model_orbits():
 
 
 def test_expansion_time_frozen_examples():
-    const = LogSeries(np.full(20, -math.log(2.0)))
+    const = np.full(20, -math.log(2.0))
     r = expansion_time(const, 0.5, 20)
     assert r.value == 1 and not r.censored
 
     vals = np.full(20, -math.log(2.0))
     vals[0] = math.log(2.0)
-    r = expansion_time(LogSeries(vals), 0.3, 20)
+    r = expansion_time(vals, 0.3, 20)
     assert r.value == 4 and not r.censored
 
-    grow = LogSeries(np.full(20, math.log(2.0)))
+    grow = np.full(20, math.log(2.0))
     r = expansion_time(grow, 0.3, 20)
     assert r.censored
 
@@ -126,7 +126,7 @@ def test_expansion_time_guard_window_censoring():
     # condition only starts holding inside the final 10%: censored
     vals = np.full(100, 1.0)
     vals[95:] = -200.0
-    r = expansion_time(LogSeries(vals), 0.5, 100)
+    r = expansion_time(vals, 0.5, 100)
     assert r.censored
 
 
@@ -136,7 +136,7 @@ def test_expansion_time_matches_brute_force():
         n = int(rng.integers(2, 200))
         vals = rng.uniform(-1.0, 1.0, n)
         c = float(rng.uniform(0.05, 0.8))
-        got = expansion_time(LogSeries(vals), c, n)
+        got = expansion_time(vals, c, n)
         want = brute_force_expansion_time(vals, c, n)
         if want is None:
             assert got.censored

@@ -16,6 +16,7 @@ from gmstruct.stats import (
     correlation,
     fiber_norm,
     fit_power_law,
+    ks_statistic,
     large_deviations,
     trig_base,
     write_clt_json,
@@ -87,6 +88,16 @@ def test_clt_uniform_small():
     assert out["sigma2"] > 0.1
     # variance consistency: Green-Kubo vs ensemble variance within 15%
     assert abs(out["sigma2"] - out["ensemble_var"]) <= 0.15 * out["sigma2"]
+
+
+def test_ks_statistic_matches_scipy_kstest():
+    from scipy import stats as sps
+    rng = np.random.default_rng(7)
+    for _ in range(200):
+        n = int(rng.integers(2, 3000))
+        sd = float(rng.uniform(0.2, 3.0))
+        z = rng.normal(rng.uniform(-0.3, 0.3), sd * rng.uniform(0.8, 1.2), n)
+        assert ks_statistic(z, sd) == sps.kstest(z, "norm", args=(0.0, sd)).statistic
 
 
 def test_clt_constant_degenerate():
@@ -187,23 +198,27 @@ def test_csv_emitters(tmp_path):
                   error=1e-3)
     path = tmp_path / "correlation.csv"
     write_curve_csv(path, curve, "value", "mc_error")
-    rows = list(csv.reader(path.open()))
+    with path.open() as fh:
+        rows = list(csv.reader(fh))
     assert rows[0] == ["n", "value", "mc_error"]
     assert float(rows[3][1]) == 1.0 / 3.0   # 17 significant digits roundtrip
 
     ld = Curve(n_values=np.array([10, 20]), values=np.array([0.1, 0.05]),
                error=1e-2)
     write_curve_csv(tmp_path / "ld.csv", ld, "value")
-    rows = list(csv.reader((tmp_path / "ld.csv").open()))
+    with (tmp_path / "ld.csv").open() as fh:
+        rows = list(csv.reader(fh))
     assert rows[0] == ["n", "value"]
 
     tail = Curve(n_values=np.array([1, 2]), values=np.array([0.5, 0.25]),
                  error=0.1)
     write_curve_csv(tmp_path / "tail_E.csv", tail, "survival", "censored_mass")
-    rows = list(csv.reader((tmp_path / "tail_E.csv").open()))
+    with (tmp_path / "tail_E.csv").open() as fh:
+        rows = list(csv.reader(fh))
     assert rows[0] == ["n", "survival", "censored_mass"]
     write_curve_csv(tmp_path / "tail_R.csv", tail, "survival")
-    rows = list(csv.reader((tmp_path / "tail_R.csv").open()))
+    with (tmp_path / "tail_R.csv").open() as fh:
+        rows = list(csv.reader(fh))
     assert rows[0] == ["n", "survival"]
 
 
