@@ -101,6 +101,17 @@ class ModelSystem:
         left = 1.0 + (1.0 + a) * (2.0 * t) ** a
         return np.where(t < 0.5, left, 2.0)
 
+    def base_step(self, t):
+        """(g(t), g'(t)), bitwise equal to (base_map(t), base_deriv(t)), with one power."""
+        t = np.asarray(t, dtype=float)
+        if self.family is Family.UNIFORM:
+            return frac(2.0 * t), np.full_like(t, 2.0)
+        a = self.base_param
+        p = (2.0 * t) ** a
+        left = t < 0.5
+        return (frac(np.where(left, t * (1.0 + p), 2.0 * t - 1.0)),
+                np.where(left, 1.0 + (1.0 + a) * p, 2.0))
+
     def base_inverse(self, t, branch):
         """Inverse branch of g: branch 0 lands in [0, 1/2), branch 1 in [1/2, 1).
 
@@ -129,13 +140,12 @@ class ModelSystem:
         vn = self.lambda_s * v + c * np.sin(phase)
         return tn, un, vn
 
-    def push_tangent(self, t, s1, s2):
+    def push_tangent(self, t, s1, s2, gp):
         """Push the cu-cone vector (1, s1, s2) at base t forward by Df.
 
-        Returns (new_s1, new_s2, expansion) where expansion is
-        ||Df w|| / ||w|| for w = (1, s1, s2).
+        ``gp`` is g'(t).  Returns (new_s1, new_s2, expansion) where
+        expansion is ||Df w|| / ||w|| for w = (1, s1, s2).
         """
-        gp = self.base_deriv(t)
         if self.coupling == 0.0 and not (np.any(s1) or np.any(s2)):
             # E^cu is exactly horizontal and invariant: the general formula
             # below reduces to (0, 0, g'(t))
@@ -248,7 +258,7 @@ def cu_directions(sys: ModelSystem, rows, settle: int, tol=1e-10):
     def run(first):
         s1 = s2 = np.zeros(n)
         for k in range(first, settle):
-            s1, s2, _ = sys.push_tangent(rows[k], s1, s2)
+            s1, s2, _ = sys.push_tangent(rows[k], s1, s2, sys.base_deriv(rows[k]))
         v = np.column_stack([np.ones(n), s1, s2])
         return v / _row_norms(v)[:, None]
 
@@ -281,7 +291,8 @@ def log_contraction_series(sys: ModelSystem, x0: Point, n: int,
     s1, s2 = (np.array([s], dtype=float) for s in slopes0)
     vals = np.empty(n)
     for j in range(n):
-        s1, s2, expansion = sys.push_tangent(t, s1, s2)
+        g, gp = sys.base_step(t)
+        s1, s2, expansion = sys.push_tangent(t, s1, s2, gp)
         vals[j] = -np.log(expansion)[0]
-        t = sys.base_map(t)
+        t = g
     return vals

@@ -220,7 +220,7 @@ def init_state(sys: ModelSystem, params: ConstructionParams, p_base: float,
         n_hyp=np.zeros(m, dtype=np.int64))
 
 
-def _stable_burn_in(sys: ModelSystem, params: ConstructionParams) -> int:
+def _stable_burn_in(sys: ModelSystem) -> int:
     """Steps until every fiber is within DELTA_S/4 of the attractor."""
     return max(1, int(math.ceil(math.log(8.0 / DELTA_S)
                                 / math.log(1.0 / sys.lambda_s))))
@@ -232,51 +232,56 @@ def step_partition(state: ConstructionState, sys: ModelSystem,
 
     Orbit and hyperbolic-time bookkeeping always advances; carving only
     happens for n > R0 (first-step convention: A_n = Delta_0, B_n = empty).
+    The scan steps every grid point; the rest touches active points only.
     """
     if rings is None:
         rings = build_rings(params)
     n = state.n + 1
-    act = state.active
+    scan = state.scan
+    ia = np.flatnonzero(state.R == 0)
     # every orbit advances, but carved points go back to their return image:
     # x_final is g^R of each element (test_return_images_frozen_at_carve_time
     # pins it), and roaming orbits would slow the intermittent branch test;
-    # log_deriv stays frozen on them so exp() below cannot overflow
-    x_prev = state.scan.t
-    gp = sys.base_deriv(x_prev)
-    _, hyp = state.scan.advance(sys)
-    x = state.scan.t = np.where(act, state.scan.t, x_prev)
-    np.copyto(state.last_hyp, n, where=hyp)
-    state.log_deriv = np.where(act, state.log_deriv + np.log(gp), state.log_deriv)
-    np.copyto(state.log_deriv_hyp, state.log_deriv, where=hyp)
+    # log_deriv stays frozen on them, as the log (g^R)' the structure keeps
+    x_prev = scan.t
+    _, hyp, gp = scan.advance(sys)
+    x_prev[ia] = scan.t[ia]
+    scan.t = x_prev
+    hyp = hyp[ia]
+    ih = ia[hyp]
+    state.last_hyp[ih] = n
+    state.log_deriv[ia] += np.log(gp[ia])
+    state.log_deriv_hyp[ih] = state.log_deriv[ih]
     state.n = n
 
-    t_prev = state.t.copy()
-    a_prev = act & (t_prev == 0)
-    b_prev = act & (t_prev > 0)
-    rec = {"n": n, "delta_prev": int(np.count_nonzero(act)),
+    t_prev = state.t[ia]
+    a_prev = t_prev == 0                 # waits are >= 0: the rest is B
+    rec = {"n": n, "delta_prev": len(ia),
            "A_prev": int(np.count_nonzero(a_prev)),
-           "B_prev": int(np.count_nonzero(b_prev)),
+           "B_prev": len(ia) - int(np.count_nonzero(a_prev)),
            "A_prev_hyp": int(np.count_nonzero(a_prev & hyp)),
            "carved": 0, "ringed_from_A": 0, "B_to_A": 0, "violations": 0}
 
-    if n > params.R0 and n >= _stable_burn_in(sys, params):
-        d = np.abs(circle_offset(x, state.p_base))
+    if n > params.R0 and n >= _stable_burn_in(sys):
+        d = np.abs(circle_offset(scan.t[ia], state.p_base))
         # A^eps_{n-1}: A itself plus active neighbors within epsilon along
         # the image curve; the curve length between adjacent cells is
         # cell * (g^n)' (circle offsets would alias across curve wraps).
+        # Only grid-adjacent active pairs (k, k+1 of ia) can join.
         # Removing the neighbor rule left R and the whole trace identical
         # on both shipped configs; it stays as part of the definition
+        k = np.flatnonzero(np.diff(ia) == 1)
+        ld = state.log_deriv
+        cell = 2.0 * params.delta0 / len(state.R)
+        near = cell * np.exp(0.5 * (ld[ia[k + 1]] + ld[ia[k]])) < params.epsilon
         aeps = a_prev.copy()
-        cell = 2.0 * params.delta0 / len(x)
-        seglen = cell * np.exp(0.5 * (state.log_deriv[1:] + state.log_deriv[:-1]))
-        near = seglen < params.epsilon
-        aeps[1:] |= act[1:] & a_prev[:-1] & near
-        aeps[:-1] |= act[:-1] & a_prev[1:] & near
+        aeps[k + 1] |= a_prev[k] & near
+        aeps[k] |= a_prev[k + 1] & near
         # recent hyperbolic time => a pre-ball certifies the u-crossing,
         # provided the pre-ball fits inside D and the image ball of radius
         # delta1 contains the outer cylinder arc
-        fits = state.log_deriv_hyp >= math.log(DELTA1 / (DELTA1 - params.delta0))
-        gate = act & aeps & (n - state.last_hyp <= N0) & fits \
+        fits = state.log_deriv_hyp[ia] >= math.log(DELTA1 / (DELTA1 - params.delta0))
+        gate = aeps & (n - state.last_hyp[ia] <= N0) & fits \
             & (d + 2.0 * math.sqrt(params.delta0) <= DELTA1)
         carve = gate & (d < params.delta0)
         ring = gate & ~carve & (d >= params.delta0) & (d < 2.0 * params.delta0)
@@ -284,21 +289,19 @@ def step_partition(state: ConstructionState, sys: ModelSystem,
         state.violations += bad
         rec["violations"] = bad
         # carve {R = n}
-        state.R[carve] = n
-        state.n_hyp[carve] = state.last_hyp[carve]
-        # three-case wait update on the remaining active points
+        ic = ia[carve]
+        state.R[ic] = n
+        state.n_hyp[ic] = state.last_hyp[ic]
+        # three-case wait update on the active points
         new_t = np.where(t_prev > 0, t_prev - 1, 0)
         new_t[ring] = rings.ring_index(d[ring])
         new_t[carve] = 0
-        state.t = np.where(act, new_t, state.t)
-        still = act & ~carve
-        rec["carved"] = int(np.count_nonzero(carve))
-        rec["ringed_from_A"] = int(np.count_nonzero(a_prev & still & (state.t > 0)))
-        rec["B_to_A"] = int(np.count_nonzero(b_prev & still & (state.t == 0)))
+        state.t[ia] = new_t
+        rec["carved"] = len(ic)
+        rec["ringed_from_A"] = int(np.count_nonzero(a_prev & ~carve & (new_t > 0)))
+        rec["B_to_A"] = int(np.count_nonzero(~a_prev & ~carve & (new_t == 0)))
         # exact per-step mass conservation in counts
         assert rec["delta_prev"] == int(np.count_nonzero(state.active)) + rec["carved"]
-    else:
-        rec["B_to_A"] = 0
     state.trace.append(rec)
     return state
 
@@ -381,9 +384,9 @@ def _evolve_with_deriv(sys, t, steps):
     der = np.ones_like(val)
     for n in range(1, int(np.max(steps)) + 1 if len(steps) else 0):
         m = n <= steps
-        gp = sys.base_deriv(val)
+        g, gp = sys.base_step(val)
         der = np.where(m, der * gp, der)
-        val = np.where(m, sys.base_map(val), val)
+        val = np.where(m, g, val)
     return val, der
 
 
@@ -561,11 +564,13 @@ def verify_pairs(structure: GibbsMarkovStructure, sys: ModelSystem,
     logratio = np.zeros_like(y)
     for n in range(1, int(np.max(steps)) + 1):
         m = n <= steps
-        a1, a2, ey = sys.push_tangent(y, ys1, ys2)
-        b1, b2, ez = sys.push_tangent(z, zs1, zs2)
+        gy, gpy = sys.base_step(y)
+        gz, gpz = sys.base_step(z)
+        a1, a2, ey = sys.push_tangent(y, ys1, ys2, gpy)
+        b1, b2, ez = sys.push_tangent(z, zs1, zs2, gpz)
         logratio = np.where(m, logratio + np.log(ey) - np.log(ez), logratio)
-        y = np.where(m, sys.base_map(y), y)
-        z = np.where(m, sys.base_map(z), z)
+        y = np.where(m, gy, y)
+        z = np.where(m, gz, z)
         ys1, ys2 = np.where(m, a1, ys1), np.where(m, a2, ys2)
         zs1, zs2 = np.where(m, b1, zs1), np.where(m, b2, zs2)
         d = np.abs(circle_offset(y, z))

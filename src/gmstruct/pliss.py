@@ -165,19 +165,20 @@ class PlissScan:
         self.rng = rng
 
     def advance(self, sys: ModelSystem):
-        """Step every orbit once; returns (a_n, n is sigma-hyperbolic) per orbit."""
-        s1, s2, expansion = sys.push_tangent(self.t, self.s1, self.s2)
+        """Step every orbit once; returns (a_n, n is sigma-hyperbolic, g'(t_{n-1})) per orbit."""
+        g, gp = sys.base_step(self.t)
+        s1, s2, expansion = sys.push_tangent(self.t, self.s1, self.s2, gp)
         a = -np.log(expansion)
         self.bsum += a - self.log_sigma
         hyp = self.bsum <= self.bmin
         np.minimum(self.bmin, self.bsum, out=self.bmin)
-        self.t = sys.base_map(self.t)
+        self.t = g
         # old slopes released only after the base step: releasing them first
         # made a fresh process's coupled scan ~20% slower (allocator effects)
         self.s1, self.s2 = s1, s2
         if self.rng is not None:
             self.t = dither(self.t, self.rng)
-        return a, hyp
+        return a, hyp, gp
 
 
 def disk_scan(sys: ModelSystem, points, horizon: int, sigma: float, c: float,
@@ -196,8 +197,8 @@ def disk_scan(sys: ModelSystem, points, horizon: int, sigma: float, c: float,
     max_neg_a = 0.0
     checkpoints = set(int(k) for k in checkpoints)
     for n in range(1, horizon + 1):
-        a, hyp = scan.advance(sys)
-        max_neg_a = max(max_neg_a, float(np.max(-a)))
+        a, hyp, _ = scan.advance(sys)
+        max_neg_a = max(max_neg_a, -float(np.min(a)))
         ssum += a
         hyp_count += hyp
         np.copyto(last_fail, n, where=(ssum >= -c * n))

@@ -232,10 +232,11 @@ def _log_jacobian_terms(sys: ModelSystem, tau, slopes, slopes_prime, n_terms: in
     t = tau.copy()
     terms = np.empty((n_terms,) + tau.shape)
     for i in range(n_terms):
-        s1n, s2n, es = sys.push_tangent(t, s1, s2)
-        p1n, p2n, ep = sys.push_tangent(t, p1, p2)
+        g, gp = sys.base_step(t)
+        s1n, s2n, es = sys.push_tangent(t, s1, s2, gp)
+        p1n, p2n, ep = sys.push_tangent(t, p1, p2, gp)
         terms[i] = np.log(es) - np.log(ep)
-        t = sys.base_map(t)
+        t = g
         s1, s2, p1, p2 = s1n, s2n, p1n, p2n
     return terms
 

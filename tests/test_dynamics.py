@@ -94,7 +94,7 @@ def _cu_direction_scalar_reference(sys, hist, settle):
     def run(ts):
         s1 = s2 = 0.0
         for t in ts:
-            s1, s2, _ = sys.push_tangent(t, s1, s2)
+            s1, s2, _ = sys.push_tangent(t, s1, s2, sys.base_deriv(t))
         return s1, s2
 
     full = run(hist[-settle - 1:-1])
@@ -204,7 +204,7 @@ def test_cocycle_additivity():
     t = np.float64(0.271)
     s1 = s2 = np.float64(0.0)
     for _ in range(n1):
-        s1n, s2n, _ = sys.push_tangent(t, s1, s2)
+        s1n, s2n, _ = sys.push_tangent(t, s1, s2, sys.base_deriv(t))
         t = sys.base_map(t)
         s1, s2 = s1n, s2n
     second = log_contraction_series(sys, Point(float(t)), n2, slopes0=(float(s1), float(s2)))
@@ -274,7 +274,7 @@ def _step_arrays_reference(sys, t, u, v):
 
 
 def _assert_kernel_matches(sys, t, s1, s2):
-    n1, n2, expansion = sys.push_tangent(t, s1, s2)
+    n1, n2, expansion = sys.push_tangent(t, s1, s2, sys.base_deriv(t))
     r1, r2, r_expansion = _push_tangent_reference(sys, t, s1, s2)
     _assert_same_values(n1, r1)
     _assert_same_values(n2, r2)
@@ -347,3 +347,21 @@ def test_kernel_matches_general_formula_property(ts, sys, slope, zero):
     s1 = np.zeros_like(t) if zero else np.full_like(t, slope)
     s2 = np.zeros_like(t) if zero else -s1
     _assert_kernel_matches(sys, t, s1, s2)
+
+
+@pytest.mark.parametrize("sys", [uniform_solenoid(), intermittent_solenoid(alpha=0.3),
+                                 intermittent_solenoid(alpha=0.5)],
+                         ids=["uniform", "intermittent-0.3", "intermittent-0.5"])
+def test_base_step_matches_map_and_deriv(sys):
+    # spread points, plus the t < 0 and t >= 1 that Newton iterates can reach
+    rng = np.random.default_rng(12)
+    t = np.concatenate([rng.random(4096), rng.uniform(-1.0, 0.0, 64), rng.uniform(1.0, 2.0, 64),
+                        [0.0, -0.0, 0.5, 1.0, -2.0 ** -60, 1.0 - 2.0 ** -53, math.nan]])
+    with np.errstate(invalid="ignore"):
+        g, gp = sys.base_step(t)
+        _assert_bitwise(g, sys.base_map(t))
+        _assert_bitwise(gp, sys.base_deriv(t))
+    if sys.family is Family.INTERMITTENT:
+        assert np.isnan(g[t < 0]).all()     # the branch power has no real value there
+    for x in (0.3, 0.7):
+        _assert_bitwise(sys.base_step(x), (sys.base_map(x), sys.base_deriv(x)))

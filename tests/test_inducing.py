@@ -1,5 +1,6 @@
 """Tests for the inductive construction of the inducing structure."""
 
+import hashlib
 import json
 import math
 
@@ -105,6 +106,52 @@ def test_choose_base_point_trivial_density():
 
 # ---------------------------------------------------------------------------
 # step machine invariants
+
+
+def _digest(value):
+    data = json.dumps(value).encode() if isinstance(value, list) else value.tobytes()
+    return hashlib.sha256(data).hexdigest()[:16]
+
+
+UNIFORM_SMALL = dict(delta0=0.02, sigma=0.51, c=0.5, n_max=200, resolution=2.0 ** -17)
+INTERMITTENT_SMALL = dict(UNIFORM_SMALL, sigma=0.8, c=0.1, n_max=400)
+NEIGHBOR_UNIFORM = dict(UNIFORM_SMALL, R0=2, epsilon=0.0039, resolution=2.0 ** -14)
+NEIGHBOR_INTERMITTENT = dict(INTERMITTENT_SMALL, n_max=300, R0=2, epsilon=0.001,
+                             resolution=2.0 ** -16)
+# sha256 prefixes of a small construction's outputs (R, n_hyp,
+# log_deriv_carve, x_final, trace) and its violation count; a faster step
+# machine must reproduce every bit of them.  Only the two neighbor-rule
+# cases (short R0, wide A^eps margin) have the A^eps rule join points; the
+# uniform one needs the join to the left, the intermittent one (next to the
+# neutral fixed point) the join to the right
+CONSTRUCTION_DIGESTS = {
+    "uniform": (uniform_solenoid(lambda_s=0.25), UNIFORM_SMALL, None, (
+        "7351ce8022457a20", "7351ce8022457a20", "046204622971d04d",
+        "d2fbd99bb459c4e7", "6c3efcb837d4071a", 0)),
+    "intermittent-0.3": (intermittent_solenoid(alpha=0.3), INTERMITTENT_SMALL, None, (
+        "9f16bf4e4c155e1e", "af9fe627f060365f", "fe349f4b31ae108b",
+        "7fefdae791194471", "217c3b13b0c4fcf8", 0)),
+    "intermittent-0.5": (INTERMITTENT, INTERMITTENT_SMALL, None, (
+        "2ff1866704bae722", "28a12127a9c5e625", "5d7a65af7d44aee3",
+        "608bb38195af2912", "6f4f0984b648d7b8", 0)),
+    "uniform-coupled": (uniform_solenoid(coupling=0.5), UNIFORM_SMALL, None, (
+        "7351ce8022457a20", "7351ce8022457a20", "046204622971d04d",
+        "d2fbd99bb459c4e7", "44e3a29030251221", 0)),
+    "neighbor-rule-uniform": (uniform_solenoid(lambda_s=0.1), NEIGHBOR_UNIFORM, 0.3, (
+        "65da5bddde83f7cb", "65da5bddde83f7cb", "792dfc8c6f9177a2",
+        "113be719bd926211", "98f22d8532810fde", 1)),
+    "neighbor-rule-intermittent": (INTERMITTENT, NEIGHBOR_INTERMITTENT, 0.021, (
+        "ea5dfe9a716400eb", "780f7b611a8f46fa", "eb29b11ecdaecc54",
+        "304a4183d34766fd", "8d83e27ee79dad82", 1)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONSTRUCTION_DIGESTS))
+def test_construction_outputs_pinned(case):
+    sys_, params, p_base, want = CONSTRUCTION_DIGESTS[case]
+    s = run_construction(sys_, ConstructionParams(**params), p_base=p_base, seed=0)
+    got = tuple(_digest(v) for v in (s.R, s.n_hyp, s.log_deriv_carve, s.x_final, s.trace))
+    assert got + (s.violations,) == want
 
 
 def test_first_steps_no_carving():

@@ -92,7 +92,7 @@ def test_streaming_scan_matches_series_reference(sys, sigma):
     pts = np.random.default_rng(8).random(16)
     n = 1000
     scan = PlissScan(pts, sigma)
-    a, hyp = (np.array(col) for col in zip(*(scan.advance(sys) for _ in range(n))))
+    a, hyp, _ = (np.array(col) for col in zip(*(scan.advance(sys) for _ in range(n))))
     for j, t0 in enumerate(pts):
         series = log_contraction_series(sys, Point(t0), n)
         assert np.array_equal(a[:, j].view(np.uint64), series.view(np.uint64))

@@ -136,11 +136,11 @@ def test_jacobian_chain_rule_over_squared_map(curves):
     t = tau.copy()
     log_j = 0.0
     for _ in range(n // 2):
-        s1a, s2a, e1 = COUPLED.push_tangent(t, s1, s2)
-        p1a, p2a, f1 = COUPLED.push_tangent(t, p1, p2)
+        s1a, s2a, e1 = COUPLED.push_tangent(t, s1, s2, COUPLED.base_deriv(t))
+        p1a, p2a, f1 = COUPLED.push_tangent(t, p1, p2, COUPLED.base_deriv(t))
         t1 = COUPLED.base_map(t)
-        s1, s2, e2 = COUPLED.push_tangent(t1, s1a, s2a)
-        p1, p2, f2 = COUPLED.push_tangent(t1, p1a, p2a)
+        s1, s2, e2 = COUPLED.push_tangent(t1, s1a, s2a, COUPLED.base_deriv(t1))
+        p1, p2, f2 = COUPLED.push_tangent(t1, p1a, p2a, COUPLED.base_deriv(t1))
         t = COUPLED.base_map(t1)
         log_j += math.log(e1[0] * e2[0]) - math.log(f1[0] * f2[0])
     assert math.exp(log_j) == pytest.approx(j_f, abs=1e-10)
