@@ -340,6 +340,11 @@ def main(argv=None) -> int:
                 failed = name
                 code = 3
                 break
+        except Exception as exc:
+            stage_log[name] = {"status": "error", "error": str(exc),
+                               "wall_time_s": time.monotonic() - start}
+            _write_manifest(out, cfg, stage_log, name, args.workers)
+            raise
     _write_manifest(out, cfg, stage_log, failed, args.workers)
     if code == 0 and args.check:
         rep = ctx.get("report")

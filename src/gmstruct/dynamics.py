@@ -130,8 +130,10 @@ class ModelSystem:
     # -- full map --------------------------------------------------------
 
     def step_arrays(self, t, u, v):
-        """One application of f to coordinate arrays."""
+        """One application of f to coordinate arrays; with u = v = None, to the base alone."""
         tn = self.base_map(t)
+        if u is None:
+            return tn, None, None
         if self.coupling == 0.0:
             return tn, self.lambda_s * u, self.lambda_s * v
         c = self.coupling / 4.0

@@ -66,6 +66,10 @@ class UnstableCurve:
     def evaluate(self, tau):
         """Fiber (u, v) and graph slope (s1, s2) = d(u, v)/d tau over tau."""
         sys = self.sys
+        if sys.coupling == 0.0:
+            # the horizontal circle is invariant: every term below is +0.0
+            zero = np.zeros(np.shape(tau))
+            return zero, zero, zero, zero
         chain = self._backward_chain(tau)
         amp = sys.coupling / 4.0
         u = np.zeros_like(chain[0])
@@ -77,10 +81,11 @@ class UnstableCurve:
         for k in range(len(self.branches)):
             tk = chain[k]
             w = w / sys.base_deriv(tk)
-            u += lam * amp * np.cos(2.0 * math.pi * tk)
-            v += lam * amp * np.sin(2.0 * math.pi * tk)
-            s1 += lam * amp * (-2.0 * math.pi) * np.sin(2.0 * math.pi * tk) * w
-            s2 += lam * amp * (2.0 * math.pi) * np.cos(2.0 * math.pi * tk) * w
+            cos, sin = np.cos(2.0 * math.pi * tk), np.sin(2.0 * math.pi * tk)
+            u += lam * amp * cos
+            v += lam * amp * sin
+            s1 += lam * amp * (-2.0 * math.pi) * sin * w
+            s2 += lam * amp * (2.0 * math.pi) * cos * w
             lam *= sys.lambda_s
         return u, v, s1, s2
 

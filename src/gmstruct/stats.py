@@ -85,12 +85,13 @@ def _advance(sys, t, u, v, rng):
     return dither(t, rng), u, v
 
 
-def _ensemble(sys, walkers, seed):
-    """(rng, t, u, v): uniform base starts on the zero fiber, advanced BURN steps."""
+def _ensemble(sys, walkers, seed, observables):
+    """(rng, t, u, v) BURN steps from uniform t and the zero fiber, or u = v = None if unread."""
     rng = _rng(seed)
     t = rng.random(walkers)
-    u = np.zeros(walkers)
-    v = np.zeros(walkers)
+    u = v = None
+    if any(phi.kind == "fiber_norm" for phi in observables):
+        u, v = np.zeros(walkers), np.zeros(walkers)
     for _ in range(BURN):
         t, u, v = _advance(sys, t, u, v, rng)
     return rng, t, u, v
@@ -101,7 +102,7 @@ def _birkhoff_sums(sys, phi, walkers, ns, seed):
 
     ``ns`` must be increasing; the ensemble advances once per summed term.
     """
-    rng, t, u, v = _ensemble(sys, walkers, seed)
+    rng, t, u, v = _ensemble(sys, walkers, seed, [phi])
     s = np.zeros(walkers)
     out = np.empty((len(ns), walkers))
     step_no = 0
@@ -119,7 +120,7 @@ def _ensemble_series(sys, observables, steps, seed):
 
     Returns a list of arrays of shape (steps, WALKERS), one per observable.
     """
-    rng, t, u, v = _ensemble(sys, WALKERS, seed)
+    rng, t, u, v = _ensemble(sys, WALKERS, seed, observables)
     out = [np.empty((steps, WALKERS)) for _ in observables]
     for j in range(steps):
         for row, phi in zip(out, observables):

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import gmstruct
+from gmstruct import cli
 from gmstruct.cli import STAGE_ORDER, build_report, main
 from gmstruct.config import load_config
 
@@ -123,6 +124,21 @@ def test_report_empty_directory(quick_cfg, tmp_path):
     assert code == 3
     man = json.loads((out / "manifest.json").read_text())
     assert man["failed_stage"] == "report"
+
+
+def test_unexpected_stage_error_still_writes_manifest(quick_cfg, tmp_path, monkeypatch):
+    def broken(cfg, out, ctx):
+        raise RuntimeError("disk on fire")
+
+    monkeypatch.setitem(cli.STAGES, "regularity", broken)
+    out = tmp_path / "o"
+    with pytest.raises(RuntimeError, match="disk on fire"):
+        _run("regularity", "--config", quick_cfg, "--out", str(out))
+    man = json.loads((out / "manifest.json").read_text())
+    assert man["failed_stage"] == "regularity"
+    assert man["stages"]["regularity"]["status"] == "error"
+    assert man["stages"]["regularity"]["error"] == "disk on fire"
+    assert man["stages"]["regularity"]["wall_time_s"] >= 0.0
 
 
 # ---------------------------------------------------------------------------

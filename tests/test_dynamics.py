@@ -339,6 +339,16 @@ def test_kernel_matches_general_formula(sys, slopes):
     _assert_kernel_matches(sys, t, s1, s2)
 
 
+@pytest.mark.parametrize("sys", KERNEL_SYSTEMS,
+                         ids=["uniform", "uniform-coupled", "intermittent",
+                              "intermittent-coupled"])
+def test_step_arrays_without_fiber_is_the_base_map(sys):
+    t = np.random.default_rng(13).random(4096)
+    tn, un, vn = sys.step_arrays(t, None, None)
+    assert un is None and vn is None
+    _assert_bitwise(tn, sys.base_map(t))
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=20),
        st.sampled_from(KERNEL_SYSTEMS), st.floats(-1.0, 1.0), st.booleans())

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from gmstruct.dynamics import uniform_solenoid
+from gmstruct.dynamics import intermittent_solenoid, uniform_solenoid
 from gmstruct.regularity import (
     HolonomyPair,
     absolute_continuity_test,
@@ -201,6 +201,38 @@ def test_curve_uncoupled_is_horizontal():
     u, v, s1, s2 = g.evaluate(np.linspace(0.1, 0.9, 7))
     assert np.all(u == 0.0) and np.all(v == 0.0)
     assert np.all(s1 == 0.0) and np.all(s2 == 0.0)
+
+
+def _evaluate_full_chain(curve, tau):
+    # every chain level of UnstableCurve.evaluate, with no uncoupled shortcut
+    sys = curve.sys
+    tau = np.asarray(tau, dtype=float)
+    amp = sys.coupling / 4.0
+    u, v, s1, s2 = (np.zeros_like(tau) for _ in range(4))
+    w = np.ones_like(tau)
+    lam = 1.0
+    cur = tau
+    for b in curve.branches:
+        cur = sys.base_inverse(cur, int(b))
+        w = w / sys.base_deriv(cur)
+        u += lam * amp * np.cos(2.0 * math.pi * cur)
+        v += lam * amp * np.sin(2.0 * math.pi * cur)
+        s1 += lam * amp * (-2.0 * math.pi) * np.sin(2.0 * math.pi * cur) * w
+        s2 += lam * amp * (2.0 * math.pi) * np.cos(2.0 * math.pi * cur) * w
+        lam *= sys.lambda_s
+    return u, v, s1, s2
+
+
+@pytest.mark.parametrize("sys", [UNCOUPLED, intermittent_solenoid(alpha=0.5, coupling=0.0)],
+                         ids=["uniform", "intermittent"])
+def test_curve_uncoupled_matches_full_chain(sys):
+    tau = np.concatenate([np.linspace(0.0, 1.0, 257), [0.5 - 2.0 ** -40, 1.0 - 2.0 ** -53]])
+    curve = grow_unstable_curve(sys, seed=5)
+    for got, want in zip(curve.evaluate(tau), _evaluate_full_chain(curve, tau)):
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    # a scalar base point keeps its 0-d shape
+    assert all(np.shape(x) == () for x in curve.evaluate(0.3))
 
 
 def test_curve_forward_invariance():

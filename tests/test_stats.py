@@ -1,13 +1,14 @@
 """Tests for the limit laws and power-law fitting."""
 
 import csv
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
 
-from gmstruct.dynamics import uniform_solenoid
+from gmstruct.dynamics import intermittent_solenoid, uniform_solenoid
 from gmstruct.errors import DegenerateVariance, InsufficientData
 from gmstruct.pliss import Curve
 from gmstruct.stats import (
@@ -133,6 +134,41 @@ def test_ld_contract():
         large_deviations(UNIFORM, trig_base(1), -0.1, [10], 10 ** 4)
     with pytest.raises(ValueError):
         large_deviations(UNIFORM, trig_base(1), 0.1, [10], 100)
+
+
+# ---------------------------------------------------------------------------
+# all three limit laws, pinned on a coupled system
+
+
+def _digest(values):
+    return hashlib.sha256(np.asarray(values, dtype=float).tobytes()).hexdigest()[:16]
+
+
+# sha256 prefixes of the correlation and large-deviation curves and the exact
+# CLT report on a coupled system while every walker still carried its fiber,
+# taken under numpy 2.4.6, Python 3.11.7 on x86-64 (another numpy or libm may
+# round differently and fail this test).  trig1 reads only the base, so a
+# base-only ensemble must reproduce it; fiber_norm reads the fiber
+LIMITS_COUPLED = intermittent_solenoid(alpha=0.5, lambda_s=0.5, coupling=1.0)
+LIMITS_PINNED = {
+    "trig1": (trig_base(1), "4ea8f2d5c35f4fd9", "340e119d16acc3f9", {
+        "ks_distance": 0.08138898977011988, "sigma2": 3.9433425203730823,
+        "ensemble_var": 5.777740444269257, "truncation_lag": 96}),
+    "fiber_norm": (fiber_norm(), "bbd2d1eee1da63f7", "d81a11c7cd0a3323", {
+        "ks_distance": 0.1316341440516785, "sigma2": 0.08054712074152305,
+        "ensemble_var": 0.23836826408683096, "truncation_lag": 12}),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LIMITS_PINNED))
+def test_limit_laws_coupled_pinned(name):
+    phi, corr_digest, ld_digest, clt = LIMITS_PINNED[name]
+    corr = correlation(LIMITS_COUPLED, phi, phi, 50, 5000, seed=0)
+    assert _digest(corr.values) == corr_digest
+    out = clt_test(LIMITS_COUPLED, phi, 1000, 1000, seed=0)
+    assert out == dict(clt, n=1000, ensemble=1000)
+    ld = large_deviations(LIMITS_COUPLED, phi, 0.05, [10, 30, 100, 300], 10 ** 4, seed=0)
+    assert _digest(ld.values) == ld_digest
 
 
 # ---------------------------------------------------------------------------
