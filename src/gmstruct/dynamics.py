@@ -35,17 +35,25 @@ DITHER = 2.0 ** -51
 BISECTION_ITERS = 80
 
 
-def frac(x):
+def frac(x, out=None):
     """x mod 1, bit-identical to ``np.mod(x, 1.0)`` and about 15x cheaper.
 
-    Like ``np.mod``, negatives in [-2^-54, 0) round up to 1.0.
+    Like ``np.mod``, negatives in [-2^-54, 0) round up to 1.0.  ``out``, an
+    array other than x, holds floor(x) on the way and then the result.
     """
-    return x - np.floor(x)
+    return np.subtract(x, np.floor(x, out=out), out=out)
 
 
-def dither(t, rng):
-    """frac(t + u * DITHER), u uniform in [0, 1) drawn from rng for each entry of t."""
-    return frac(t + rng.random(np.shape(t)) * DITHER)
+def dither(t, rng, out=None, work=None):
+    """frac(t + u * DITHER), u uniform in [0, 1) drawn from rng for each entry of t.
+
+    With ``work`` (a float array shaped like t) the draws go there, and with
+    ``out`` (which may be t, not work) the result does; absent, they are new.
+    """
+    u = rng.random(np.shape(t)) if work is None else rng.random(out=work)
+    u *= DITHER
+    u += t
+    return frac(u, out=out)
 
 
 class Family(enum.Enum):
@@ -87,30 +95,55 @@ class ModelSystem:
         t = np.asarray(t, dtype=float)
         if self.family is Family.UNIFORM:
             return frac(2.0 * t)
-        a = self.base_param
-        left = t * (1.0 + (2.0 * t) ** a)
-        right = 2.0 * t - 1.0
-        return frac(np.where(t < 0.5, left, right))
+        return frac(self._lift(t, self._power(t)))
 
     def base_deriv(self, t):
         """g'(t), always >= 1 for the intermittent family, == 2 for uniform."""
         t = np.asarray(t, dtype=float)
         if self.family is Family.UNIFORM:
             return np.full_like(t, 2.0)
-        a = self.base_param
-        left = 1.0 + (1.0 + a) * (2.0 * t) ** a
-        return np.where(t < 0.5, left, 2.0)
+        return self._deriv(t, self._power(t))
 
-    def base_step(self, t):
-        """(g(t), g'(t)), bitwise equal to (base_map(t), base_deriv(t)), with one power."""
+    def base_step(self, t, out=None):
+        """(g(t), g'(t)), bitwise equal to (base_map(t), base_deriv(t)), with one power.
+
+        ``out`` = (g, work): float arrays shaped like t, neither of them t;
+        g(t) is written into g and work is scratch.  Without ``out`` both are
+        new.  g'(t) is a new array either way.
+        """
         t = np.asarray(t, dtype=float)
+        g, work = (None, None) if out is None else out
         if self.family is Family.UNIFORM:
-            return frac(2.0 * t), np.full_like(t, 2.0)
-        a = self.base_param
-        p = (2.0 * t) ** a
-        left = t < 0.5
-        return (frac(np.where(left, t * (1.0 + p), 2.0 * t - 1.0)),
-                np.where(left, 1.0 + (1.0 + a) * p, 2.0))
+            return frac(np.multiply(t, 2.0, out=work), out=g), np.full_like(t, 2.0)
+        p = self._power(t, out=g)
+        lift = self._lift(t, p, out=work)
+        gp = self._deriv(t, p)
+        return frac(lift, out=g), gp
+
+    # the intermittent branches share the one power p = (2t)^alpha; each
+    # helper writes into ``out`` (or a new array) and works in place there
+
+    def _power(self, t, out=None):
+        p = np.multiply(t, 2.0, out=out)
+        # the operator, not np.power: it keeps numpy's scalar-exponent fast
+        # paths (sqrt for alpha = 1/2) that the pinned outputs were made with
+        p **= self.base_param
+        return p
+
+    def _lift(self, t, p, out=None):
+        # t (1 + min(p, 1)): p >= 1 exactly when t >= 1/2, and there t * 2 =
+        # 2t has the same fraction as the right branch 2t - 1, bit for bit,
+        # so frac of this is g(t) on both branches with no select
+        q = np.minimum(p, 1.0, out=out)
+        q += 1.0
+        q *= t
+        return q
+
+    def _deriv(self, t, p):
+        # 1 + (1 + alpha) p on the left branch, 2 on the right; overwrites p
+        p *= 1.0 + self.base_param
+        p += 1.0
+        return np.where(t < 0.5, p, 2.0)
 
     def base_inverse(self, t, branch):
         """Inverse branch of g: branch 0 lands in [0, 1/2), branch 1 in [1/2, 1).
@@ -142,24 +175,40 @@ class ModelSystem:
         vn = self.lambda_s * v + c * np.sin(phase)
         return tn, un, vn
 
-    def push_tangent(self, t, s1, s2, gp):
+    def push_tangent(self, t, s1, s2, gp, out=None):
         """Push the cu-cone vector (1, s1, s2) at base t forward by Df.
 
         ``gp`` is g'(t).  Returns (new_s1, new_s2, expansion) where
-        expansion is ||Df w|| / ||w|| for w = (1, s1, s2).
+        expansion is ||Df w|| / ||w|| for w = (1, s1, s2).  ``out`` =
+        (n1, n2, expansion, w1, w2) are float arrays shaped like t, none of
+        them an input: the results are written into the first three and the
+        last two are scratch.  Without ``out`` the results are new arrays.
         """
         if self.coupling == 0.0 and not (np.any(s1) or np.any(s2)):
             # E^cu is exactly horizontal and invariant: the general formula
             # below reduces to (0, 0, g'(t))
             return s1, s2, gp
+        n1, n2, expansion, w1, w2 = (None,) * 5 if out is None else out
         c = self.coupling * math.pi / 2.0
-        phase = TWO_PI * t
-        f1 = -c * np.sin(phase) + self.lambda_s * s1
-        f2 = c * np.cos(phase) + self.lambda_s * s2
-        n1 = f1 / gp
-        n2 = f2 / gp
-        expansion = gp * np.sqrt((1.0 + n1 * n1 + n2 * n2) / (1.0 + s1 * s1 + s2 * s2))
-        return n1, n2, expansion
+        phase = np.multiply(TWO_PI, t, out=w1)
+        n1 = np.sin(phase, out=n1)
+        n1 *= -c
+        n1 += np.multiply(self.lambda_s, s1, out=w2)
+        n2 = np.cos(phase, out=n2)
+        n2 *= c
+        n2 += np.multiply(self.lambda_s, s2, out=w2)
+        n1 /= gp
+        n2 /= gp
+        # gp * sqrt((1 + n1 n1 + n2 n2) / (1 + s1 s1 + s2 s2)), in that order
+        num = np.multiply(n1, n1, out=w1)
+        num += 1.0
+        num += np.multiply(n2, n2, out=w2)
+        den = np.multiply(s1, s1, out=w2)
+        den += 1.0
+        den += np.multiply(s2, s2, out=expansion)
+        num /= den
+        num = np.sqrt(num, out=w1)
+        return n1, n2, np.multiply(gp, num, out=expansion)
 
 
 def _invert_intermittent_left(t, alpha):

@@ -243,10 +243,10 @@ def step_partition(state: ConstructionState, sys: ModelSystem,
     # x_final is g^R of each element (test_return_images_frozen_at_carve_time
     # pins it), and roaming orbits would slow the intermittent branch test;
     # log_deriv stays frozen on them, as the log (g^R)' the structure keeps
-    x_prev = scan.t
     _, hyp, gp = scan.advance(sys)
+    x_prev = scan.spare
     x_prev[ia] = scan.t[ia]
-    scan.t = x_prev
+    scan.t, scan.spare = x_prev, scan.t
     hyp = hyp[ia]
     ih = ia[hyp]
     state.last_hyp[ih] = n
@@ -379,15 +379,23 @@ def run_construction(sys: ModelSystem, params: ConstructionParams,
 
 
 def _evolve_with_deriv(sys, t, steps):
-    """g^{n}(t) and (g^{n})'(t) with per-entry step counts."""
-    val = np.array(t, dtype=float)
+    """g^{n}(t) and (g^{n})'(t) with per-entry step counts.
+
+    Entries are sorted by step count, largest first, so step n maps only the
+    prefix of entries whose count is still >= n.
+    """
+    order = np.argsort(steps)[::-1]
+    counts = np.asarray(steps)[order]
+    n_max = int(counts[0]) if len(counts) else 0
+    live = np.searchsorted(-counts, -np.arange(1, n_max + 1), side="right")
+    val = np.array(t, dtype=float)[order]
     der = np.ones_like(val)
-    for n in range(1, int(np.max(steps)) + 1 if len(steps) else 0):
-        m = n <= steps
-        g, gp = sys.base_step(val)
-        der = np.where(m, der * gp, der)
-        val = np.where(m, g, val)
-    return val, der
+    for k in live:
+        g, gp = sys.base_step(val[:k])
+        der[:k] *= gp
+        val[:k] = g
+    unsort = np.argsort(order)
+    return val[unsort], der[unsort]
 
 
 def _newton_edges(sys, t0, steps, center, targets, max_move):
@@ -714,6 +722,21 @@ def _runs_to_intervals(structure, mask):
 
 
 def write_structure_json(structure: GibbsMarkovStructure, path):
+    """``json.dump(structure_to_json(structure), fh, indent=1)``, byte for byte.
+
+    An indent sends ``json`` to its pure-Python encoder, so the element
+    records, nearly all of the file, are formatted here in its layout and
+    streamed to the file one by one.
+    """
     doc = structure_to_json(structure)
+    elements, doc["elements"] = doc["elements"], []
+    head, tail = json.dumps(doc, indent=1).split('"elements": []', 1)
     with open(path, "w") as fh:
-        json.dump(doc, fh, indent=1)
+        fh.write(head + ('"elements": [\n' if elements else '"elements": []'))
+        sep = ""
+        for e in elements:
+            # json writes a finite float as its repr; lo and hi are in [0, 1)
+            fh.write(f'{sep}  {{\n   "lo": {e["lo"]!r},\n   "hi": {e["hi"]!r},\n'
+                     f'   "R": {e["R"]},\n   "n_hyp": {e["n_hyp"]}\n  }}')
+            sep = ",\n"
+        fh.write(("\n ]" if elements else "") + tail)

@@ -153,31 +153,47 @@ class PlissScan:
     ``t`` holds the current base points, ``s1``/``s2`` their cu slopes
     (horizontal at the start), ``bsum`` the prefix sums B_n and ``bmin`` the
     running minimum of B_m over m < n.  With ``rng`` every step is dithered.
+    The scan owns its work arrays, so a step allocates only g'(t) and the
+    select's mask: ``spare`` receives g(t) and trades places with ``t``.
     """
 
     def __init__(self, points, sigma: float, rng=None):
         self.t = np.array(points, dtype=float)
-        self.s1 = np.zeros(len(self.t))
-        self.s2 = np.zeros(len(self.t))
-        self.bsum = np.zeros(len(self.t))
-        self.bmin = np.zeros(len(self.t))
+        m = len(self.t)
+        self.s1 = np.zeros(m)
+        self.s2 = np.zeros(m)
+        self.bsum = np.zeros(m)
+        self.bmin = np.zeros(m)
         self.log_sigma = math.log(sigma)
         self.rng = rng
+        # g(t), a_n, two scratch rows and a coupled push's new slopes, in one
+        # block: as six separate arrays, once freed, they left the peak RSS
+        # of a later stage about 2 MB higher (glibc keeps that heap)
+        self.spare, self._a, self._w1, self._w2, self._n1, self._n2 = np.empty((6, m))
+        self._hyp = np.empty(m, dtype=bool)
 
     def advance(self, sys: ModelSystem):
-        """Step every orbit once; returns (a_n, n is sigma-hyperbolic, g'(t_{n-1})) per orbit."""
-        g, gp = sys.base_step(self.t)
-        s1, s2, expansion = sys.push_tangent(self.t, self.s1, self.s2, gp)
-        a = -np.log(expansion)
-        self.bsum += a - self.log_sigma
-        hyp = self.bsum <= self.bmin
+        """Step every orbit once; returns (a_n, n is sigma-hyperbolic, g'(t_{n-1})) per orbit.
+
+        a_n and the flags live in the scan's buffers: the next call
+        overwrites them, so copy what must outlive it.  ``spare`` holds the
+        previous ``t`` until then.
+        """
+        w1, w2 = self._w1, self._w2
+        g, gp = sys.base_step(self.t, out=(self.spare, w1))
+        s1, s2, expansion = sys.push_tangent(self.t, self.s1, self.s2, gp,
+                                             out=(self._n1, self._n2, self._a, w1, w2))
+        a = np.log(expansion, out=self._a)
+        np.negative(a, out=a)
+        self.bsum += np.subtract(a, self.log_sigma, out=w1)
+        hyp = np.less_equal(self.bsum, self.bmin, out=self._hyp)
         np.minimum(self.bmin, self.bsum, out=self.bmin)
-        self.t = g
-        # old slopes released only after the base step: releasing them first
-        # made a fresh process's coupled scan ~20% slower (allocator effects)
-        self.s1, self.s2 = s1, s2
+        if s1 is not self.s1:
+            # a coupled push wrote the new slopes into the spare pair
+            self._n1, self._n2, self.s1, self.s2 = self.s1, self.s2, s1, s2
+        self.t, self.spare = g, self.t
         if self.rng is not None:
-            self.t = dither(self.t, self.rng)
+            dither(self.t, self.rng, out=self.t, work=w1)
         return a, hyp, gp
 
 

@@ -99,7 +99,8 @@ def test_criterion_1_pliss_oracle():
 def test_criterion_2_hyperbolic_time_contraction(sys_, sigma):
     rng = np.random.default_rng(2)
     scan = PlissScan(rng.random(100), sigma)
-    series = np.array([scan.advance(sys_)[0] for _ in range(10 ** 4)])
+    # advance reuses its buffers: keep a copy of each step's a_n
+    series = np.array([scan.advance(sys_)[0].copy() for _ in range(10 ** 4)])
     for i in range(series.shape[1]):
         col = series[:, i]
         times = pliss_times(col, sigma).times

@@ -375,3 +375,37 @@ def test_base_step_matches_map_and_deriv(sys):
         assert np.isnan(g[t < 0]).all()     # the branch power has no real value there
     for x in (0.3, 0.7):
         _assert_bitwise(sys.base_step(x), (sys.base_map(x), sys.base_deriv(x)))
+
+
+def _base_step_two_branch(sys, t):
+    # the intermittent kernel as it was written with one select per branch
+    a = sys.base_param
+    p = (2.0 * t) ** a
+    left = t < 0.5
+    return (frac(np.where(left, t * (1.0 + p), 2.0 * t - 1.0)),
+            np.where(left, 1.0 + (1.0 + a) * p, 2.0))
+
+
+BRANCH_EDGES = [0.0, -0.0, 0.5, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0),
+                0.5 - 2.0 ** -40, 0.5 + 2.0 ** -40, 1.0 - 2.0 ** -53, 1.0, 1.5, 7.25,
+                2.0 ** 52 + 0.5, 1e300, math.inf, -2.0 ** -60, -0.25, -1.0, -math.inf,
+                math.nan, 5e-324, 2.0 ** -1074 * 3, 0.25]
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5, 0.7, 0.9])
+def test_intermittent_kernel_matches_two_branch_formula(alpha):
+    # bit for bit, signs of zero included, and NaN at the same entries
+    sys = intermittent_solenoid(alpha=alpha)
+    rng = np.random.default_rng(15)
+    t = np.concatenate([rng.random(2 ** 14), rng.uniform(-1.0, 0.0, 64),
+                        rng.uniform(1.0, 3.0, 64), BRANCH_EDGES])
+    with np.errstate(invalid="ignore", over="ignore"):
+        want_g, want_gp = _base_step_two_branch(sys, t)
+        g, gp = sys.base_step(t)
+        _assert_bitwise(g, want_g)
+        _assert_bitwise(gp, want_gp)
+        _assert_bitwise(sys.base_map(t), want_g)
+        _assert_bitwise(sys.base_deriv(t), want_gp)
+        for x in BRANCH_EDGES:
+            _assert_bitwise(sys.base_step(x), _base_step_two_branch(sys, np.asarray(x)))
+            _assert_bitwise(sys.base_map(x), _base_step_two_branch(sys, np.asarray(x))[0])

@@ -10,6 +10,7 @@ import pytest
 from gmstruct.dynamics import circle_offset, intermittent_solenoid, uniform_solenoid
 from gmstruct.inducing import (
     ConstructionParams,
+    _evolve_with_deriv,
     build_rings,
     choose_base_point,
     element_edges,
@@ -332,6 +333,34 @@ def test_verify_pairs_intermittent_pinned(intermittent_structure):
         "skipped_elements": 556, "ls_intercept": -1.6521455188710494}
 
 
+def _evolve_masked(sys, t, steps):
+    # every entry stepped max(steps) times, frozen by a mask once past its count
+    val = np.array(t, dtype=float)
+    der = np.ones_like(val)
+    for n in range(1, int(np.max(steps)) + 1 if len(steps) else 0):
+        m = n <= steps
+        g, gp = sys.base_step(val)
+        der = np.where(m, der * gp, der)
+        val = np.where(m, g, val)
+    return val, der
+
+
+@pytest.mark.parametrize("sys", [UNIFORM, INTERMITTENT, intermittent_solenoid(alpha=0.3)],
+                         ids=["uniform", "intermittent-0.5", "intermittent-0.3"])
+def test_evolve_with_deriv_matches_masked_loop(sys):
+    rng = np.random.default_rng(16)
+    t = rng.random(300)
+    steps = rng.integers(0, 40, 300)
+    steps[:5] = 0
+    steps[5:40] = 17                # repeats
+    steps[40:45] = 40               # the maximum, several times
+    for n in (0, 1, 37, 300):
+        val, der = _evolve_with_deriv(sys, t[:n], steps[:n])
+        want_val, want_der = _evolve_masked(sys, t[:n], steps[:n])
+        assert np.array_equal(val.view(np.uint64), want_val.view(np.uint64))
+        assert np.array_equal(der.view(np.uint64), want_der.view(np.uint64))
+
+
 # ---------------------------------------------------------------------------
 # tails and flow constants
 
@@ -390,6 +419,20 @@ def test_structure_json_roundtrip(tmp_path, uniform_structure):
     loaded = json.loads(path.read_text())
     assert loaded["schema"] == 1
     assert len(loaded["elements"]) == len(st.elem_lo)
+
+
+def test_structure_json_bytes_match_json_dumps(tmp_path, uniform_structure):
+    # the hand-formatted element records keep json.dumps(indent=1)'s bytes
+    st, _ = uniform_structure
+    doc = structure_to_json(st)
+    assert doc["elements"] and doc["leftover"]
+    path = tmp_path / "structure.json"
+    write_structure_json(st, path)
+    assert path.read_bytes() == json.dumps(doc, indent=1).encode()
+    empty = run_construction(UNIFORM, ConstructionParams(delta0=0.02, sigma=0.51, c=0.5,
+                                                         n_max=10, resolution=2.0 ** -10))
+    write_structure_json(empty, path)
+    assert path.read_bytes() == json.dumps(structure_to_json(empty), indent=1).encode()
 
 
 def test_element_edges_match_expected_width(uniform_structure):

@@ -1,6 +1,8 @@
 """Tests for hyperbolic time detection and expansion-time statistics."""
 
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -92,11 +94,64 @@ def test_streaming_scan_matches_series_reference(sys, sigma):
     pts = np.random.default_rng(8).random(16)
     n = 1000
     scan = PlissScan(pts, sigma)
-    a, hyp, _ = (np.array(col) for col in zip(*(scan.advance(sys) for _ in range(n))))
+    # advance reuses its buffers: keep a copy of each step's results
+    steps = [[np.copy(x) for x in scan.advance(sys)] for _ in range(n)]
+    a, hyp, _ = (np.array(col) for col in zip(*steps))
     for j, t0 in enumerate(pts):
         series = log_contraction_series(sys, Point(t0), n)
         assert np.array_equal(a[:, j].view(np.uint64), series.view(np.uint64))
         assert np.array_equal(np.flatnonzero(hyp[:, j]) + 1, pliss_times(series, sigma).times)
+
+
+def _digest(value):
+    return hashlib.sha256(np.asarray(value).tobytes()).hexdigest()[:16]
+
+
+# sha256 prefixes of a small disk scan's outputs (expansion_time, censored,
+# hyp_count, hyp_count_at[100], max_expansion_log), taken under numpy 2.4.6
+# on x86-64; a faster orbit kernel must reproduce every bit of them
+DISK_SCAN_DIGESTS = {
+    "uniform": (uniform_solenoid(), 0.5, (
+        "3ff6c238a98ca6a7", "e5a00aa9991ac8a5", "893fb36e8a181c4f",
+        "ed55c64eab5c10ee", "54d8a917cdcca9ef")),
+    "intermittent-0.5": (intermittent_solenoid(alpha=0.5), 0.1, (
+        "cd8dcd5e9dbaa249", "e5a00aa9991ac8a5", "4f8b6fae80179789",
+        "9287dbe8e3cf74e9", "1d04e7c85fb55083")),
+    "intermittent-0.3-coupled": (intermittent_solenoid(alpha=0.3, coupling=0.3), 0.4, (
+        "631bf33fdee3084a", "e5a00aa9991ac8a5", "340d63d4b8b8150a",
+        "b915ca430193b4ee", "8e0fa906c4af17ae")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DISK_SCAN_DIGESTS))
+def test_disk_scan_outputs_pinned(case):
+    sys, c, want = DISK_SCAN_DIGESTS[case]
+    scan = disk_scan(sys, disk_grid_points(0.25, 0.45, 2048), 500, math.exp(-c / 2.0), c,
+                     checkpoints=(100,))
+    got = (scan.expansion_time, scan.censored, scan.hyp_count, scan.hyp_count_at[100],
+           np.float64(scan.max_expansion_log))
+    assert tuple(_digest(v) for v in got) == want
+
+
+@pytest.mark.parametrize("sys", [intermittent_solenoid(alpha=0.5),
+                                 intermittent_solenoid(alpha=0.5, coupling=0.5)],
+                         ids=["intermittent", "intermittent-coupled"])
+def test_advance_works_in_its_own_buffers(sys):
+    # a step may allocate g'(t) and a mask, not the ~6 grid-sized
+    # temporaries of an allocating kernel (numpy reports to tracemalloc)
+    m = 2 ** 15
+    scan = PlissScan(disk_grid_points(0.25, 0.45, m), 0.9, rng=np.random.default_rng(0))
+    for _ in range(3):
+        scan.advance(sys)
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        for _ in range(20):
+            scan.advance(sys)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - start < 2 * m * 8
 
 
 def test_contraction_slack_on_model_orbits():
