@@ -81,10 +81,11 @@ def stage_induce(cfg: ExperimentConfig, out: Path, ctx: dict):
 
 def stage_verify(cfg: ExperimentConfig, out: Path, ctx: dict):
     sys_ = cfg.system()
-    structure = ctx.get("structure")
+    # verify is the structure's last reader: taking it out of ctx frees it,
+    # with its (3, grid) edge cache, before the later stages run
+    structure = ctx.pop("structure", None)
     if structure is None:
         structure = run_construction(sys_, cfg.construction_params(), seed=cfg.seed)
-        ctx["structure"] = structure
     doc = {
         "markov": verify_markov(structure, sys_, seed=cfg.seed),
         **verify_pairs(structure, sys_, seed=cfg.seed),

@@ -323,19 +323,22 @@ class GibbsMarkovStructure:
     violations: int
     trace: list
     nonconvergent: bool
-    elem_lo: np.ndarray = None   # grid-index runs of equal R (computed on build)
-    elem_hi: np.ndarray = None   # inclusive
-    _edges: dict = field(default_factory=dict, repr=False)   # element_edges cache
+    # grid-index runs of equal R (first and last index): elements have R > 0,
+    # the leftover R = 0
+    elem_lo: np.ndarray = field(init=False)
+    elem_hi: np.ndarray = field(init=False)
+    left_lo: np.ndarray = field(init=False)
+    left_hi: np.ndarray = field(init=False)
+    # element_edges cache: rows lo, hi, residual per grid point, NaN unsolved
+    _edges: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.elem_lo is None:
-            carved = self.R > 0
-            brk = np.flatnonzero((self.R[1:] != self.R[:-1])) + 1
-            starts = np.concatenate([[0], brk])
-            ends = np.concatenate([brk - 1, [len(self.R) - 1]])
-            keep = carved[starts]
-            self.elem_lo = starts[keep]
-            self.elem_hi = ends[keep]
+        brk = np.flatnonzero(self.R[1:] != self.R[:-1]) + 1
+        starts = np.concatenate([[0], brk])
+        ends = np.concatenate([brk - 1, [len(self.R) - 1]])
+        carved = self.R[starts] > 0
+        self.elem_lo, self.elem_hi = starts[carved], ends[carved]
+        self.left_lo, self.left_hi = starts[~carved], ends[~carved]
 
     @property
     def grid_size(self):
@@ -378,16 +381,22 @@ def run_construction(sys: ModelSystem, params: ConstructionParams,
 # element interval recovery (Newton on the base coordinate)
 
 
-def _evolve_with_deriv(sys, t, steps):
-    """g^{n}(t) and (g^{n})'(t) with per-entry step counts.
+def _sorted_prefix(steps):
+    """(order, live) for stepping entries with per-entry step counts.
 
-    Entries are sorted by step count, largest first, so step n maps only the
-    prefix of entries whose count is still >= n.
+    ``order`` sorts the entries by step count, largest first, and ``live[n-1]``
+    is the length of the sorted prefix whose count is still >= n, so step n
+    maps only ``[:live[n-1]]``.  ``np.argsort(order)`` unsorts.
     """
     order = np.argsort(steps)[::-1]
     counts = np.asarray(steps)[order]
     n_max = int(counts[0]) if len(counts) else 0
-    live = np.searchsorted(-counts, -np.arange(1, n_max + 1), side="right")
+    return order, np.searchsorted(-counts, -np.arange(1, n_max + 1), side="right")
+
+
+def _evolve_with_deriv(sys, t, steps):
+    """g^{n}(t) and (g^{n})'(t) with per-entry step counts."""
+    order, live = _sorted_prefix(steps)
     val = np.array(t, dtype=float)[order]
     der = np.ones_like(val)
     for k in live:
@@ -425,10 +434,11 @@ def element_edges(structure: GibbsMarkovStructure, sys: ModelSystem, idx):
     """
     idx = np.asarray(idx, dtype=np.int64)
     d0 = structure.params.delta0
+    if structure._edges is None:
+        structure._edges = np.full((3, structure.grid_size), np.nan)
     cache = structure._edges
-    missing = [i for i in idx.tolist() if i not in cache]
-    if missing:
-        miss = np.array(missing, dtype=np.int64)
+    miss = idx[np.isnan(cache[0, idx])]
+    if len(miss):
         steps = structure.R[miss]
         # both edges are seeded from the carved sample itself, which sits
         # inside the true element up to dither drift (~2^-50 in base
@@ -442,13 +452,9 @@ def element_edges(structure: GibbsMarkovStructure, sys: ModelSystem, idx):
                                     np.full(len(miss), -d0), move)
         hi_vals, e2 = _newton_edges(sys, t_seed, steps, structure.p_base,
                                     np.full(len(miss), d0), move)
-        for j, i in enumerate(missing):
-            cache[i] = (float(lo_vals[j]), float(hi_vals[j]),
-                        max(float(e1[j]), float(e2[j])))
-    lo = np.array([cache[i][0] for i in idx.tolist()])
-    hi = np.array([cache[i][1] for i in idx.tolist()])
-    err = max((cache[i][2] for i in idx.tolist()), default=0.0)
-    return lo, hi, err
+        cache[:, miss] = lo_vals, hi_vals, np.maximum(e1, e2)
+    lo, hi, err = cache[:, idx]
+    return lo, hi, float(np.max(err)) if len(idx) else 0.0
 
 
 def _verifiable_elements(structure, max_elements, seed):
@@ -486,7 +492,7 @@ def verify_markov(structure: GibbsMarkovStructure, sys: ModelSystem,
     to those wide enough to resolve in double precision.
     """
     report = {"checked": 0, "skipped": 0, "covering_violations": 0,
-              "overlap_violations": 0, "max_edge_err": 0.0}
+              "overlap_violations": 0, "max_edge_err": 0.0, "duplicates": 0}
     d0 = structure.params.delta0
     p = structure.p_base
     if intervals is None:
@@ -563,28 +569,28 @@ def verify_pairs(structure: GibbsMarkovStructure, sys: ModelSystem,
     z = np.where(tiny, lo[:, None] + ((u1 + 0.5) % 1.0) * w, z).ravel()
     y = y.ravel()
     steps = np.repeat(structure.R[idx], k)
+    # y and z are the rows of one array, sorted by R so that step n pushes
+    # only the pairs with n <= R; the fits below run in the original order
+    order, live = _sorted_prefix(steps)
+    yz = np.stack([y, z])[:, order]
+    s1, s2 = np.zeros_like(yz), np.zeros_like(yz)
+    logratio = np.zeros(len(y))
     # running max of d_n sigma^{n/2} for n < R gives the binding k at once
-    run_max = np.abs(circle_offset(y, z))   # n = 0 term
-    ys1 = np.zeros_like(y)
-    ys2 = np.zeros_like(y)
-    zs1 = np.zeros_like(z)
-    zs2 = np.zeros_like(z)
-    logratio = np.zeros_like(y)
-    for n in range(1, int(np.max(steps)) + 1):
-        m = n <= steps
-        gy, gpy = sys.base_step(y)
-        gz, gpz = sys.base_step(z)
-        a1, a2, ey = sys.push_tangent(y, ys1, ys2, gpy)
-        b1, b2, ez = sys.push_tangent(z, zs1, zs2, gpz)
-        logratio = np.where(m, logratio + np.log(ey) - np.log(ez), logratio)
-        y = np.where(m, gy, y)
-        z = np.where(m, gz, z)
-        ys1, ys2 = np.where(m, a1, ys1), np.where(m, a2, ys2)
-        zs1, zs2 = np.where(m, b1, zs1), np.where(m, b2, zs2)
-        d = np.abs(circle_offset(y, z))
-        run_max = np.where(m, np.maximum(run_max, d * sigma ** (n / 2.0)), run_max)
-    # y and z stay frozen at f^R once n passes R, so d is dist(f^Ry, f^Rz)
-    d = np.abs(circle_offset(y, z))
+    run_max = np.abs(circle_offset(yz[0], yz[1]))   # n = 0 term
+    for n, m in enumerate(live, 1):
+        g, gp = sys.base_step(yz[:, :m])
+        s1[:, :m], s2[:, :m], e = sys.push_tangent(yz[:, :m], s1[:, :m], s2[:, :m], gp)
+        le = np.log(e)
+        # (sum + log e_y) - log e_z, not sum + (log e_y - log e_z): it rounds
+        # like the pinned reports
+        logratio[:m] = logratio[:m] + le[0] - le[1]
+        yz[:, :m] = g
+        d = np.abs(circle_offset(g[0], g[1]))
+        np.maximum(run_max[:m], d * sigma ** (n / 2.0), out=run_max[:m])
+    # each pair stops at f^R, so d is dist(f^Ry, f^Rz)
+    unsort = np.argsort(order)
+    d = np.abs(circle_offset(yz[0], yz[1]))[unsort]
+    run_max, logratio = run_max[unsort], logratio[unsort]
 
     ratios = run_max / (sigma ** (steps / 2.0) * d)
     back["C_fit"] = float(np.max(ratios))
@@ -683,12 +689,18 @@ def measure_flow_constants(structure: GibbsMarkovStructure) -> dict:
 def structure_to_json(structure: GibbsMarkovStructure) -> dict:
     """JSON document with element intervals, leftover, params and gcd."""
     cell = structure.cell_width
-    lo = (structure.points[structure.elem_lo] - 0.5 * cell) % 1.0
-    hi = (structure.points[structure.elem_hi] + 0.5 * cell) % 1.0
+
+    def arcs(first, last):
+        # outer edges of the first and last grid cells of each run
+        return zip((structure.points[first] - 0.5 * cell) % 1.0,
+                   (structure.points[last] + 0.5 * cell) % 1.0)
+
     elements = [{"lo": float(a), "hi": float(b), "R": int(r), "n_hyp": int(h)}
-                for a, b, r, h in zip(lo, hi, structure.element_R(),
-                                      structure.n_hyp[structure.elem_lo])]
-    leftover = _runs_to_intervals(structure, structure.R == 0)
+                for (a, b), r, h in zip(arcs(structure.elem_lo, structure.elem_hi),
+                                        structure.element_R(),
+                                        structure.n_hyp[structure.elem_lo])]
+    leftover = [{"lo": float(a), "hi": float(b)}
+                for a, b in arcs(structure.left_lo, structure.left_hi)]
     p = structure.params
     return {
         "schema": SCHEMA_VERSION,
@@ -704,21 +716,6 @@ def structure_to_json(structure: GibbsMarkovStructure) -> dict:
                    "R0": p.R0, "sigma": p.sigma, "c": p.c, "n_max": p.n_max,
                    "resolution": p.resolution},
     }
-
-
-def _runs_to_intervals(structure, mask):
-    cell = structure.cell_width
-    out = []
-    idx = np.flatnonzero(mask)
-    if len(idx) == 0:
-        return out
-    brk = np.flatnonzero(np.diff(idx) > 1)
-    starts = np.concatenate([[idx[0]], idx[brk + 1]])
-    ends = np.concatenate([idx[brk], [idx[-1]]])
-    for a, b in zip(starts, ends):
-        out.append({"lo": float((structure.points[a] - 0.5 * cell) % 1.0),
-                    "hi": float((structure.points[b] + 0.5 * cell) % 1.0)})
-    return out
 
 
 def write_structure_json(structure: GibbsMarkovStructure, path):

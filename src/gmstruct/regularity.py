@@ -131,17 +131,13 @@ def stable_contraction_check(sys: ModelSystem, fiber_pairs: int = 1000,
     rng = np.random.default_rng(seed)
     t = rng.random(fiber_pairs)
     r = sys.lambda_s + sys.coupling / 2.0
-    u1 = rng.uniform(-r, r, fiber_pairs)
-    v1 = rng.uniform(-r, r, fiber_pairs)
-    u2 = rng.uniform(-r, r, fiber_pairs)
-    v2 = rng.uniform(-r, r, fiber_pairs)
+    u1, v1, u2, v2 = (rng.uniform(-r, r, fiber_pairs) for _ in range(4))
+    # the two points of each pair are the rows of u and v over one base orbit
+    u, v = np.stack([u1, u2]), np.stack([v1, v2])
     logs = [np.log(np.hypot(u1 - u2, v1 - v2))]
-    ta = t.copy()
-    tb = t.copy()
     for _ in range(n):
-        ta, u1, v1 = sys.step_arrays(ta, u1, v1)
-        tb, u2, v2 = sys.step_arrays(tb, u2, v2)
-        d = np.hypot(u1 - u2, v1 - v2)
+        t, u, v = sys.step_arrays(t, u, v)
+        d = np.hypot(u[0] - u[1], v[0] - v[1])
         if np.min(d) < 1e-15:
             break   # differences at the double-precision floor
         logs.append(np.log(d))
@@ -233,16 +229,16 @@ def _log_jacobian_terms(sys: ModelSystem, tau, slopes, slopes_prime, n_terms: in
     terms are log expansion(tau_i, s_i) - log expansion(tau_i, s'_i) with
     the slopes (s1, s2) of the two curves over tau pushed forward.
     """
-    (s1, s2), (p1, p2) = slopes, slopes_prime
-    t = tau.copy()
+    # row 0 of each slope array is gamma's, row 1 gamma_prime's
+    s1, s2 = (np.stack(pair) for pair in zip(slopes, slopes_prime))
+    t = tau
     terms = np.empty((n_terms,) + tau.shape)
     for i in range(n_terms):
         g, gp = sys.base_step(t)
-        s1n, s2n, es = sys.push_tangent(t, s1, s2, gp)
-        p1n, p2n, ep = sys.push_tangent(t, p1, p2, gp)
-        terms[i] = np.log(es) - np.log(ep)
+        s1, s2, e = sys.push_tangent(*np.broadcast_arrays(t, s1, s2, gp))
+        e = np.log(e)
+        terms[i] = e[0] - e[1]
         t = g
-        s1, s2, p1, p2 = s1n, s2n, p1n, p2n
     return terms
 
 

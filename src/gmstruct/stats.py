@@ -80,52 +80,43 @@ def observable(token: str) -> Observable:
 # orbits
 
 
-def _advance(sys, t, u, v, rng):
-    t, u, v = sys.step_arrays(t, u, v)
-    return dither(t, rng), u, v
+def _walk(sys, walkers, steps, seed, observables):
+    """Yield the ensemble state (t, u, v) at steps 0 .. steps-1 after a burn-in.
 
-
-def _ensemble(sys, walkers, seed, observables):
-    """(rng, t, u, v) BURN steps from uniform t and the zero fiber, or u = v = None if unread."""
+    The walkers start from uniform t and the zero fiber (u = v = None if no
+    observable reads it) and take BURN + steps dithered steps in all: the
+    step that leaves each yielded state runs when the next one is asked
+    for, so a consumer must exhaust the generator.
+    """
     rng = _rng(seed)
     t = rng.random(walkers)
     u = v = None
     if any(phi.kind == "fiber_norm" for phi in observables):
         u, v = np.zeros(walkers), np.zeros(walkers)
-    for _ in range(BURN):
-        t, u, v = _advance(sys, t, u, v, rng)
-    return rng, t, u, v
+    for j in range(BURN + steps):
+        if j >= BURN:
+            yield t, u, v
+        t, u, v = sys.step_arrays(t, u, v)
+        t = dither(t, rng)
 
 
 def _birkhoff_sums(sys, phi, walkers, ns, seed):
-    """S_n = sum_{j<n} phi(f^j x) over a burned-in ensemble, one row per n.
-
-    ``ns`` must be increasing; the ensemble advances once per summed term.
-    """
-    rng, t, u, v = _ensemble(sys, walkers, seed, [phi])
+    """S_n = sum_{j<n} phi(f^j x) over a burned-in ensemble, one row per entry n of ``ns``."""
+    ns = np.asarray(ns)
     s = np.zeros(walkers)
-    out = np.empty((len(ns), walkers))
-    step_no = 0
-    for i, n in enumerate(ns):
-        while step_no < n:
-            s += phi(t, u, v)
-            t, u, v = _advance(sys, t, u, v, rng)
-            step_no += 1
-        out[i] = s
+    out = np.zeros((len(ns), walkers))
+    for n, (t, u, v) in enumerate(_walk(sys, walkers, int(max(ns, default=0)), seed, [phi]), 1):
+        s += phi(t, u, v)
+        out[ns == n] = s
     return out
 
 
 def _ensemble_series(sys, observables, steps, seed):
-    """Per-step observable values over a burned-in vectorized ensemble.
-
-    Returns a list of arrays of shape (steps, WALKERS), one per observable.
-    """
-    rng, t, u, v = _ensemble(sys, WALKERS, seed, observables)
+    """Per-step observable values, one (steps, WALKERS) array per observable."""
     out = [np.empty((steps, WALKERS)) for _ in observables]
-    for j in range(steps):
+    for j, (t, u, v) in enumerate(_walk(sys, WALKERS, steps, seed, observables)):
         for row, phi in zip(out, observables):
             row[j] = phi(t, u, v)
-        t, u, v = _advance(sys, t, u, v, rng)
     return out
 
 

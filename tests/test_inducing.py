@@ -333,6 +333,42 @@ def test_verify_pairs_intermittent_pinned(intermittent_structure):
         "skipped_elements": 556, "ls_intercept": -1.6521455188710494}
 
 
+# exact (P3) and (P4) reports of the masked pair loop on one small coupled
+# construction per family (resolution 2^-14, n_max 200, p_base 0.37), taken
+# under numpy 2.4.6, Python 3.11.7 on x86-64 (another numpy or libm may
+# round differently and fail this test)
+PAIRS_COUPLED = {
+    "uniform": (uniform_solenoid(coupling=1.0), dict(sigma=0.51, c=0.5), {
+        "backward_contraction": {
+            "C_fit": 1.0000000000000002, "violations": 0, "pairs": 800,
+            "skipped_elements": 555, "ratio_p50": 1.0, "ratio_p90": 1.0},
+        "distortion": {
+            "C2_fit": 0.08418832329470706, "eta_fit": 1.019864044501605,
+            "max_residual_factor": 1.0, "r_squared": 0.8366005759188653, "pairs": 800,
+            "exact_zero": False, "skipped_elements": 555,
+            "ls_intercept": -2.987954371931574}}),
+    "intermittent": (intermittent_solenoid(alpha=0.5, lambda_s=0.5, coupling=1.0),
+                     dict(sigma=0.8, c=0.1), {
+        "backward_contraction": {
+            "C_fit": 1.0, "violations": 0, "pairs": 800,
+            "skipped_elements": 549, "ratio_p50": 1.0, "ratio_p90": 1.0},
+        "distortion": {
+            "C2_fit": 3.0813181026025713, "eta_fit": 1.0149456800386791,
+            "max_residual_factor": 1.0, "r_squared": 0.40009205897779454, "pairs": 800,
+            "exact_zero": False, "skipped_elements": 549,
+            "ls_intercept": -0.28187567862742197}}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PAIRS_COUPLED))
+def test_verify_pairs_coupled_pinned(case):
+    sys_, params, want = PAIRS_COUPLED[case]
+    st = run_construction(sys_, ConstructionParams(delta0=0.02, n_max=200,
+                                                   resolution=2.0 ** -14, **params),
+                          p_base=0.37)
+    assert verify_pairs(st, sys_, max_elements=100, seed=3) == want
+
+
 def _evolve_masked(sys, t, steps):
     # every entry stepped max(steps) times, frozen by a mask once past its count
     val = np.array(t, dtype=float)
@@ -388,7 +424,7 @@ def test_flow_constants_positive(uniform_structure):
     assert flow["a0_ring_prediction"] == pytest.approx(1.0 - math.sqrt(0.51))
 
 
-def test_empty_construction():
+def test_empty_construction(uniform_structure):
     # n_max below R0: nothing can be carved
     params = ConstructionParams(delta0=0.02, sigma=0.51, c=0.5, n_max=10,
                                 resolution=2.0 ** -10)
@@ -398,6 +434,9 @@ def test_empty_construction():
     assert st.nonconvergent
     rep = verify_markov(st, UNIFORM)
     assert rep["checked"] == 0
+    # the report has one schema whether or not any element was checked
+    st_full, _ = uniform_structure
+    assert list(rep) == list(verify_markov(st_full, UNIFORM, max_elements=10))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Tests for stable contraction, bundle regularity, and holonomy."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -33,6 +34,14 @@ def test_stable_contraction_coupled():
     out = stable_contraction_check(COUPLED, fiber_pairs=1000)
     assert out["beta_fit"] <= 0.25 + 1e-6
     assert abs(out["beta_fit"] - 0.25) < 0.02
+
+
+def test_stable_contraction_coupled_pinned():
+    # exact fit of the two-copy fiber loop, taken under numpy 2.4.6, Python
+    # 3.11.7 on x86-64 (another numpy or libm may round differently and
+    # fail this test)
+    out = stable_contraction_check(COUPLED)
+    assert out == {"beta_fit": 0.2500000173493386, "C_fit": 0.6727310464167146}
 
 
 def test_stable_identical_points_stay_identical():
@@ -95,6 +104,22 @@ def test_jacobian_identity_pair(curves):
     pair = HolonomyPair(gamma=g1, gamma_prime=g1)
     for x in (0.1, 0.37, 0.9):
         assert holonomy_jacobian(COUPLED, pair, x)["J"] == 1.0
+
+
+@pytest.mark.parametrize("x, j, tail_digest", [
+    (0.5, 0.999923323997265, "9e0bfb609d32d943"),
+    (0.37, 1.0129696351189916, "63a2b26aa3be5c57"),
+])
+def test_holonomy_jacobian_coupled_pinned(curves, x, j, tail_digest):
+    # exact J and sha256 prefix of the tail table when each curve's slope was
+    # pushed by its own push_tangent call, taken under numpy 2.4.6, Python
+    # 3.11.7 on x86-64 (another numpy or libm may round differently and
+    # fail this test)
+    g1, g2, _ = curves
+    out = holonomy_jacobian(COUPLED, HolonomyPair(g1, g2), x)
+    assert out["J"] == j
+    assert hashlib.sha256(out["tail"].tail_log.tobytes()).hexdigest()[:16] == tail_digest
+    assert list(out["tail"].N_values) == list(range(81))
 
 
 def test_jacobian_uncoupled_is_one():

@@ -8,10 +8,15 @@ import math
 import numpy as np
 import pytest
 
-from gmstruct.dynamics import intermittent_solenoid, uniform_solenoid
+from gmstruct.dynamics import ModelSystem, intermittent_solenoid, uniform_solenoid
 from gmstruct.errors import DegenerateVariance, InsufficientData
 from gmstruct.pliss import Curve
 from gmstruct.stats import (
+    BURN,
+    GREEN_KUBO_N_MAX,
+    GREEN_KUBO_ORBIT,
+    LD_MIN_ENSEMBLE,
+    WALKERS,
     Observable,
     clt_test,
     correlation,
@@ -134,6 +139,36 @@ def test_ld_contract():
         large_deviations(UNIFORM, trig_base(1), -0.1, [10], 10 ** 4)
     with pytest.raises(ValueError):
         large_deviations(UNIFORM, trig_base(1), 0.1, [10], 100)
+
+
+# ---------------------------------------------------------------------------
+# ensemble work
+
+
+def test_ensembles_take_burn_plus_steps(monkeypatch):
+    # every ensemble orbit takes BURN + steps steps: the per-call terms of
+    # bench/run.py's expected_work, so a walker that slips a step fails here
+    points = []
+    step = ModelSystem.step_arrays
+
+    def counting(self, t, u, v):
+        points.append(np.size(t))
+        return step(self, t, u, v)
+
+    monkeypatch.setattr(ModelSystem, "step_arrays", counting)
+    green_kubo = WALKERS * (BURN + max(GREEN_KUBO_ORBIT // WALKERS, 2 * GREEN_KUBO_N_MAX))
+    correlation(UNIFORM, trig_base(1), trig_base(1), 50, 10 ** 4)
+    assert sum(points) == WALKERS * (BURN + max(10 ** 4 // WALKERS, 2 * 50))
+    points.clear()
+    clt_test(UNIFORM, trig_base(1), 1000, 1000)
+    assert sum(points) == green_kubo + 1000 * (BURN + 1000)
+    points.clear()
+    # a repeated n is kept: the grid is sorted, not deduplicated, and every
+    # row is filled
+    curve = large_deviations(UNIFORM, trig_base(1), 0.1, [30, 10, 30], LD_MIN_ENSEMBLE)
+    assert sum(points) == green_kubo + LD_MIN_ENSEMBLE * (BURN + 30)
+    assert list(curve.n_values) == [10, 30, 30]
+    assert curve.values[1] == curve.values[2] > 0.0
 
 
 # ---------------------------------------------------------------------------
