@@ -269,12 +269,12 @@ def _checksums(out: Path) -> dict:
     return sums
 
 
-def _write_manifest(out: Path, cfg, stages: dict, failed: str | None,
+def _write_manifest(out: Path, cfg: ExperimentConfig, stages: dict, failed: str | None,
                     workers: int):
     doc = {
         "tool_version": TOOL_VERSION,
-        "config": cfg.echo() if cfg is not None else None,
-        "auto_resolutions": cfg.resolved_rules if cfg is not None else {},
+        "config": cfg.echo(),
+        "auto_resolutions": cfg.resolved_rules,
         "workers": workers,
         "stages": stages,
         "failed_stage": failed,

@@ -13,8 +13,7 @@ from dataclasses import dataclass, field
 
 from .dynamics import ModelSystem, intermittent_solenoid, uniform_solenoid
 from .errors import ConfigError, ParamError
-from .inducing import ConstructionParams
-from .pliss import default_sigma
+from .inducing import MAX_GRID, ConstructionParams
 from .stats import observable
 
 #: every recognised key: (ExperimentConfig field, type[, default as text]).
@@ -144,10 +143,10 @@ def config_from_raw(raw: dict) -> ExperimentConfig:
         # kept here, not left to ConstructionParams: sigma = auto needs c > 0,
         # and a c for which exp(-c/2) does not round to 1
         ("pliss.c", v["c"] > 0.0, "must be > 0"),
-        ("pliss.c", v["sigma"] is not None or v["c"] <= 0.0 or default_sigma(v["c"]) < 1.0,
+        ("pliss.c", v["sigma"] is not None or v["c"] <= 0.0 or math.exp(-v["c"] / 2.0) < 1.0,
          "too small for pliss.sigma = auto: exp(-c/2) rounds to 1"),
         ("pliss.horizon", v["horizon"] >= 1, "must be >= 1"),
-        ("pliss.grid", v["grid"] >= 1000, "must be >= 1000"),
+        ("pliss.grid", 1000 <= v["grid"] <= MAX_GRID, f"must lie in [1000, {MAX_GRID}]"),
         ("inducing.R0", v["R0"] >= 1, "must be >= 1"),
         ("inducing.n_max", v["n_max"] > v["R0"], "must exceed inducing.R0"),
         ("stats.observables", "," not in obs,
@@ -165,7 +164,7 @@ def config_from_raw(raw: dict) -> ExperimentConfig:
 
     rules = {}
     if v["sigma"] is None:
-        v["sigma"] = default_sigma(v["c"])
+        v["sigma"] = math.exp(-v["c"] / 2.0)     # half the NUE rate c
         rules["pliss.sigma"] = f"auto -> exp(-c/2) = {v['sigma']!r}"
     if v["resolution"] is None:
         v["resolution"] = 2.0 ** -20

@@ -44,6 +44,11 @@ def frac(x, out=None):
     return np.subtract(x, np.floor(x, out=out), out=out)
 
 
+def dither_rng(seed):
+    """The generator of a dithered orbit's draws: counter-based Philox, so a seed fixes them all."""
+    return np.random.Generator(np.random.Philox(seed))
+
+
 def dither(t, rng, out=None, work=None):
     """frac(t + u * DITHER), u uniform in [0, 1) drawn from rng for each entry of t.
 
@@ -232,61 +237,14 @@ def intermittent_solenoid(alpha=0.5, lambda_s=0.1, coupling=0.0):
     return ModelSystem(Family.INTERMITTENT, alpha, lambda_s, coupling)
 
 
-# ---------------------------------------------------------------------------
-# points, distances
-
-
-@dataclass
-class Point:
-    """A point of S^1 x D^2: circle coordinate plus two fiber coordinates."""
-
-    base: float
-    fiber: tuple = (0.0, 0.0)
-
-    def __post_init__(self):
-        self.base = float(self.base) % 1.0
-        if math.hypot(*self.fiber) > 1.0 + 1e-12:
-            raise ValueError("fiber norm must be <= 1")
-
-
 def circle_offset(a, b):
     """Signed representative of a - b in (-1/2, 1/2]."""
     d = frac(np.asarray(a, dtype=float) - np.asarray(b, dtype=float))
     return np.where(d > 0.5, d - 1.0, d)
 
 
-def backward_base_orbit(sys: ModelSystem, t, n, rng=None, branches=None):
-    """Backward base orbit [t_{-n}, ..., t_{-1}, t] choosing inverse branches.
-
-    Branches are drawn uniformly at random unless given explicitly.  On the
-    attractor every backward itinerary corresponds to one solenoid sheet.
-    """
-    if branches is None:
-        if rng is None:
-            rng = np.random.default_rng(0)
-        branches = rng.integers(0, 2, size=n)
-    out = np.empty(n + 1)
-    out[-1] = t % 1.0
-    cur = out[-1]
-    for j in range(n):
-        cur = float(sys.base_inverse(cur, int(branches[j])))
-        out[-2 - j] = cur
-    return out
-
-
 # ---------------------------------------------------------------------------
-# unstable direction and the log-contraction cocycle
-
-
-def cu_direction(sys: ModelSystem, x: Point, settle: int = 100, history=None, tol=1e-10):
-    """Unit vector spanning E^cu at x: :func:`cu_directions` for one point.
-
-    ``history`` is a backward base orbit ending at x (as produced by
-    :func:`backward_base_orbit`), sampled at random if absent and needed.
-    """
-    if history is None:
-        history = backward_base_orbit(sys, x.base, settle) if sys.coupling else [x.base]
-    return cu_directions(sys, np.asarray(history, dtype=float)[-settle - 1:, None], settle, tol)[0]
+# unstable direction
 
 
 def cu_directions(sys: ModelSystem, rows, settle: int, tol=1e-10):
@@ -323,27 +281,3 @@ def cu_directions(sys: ModelSystem, rows, settle: int, tol=1e-10):
 def _row_norms(v):
     # a row matmul rounds like the 1-D np.linalg.norm; norm(v, axis=1) may not
     return np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
-
-
-def log_contraction_series(sys: ModelSystem, x0: Point, n: int,
-                           slopes0=(0.0, 0.0)) -> np.ndarray:
-    """Log contraction factors a_j = log ||Df^{-1} | E^cu|| along the orbit of x0.
-
-    Entry j-1 holds a_j = -log ||Df e_cu|| at f^{j-1}(x0), for j = 1..n.
-    The tangent slopes start at ``slopes0`` (horizontal by default) and are
-    pushed forward with the orbit; by domination they converge to the true
-    unstable direction at rate lambda_s / g'.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    # a length-1 orbit runs the array loops of the batched scans, so it
-    # rounds like them (numpy's scalar power may differ in the last ulp)
-    t = np.array([x0.base])
-    s1, s2 = (np.array([s], dtype=float) for s in slopes0)
-    vals = np.empty(n)
-    for j in range(n):
-        g, gp = sys.base_step(t)
-        s1, s2, expansion = sys.push_tangent(t, s1, s2, gp)
-        vals[j] = -np.log(expansion)[0]
-        t = g
-    return vals

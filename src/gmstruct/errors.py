@@ -9,10 +9,6 @@ class NotSettled(GmstructError):
     """Power iteration for the unstable direction did not converge."""
 
 
-class EmptySubset(GmstructError):
-    """A subset selection matched no grid points."""
-
-
 class NonConvergent(GmstructError):
     """Construction left more than half the reference disk unpartitioned."""
 

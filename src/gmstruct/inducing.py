@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import ModelSystem, circle_offset
+from .dynamics import ModelSystem, circle_offset, dither_rng
 from .errors import ParamError
 from .pliss import PlissScan, disk_grid_points, geometric_grid, survival_curve
 
@@ -59,9 +59,9 @@ C0 = 2.0
 C1 = 1.0
 #: sup ||Df^-1|E^cu||; <= 1 when the base map never contracts
 K0 = 1.0
-#: most grid points a construction may sample: each carries about a dozen
-#: 8-byte arrays (orbit, Pliss scan state, log-derivatives, t, R, ...), so
-#: 2^25 points already hold about 3 GB
+#: most grid points a construction (or, through config, the tails scan) may
+#: sample: each carries about a dozen 8-byte arrays (orbit, Pliss scan state,
+#: log-derivatives, t, R, ...), so 2^25 points already hold about 3 GB
 MAX_GRID = 2 ** 25
 #: narrowest predicted element width that verification resolves and checks
 WIDTH_FLOOR = 1e-11
@@ -197,12 +197,6 @@ class ConstructionState:
     def active(self):
         return self.R == 0
 
-    def mass_counts(self):
-        act = self.active
-        return {"delta_n": int(np.count_nonzero(act)),
-                "A_n": int(np.count_nonzero(act & (self.t == 0))),
-                "B_n": int(np.count_nonzero(act & (self.t > 0)))}
-
 
 def init_state(sys: ModelSystem, params: ConstructionParams, p_base: float,
                seed: int = 0) -> ConstructionState:
@@ -212,7 +206,7 @@ def init_state(sys: ModelSystem, params: ConstructionParams, p_base: float,
     # sub-resolution dither models each grid point as a real point drawn
     # from its cell: pure binary base maps otherwise exhaust the mantissa
     # and collapse every orbit onto the fixed point after ~52 steps
-    scan = PlissScan(pts, params.sigma, rng=np.random.Generator(np.random.Philox(seed)))
+    scan = PlissScan(pts, params.sigma, rng=dither_rng(seed))
     return ConstructionState(
         n=0, p_base=p_base, points=pts, scan=scan, last_hyp=np.zeros(m, dtype=np.int64),
         log_deriv=z.copy(), log_deriv_hyp=z.copy(),

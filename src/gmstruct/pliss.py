@@ -25,27 +25,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import ModelSystem, dither
-from .errors import EmptySubset
 
 GUARD_FRAC = 0.1        # shortest certifying suffix of an uncensored E, per horizon
 GRID_RATIO = 1.25       # ratio of the geometric n-grids every curve is measured on
 DISK_CENTER = 0.25      # center of the base arc scanned by default
 DISK_RADIUS = 0.45      # radius of the base arc scanned by default
-DENSITY_SCAN_C = 0.1    # c of summed_density_check's own scan (its counts ignore c)
-
-
-@dataclass
-class HyperbolicTimeSet:
-    times: np.ndarray          # sorted 1-based hyperbolic times
-    sigma: float
-
-
-@dataclass
-class ExpansionTime:
-    value: int
-    censored: bool
-    horizon: int
-    c: float
 
 
 @dataclass
@@ -61,65 +45,9 @@ class Curve:
     error: float = 0.0
 
 
-def pliss_times(series, sigma: float) -> HyperbolicTimeSet:
-    """All sigma-hyperbolic times of the series, by running-minimum scan."""
-    if not 0.0 < sigma < 1.0:
-        raise ValueError("sigma must lie in (0, 1)")
-    vals = np.asarray(series, dtype=float)
-    if len(vals) < 1:
-        raise ValueError("series must have length >= 1")
-    b = vals - math.log(sigma)
-    prefix = np.concatenate([[0.0], np.cumsum(b)])
-    running_min = np.minimum.accumulate(prefix)
-    # n >= 1 is hyperbolic iff B_n <= min over 0 <= m < n
-    hyp = prefix[1:] <= running_min[:-1]
-    times = np.flatnonzero(hyp) + 1
-    return HyperbolicTimeSet(times=times, sigma=sigma)
-
-
 def _censored(value, horizon: int):
     """Whether E = value leaves a certifying suffix shorter than GUARD_FRAC * horizon."""
     return value > horizon - max(1, int(math.ceil(GUARD_FRAC * horizon))) + 1
-
-
-def expansion_time(series, c: float, horizon: int) -> ExpansionTime:
-    """First N with all running averages on [N, horizon] below -c.
-
-    The certifying suffix must be at least ``GUARD_FRAC * horizon`` long,
-    otherwise the result is censored (a lucky suffix at the very end of the
-    observation window says nothing about the true expansion time).
-    """
-    if c <= 0.0:
-        raise ValueError("c must be > 0")
-    vals = np.asarray(series, dtype=float)
-    if horizon > len(vals):
-        raise ValueError("horizon exceeds series length")
-    n = np.arange(1, horizon + 1)
-    avg = np.cumsum(vals[:horizon]) / n
-    failing = np.flatnonzero(avg >= -c)
-    last_fail = int(failing[-1]) + 1 if len(failing) else 0
-    censored = _censored(last_fail + 1, horizon)
-    return ExpansionTime(value=horizon if censored else last_fail + 1,
-                         censored=censored, horizon=horizon, c=c)
-
-
-def theta_pliss(c: float, sigma: float, expansion_bound: float) -> float:
-    """Pliss density floor (c - c2) / (A - c2) with c2 = -log sigma.
-
-    ``expansion_bound`` is an upper bound A on the one-step expansion logs
-    -a_j.  Valid whenever 0 < c2 < c <= A.
-    """
-    c2 = -math.log(sigma)
-    if not 0.0 < c2 < c:
-        raise ValueError("need 0 < -log(sigma) < c")
-    if expansion_bound <= c:
-        raise ValueError("expansion bound must exceed c")
-    return (c - c2) / (expansion_bound - c2)
-
-
-def default_sigma(c: float) -> float:
-    """Default rate sigma = exp(-c/2), splitting the NUE rate in half."""
-    return math.exp(-c / 2.0)
 
 
 # ---------------------------------------------------------------------------
@@ -242,17 +170,14 @@ def geometric_grid(horizon: int) -> np.ndarray:
     return np.array(out, dtype=np.int64)
 
 
-def expansion_tail(sys: ModelSystem, disk_grid: int, c: float, horizon: int,
-                   sigma: float | None = None, center: float = DISK_CENTER,
-                   radius: float = DISK_RADIUS) -> Curve:
+def expansion_tail(sys: ModelSystem, disk_grid: int, c: float, horizon: int, sigma: float,
+                   center: float = DISK_CENTER, radius: float = DISK_RADIUS) -> Curve:
     """Survival curve Leb_D{ E > n } on a geometric n-grid.
 
     Censored grid points count toward the survival at every n <= horizon.
     """
     if disk_grid < 1000:
         raise ValueError("disk_grid must be >= 1000")
-    if sigma is None:
-        sigma = default_sigma(c)
     scan = disk_scan(sys, disk_grid_points(center, radius, disk_grid), horizon, sigma, c)
     return survival_curve(scan.expansion_time, scan.censored, geometric_grid(horizon))
 
@@ -267,46 +192,3 @@ def survival_curve(values, censored, ngrid) -> Curve:
     survival = np.array([np.count_nonzero(vals > n) for n in ngrid], dtype=float) / m
     return Curve(n_values=ngrid, values=survival,
                  error=float(np.count_nonzero(censored)) / m)
-
-
-def summed_density_check(sys: ModelSystem, subset_mask, sigma: float, n: int,
-                         scan: DiskScan | None = None, disk_grid: int = 2 ** 14) -> float:
-    """Average over the subset of the hyperbolic-time density up to n.
-
-    Computes (1/n) sum_j Leb_D(A cap H_j) / Leb_D(A), which equals the mean
-    over A of the pointwise density of hyperbolic times in [1, n].  The
-    caller is responsible for A avoiding { E > n }.  Without ``scan`` the
-    default arc is scanned on ``disk_grid`` points.
-    """
-    if scan is None:
-        pts = disk_grid_points(DISK_CENTER, DISK_RADIUS, disk_grid)
-        scan = disk_scan(sys, pts, n, sigma, DENSITY_SCAN_C, checkpoints=(n,))
-    mask = np.asarray(subset_mask, dtype=bool)
-    if not mask.any():
-        raise EmptySubset("subset mask selects no grid points")
-    counts = scan.hyp_count_at.get(n)
-    if counts is None:
-        if n != scan.horizon:
-            raise ValueError(f"scan has no checkpoint at n={n}")
-        counts = scan.hyp_count
-    return float(np.mean(counts[mask])) / n
-
-
-def contraction_slack(series, sigma: float, times=None):
-    """Worst relative slack of exp(sum a_j) <= sigma^k over detected times.
-
-    For each hyperbolic time n the binding window ends at the running
-    minimum of the adjusted prefix sums, so the maximum over k of
-    exp(S_n - S_{n-k} - k log sigma) equals exp(B_n - min_{m<n} B_m).
-    Returns max over detected times of that quantity minus one.
-    """
-    vals = np.asarray(series, dtype=float)
-    b = vals - math.log(sigma)
-    prefix = np.concatenate([[0.0], np.cumsum(b)])
-    running_min = np.minimum.accumulate(prefix)
-    if times is None:
-        times = np.flatnonzero(prefix[1:] <= running_min[:-1]) + 1
-    if len(times) == 0:
-        return 0.0
-    slack = np.exp(prefix[times] - running_min[times - 1]) - 1.0
-    return float(np.max(slack))

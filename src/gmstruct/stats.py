@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ModelSystem, dither
+from .dynamics import ModelSystem, dither, dither_rng
 from .errors import DegenerateVariance, InsufficientData, ParamError
 from .pliss import Curve, geometric_grid
 
@@ -31,10 +31,6 @@ GREEN_KUBO_N_MAX = 200        # largest lag the Green-Kubo sum reaches
 LD_MIN_ENSEMBLE = 10 ** 4     # fewest starts of a large-deviation ensemble
 
 
-def _rng(seed):
-    return np.random.Generator(np.random.Philox(seed))
-
-
 # ---------------------------------------------------------------------------
 # observables
 
@@ -43,7 +39,7 @@ def _rng(seed):
 class Observable:
     """Hölder observable, normalized to sup norm <= 1.
 
-    kinds: ``trig`` (cos(2 pi k t)), ``fiber_norm`` (|(u, v)|), ``constant``.
+    kinds: ``trig`` (cos(2 pi k t)) and ``fiber_norm`` (|(u, v)|).
     """
 
     kind: str
@@ -54,8 +50,6 @@ class Observable:
             return np.cos(2.0 * math.pi * self.k * np.asarray(t))
         if self.kind == "fiber_norm":
             return np.hypot(u, v)
-        if self.kind == "constant":
-            return np.ones_like(np.asarray(t, dtype=float))
         raise ValueError(f"unknown observable kind {self.kind!r}")
 
 
@@ -68,11 +62,15 @@ def fiber_norm() -> Observable:
 
 
 def observable(token: str) -> Observable:
-    """The observable named by a ``stats.observables`` token: trigK or fiber_norm."""
+    """The observable named by a ``stats.observables`` token: trigK (K >= 1) or fiber_norm."""
     if token == "fiber_norm":
         return fiber_norm()
     if token.startswith("trig") and token[4:].isdecimal():
-        return trig_base(int(token[4:]))
+        k = int(token[4:])
+        if k < 1:
+            # cos(0) = 1 is a constant: its variance is zero and the CLT has nothing to test
+            raise ParamError("observable", f"{token!r} is constant; trigK needs K >= 1")
+        return trig_base(k)
     raise ParamError("observable", f"unknown observable {token!r} (use trigK or fiber_norm)")
 
 
@@ -88,7 +86,7 @@ def _walk(sys, walkers, steps, seed, observables):
     step that leaves each yielded state runs when the next one is asked
     for, so a consumer must exhaust the generator.
     """
-    rng = _rng(seed)
+    rng = dither_rng(seed)
     t = rng.random(walkers)
     u = v = None
     if any(phi.kind == "fiber_norm" for phi in observables):

@@ -63,7 +63,8 @@ def test_exit_2_on_bad_sigma(tmp_path, capsys):
     ("stats.n_max = 100", "stats.n_max = 50", "stats.n_max"),
     ("inducing.resolution = 6.103515625e-05", "inducing.resolution = nan",
      "inducing.resolution"),
-], ids=["coupling", "stats-n_max", "resolution-nan"])
+    ("stats.n_max = 100", "stats.n_max = 100\nstats.observables = trig0", "stats.observables"),
+], ids=["coupling", "stats-n_max", "resolution-nan", "trig-zero"])
 def test_exit_2_before_a_stage_would_crash(tmp_path, capsys, old, new, key):
     path = tmp_path / "bad.cfg"
     assert old in QUICK

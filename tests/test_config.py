@@ -133,8 +133,13 @@ def test_coupling_bound_matches_model():
     # sigma = auto is exp(-c/2), which rounds to 1 for these c
     ({"pliss.c": "1e-300", "pliss.sigma": "auto"}, "pliss.c"),
     ({"pliss.c": "1e-17", "pliss.sigma": "auto"}, "pliss.c"),
+    # cos(2 pi 0 t) = 1 is a constant: the CLT would end in DegenerateVariance
+    ({"stats.observables": "trig0"}, "stats.observables"),
+    # the tails scan gets the construction's cap: 1e11 points would not fit in memory
+    ({"pliss.grid": "100000000000"}, "pliss.grid"),
 ], ids=["alpha-range", "alpha-nan", "coupling-sign", "coupling-nan", "lambda_s",
-        "resolution-grid-cap", "epsilon-negative", "epsilon-zero", "c-tiny", "c-below-ulp"])
+        "resolution-grid-cap", "epsilon-negative", "epsilon-zero", "c-tiny", "c-below-ulp",
+        "trig-zero", "pliss-grid-cap"])
 def test_model_errors_name_the_key(overrides, key):
     # the model parameters are checked by ModelSystem itself
     with pytest.raises(ConfigError, match=key):

@@ -11,17 +11,14 @@ from gmstruct.dynamics import (
     DITHER,
     TWO_PI,
     Family,
-    Point,
-    backward_base_orbit,
-    cu_direction,
     cu_directions,
     dither,
     frac,
     intermittent_solenoid,
-    log_contraction_series,
     uniform_solenoid,
 )
 from gmstruct.errors import NotSettled
+from oracles import backward_base_orbit, cu_direction, log_contraction_series
 
 
 def test_step_uniform_arithmetic():
@@ -64,7 +61,7 @@ def test_base_inverse_roundtrip():
 
 def test_cu_direction_uncoupled_exact():
     sys = uniform_solenoid(coupling=0.0)
-    v = cu_direction(sys, Point(0.37), settle=1)
+    v = cu_direction(sys, 0.37, settle=1)
     assert np.array_equal(v, np.array([1.0, 0.0, 0.0]))
 
 
@@ -73,15 +70,15 @@ def test_cu_direction_against_long_settle_oracle():
     sys = uniform_solenoid(lambda_s=0.25, coupling=1.0)
     rng = np.random.default_rng(7)
     hist = backward_base_orbit(sys, 0.1, 200, rng=rng)
-    ref = cu_direction(sys, Point(0.1), settle=200, history=hist)
-    v = cu_direction(sys, Point(0.1), settle=100, history=hist)
+    ref = cu_direction(sys, 0.1, settle=200, history=hist)
+    v = cu_direction(sys, 0.1, settle=100, history=hist)
     assert np.linalg.norm(v - ref) < 1e-8
 
 
 def test_cu_direction_short_history_raises():
     sys = uniform_solenoid(coupling=1.0, lambda_s=0.25)
     with pytest.raises(NotSettled):
-        cu_direction(sys, Point(0.1), settle=100,
+        cu_direction(sys, 0.1, settle=100,
                      history=backward_base_orbit(sys, 0.1, 50))
 
 
@@ -130,7 +127,7 @@ def test_cu_directions_bitwise_equal_to_scalar_loop(sys, settle):
     ref = np.array(ref)
     _assert_bitwise(dirs, ref)
     # the one-point form is the same kernel
-    _assert_bitwise(cu_direction(sys, Point(rows[-1, 7]), settle=settle, history=rows[:, 7]),
+    _assert_bitwise(cu_direction(sys, rows[-1, 7], settle=settle, history=rows[:, 7]),
                     ref[7])
 
 
@@ -169,7 +166,7 @@ def test_cu_directions_one_unsettled_column_fails_the_batch():
     assert _cu_direction_scalar_reference(sys, slow, settle)[1] > 1000.0 * tol
     assert cu_directions(sys, rows, settle, tol=tol).shape == (200, 3)
     with pytest.raises(NotSettled):
-        cu_direction(sys, Point(slow[-1]), settle=settle, history=slow, tol=tol)
+        cu_direction(sys, slow[-1], settle=settle, history=slow, tol=tol)
     with pytest.raises(NotSettled):
         cu_directions(sys, np.column_stack([rows[:, :120], slow, rows[:, 120:]]), settle,
                       tol=tol)
@@ -177,13 +174,13 @@ def test_cu_directions_one_unsettled_column_fails_the_batch():
 
 def test_log_series_uniform_constant():
     sys = uniform_solenoid(coupling=0.0)
-    series = log_contraction_series(sys, Point(0.3), 50)
+    series = log_contraction_series(sys, 0.3, 50)
     assert np.allclose(series, -math.log(2.0), atol=1e-14)
 
 
 def test_log_series_intermittent_nonpositive_and_nue():
     sys = intermittent_solenoid(alpha=0.5)
-    series = log_contraction_series(sys, Point(0.123), 10 ** 4)
+    series = log_contraction_series(sys, 0.123, 10 ** 4)
     assert np.all(series <= 1e-14)
     assert np.mean(series) < -0.1
 
@@ -191,15 +188,15 @@ def test_log_series_intermittent_nonpositive_and_nue():
 def test_log_series_neutral_orbit_limit():
     # orbits passing near t = 0 have a_j close to 0 there
     sys = intermittent_solenoid(alpha=0.5)
-    series = log_contraction_series(sys, Point(1e-10), 5)
+    series = log_contraction_series(sys, 1e-10, 5)
     assert series[0] > -1e-4
 
 
 def test_cocycle_additivity():
     sys = intermittent_solenoid(alpha=0.5, lambda_s=0.25, coupling=0.5)
     n1, n2 = 37, 63
-    full = log_contraction_series(sys, Point(0.271), n1 + n2)
-    first = log_contraction_series(sys, Point(0.271), n1)
+    full = log_contraction_series(sys, 0.271, n1 + n2)
+    first = log_contraction_series(sys, 0.271, n1)
     # reproduce the state after n1 steps exactly
     t = np.float64(0.271)
     s1 = s2 = np.float64(0.0)
@@ -207,7 +204,7 @@ def test_cocycle_additivity():
         s1n, s2n, _ = sys.push_tangent(t, s1, s2, sys.base_deriv(t))
         t = sys.base_map(t)
         s1, s2 = s1n, s2n
-    second = log_contraction_series(sys, Point(float(t)), n2, slopes0=(float(s1), float(s2)))
+    second = log_contraction_series(sys, float(t), n2, slopes0=(float(s1), float(s2)))
     glued = np.concatenate([first, second])
     assert np.array_equal(full, glued)
 

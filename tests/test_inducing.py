@@ -24,6 +24,7 @@ from gmstruct.inducing import (
     verify_pairs,
     write_structure_json,
 )
+from oracles import mass_counts
 
 UNIFORM = uniform_solenoid(lambda_s=0.25, coupling=0.0)
 INTERMITTENT = intermittent_solenoid(alpha=0.5)
@@ -164,7 +165,7 @@ def test_first_steps_no_carving():
     # before R0 nothing is carved and nothing waits: A_n is everything
     assert np.all(state.R == 0)
     assert np.all(state.t == 0)
-    counts = state.mass_counts()
+    counts = mass_counts(state)
     assert counts["A_n"] == params.grid_size and counts["B_n"] == 0
 
 
@@ -186,7 +187,7 @@ def test_step_mass_conservation_and_wait_decrement():
         else:
             step_partition(state, UNIFORM, params, rings)
         prev_t = state.t.copy()
-        counts = state.mass_counts()
+        counts = mass_counts(state)
         carved = int(np.count_nonzero(state.R > 0))
         assert counts["delta_n"] + carved == params.grid_size
 

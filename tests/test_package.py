@@ -1,0 +1,41 @@
+"""The package holds the pipeline: every top-level name is used by it or by the bench."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "gmstruct"
+
+
+def _defined(stmt):
+    """Names a top-level function, class or assignment defines."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        return {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return set()
+
+
+def _read(stmt):
+    """Names a statement reads, as a Name or as an Attribute."""
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(stmt)
+            if isinstance(n, (ast.Name, ast.Attribute)) and isinstance(n.ctx, ast.Load)}
+
+
+def test_every_top_level_name_is_used_by_the_pipeline_or_the_bench():
+    # a name counts as used when a statement other than its own definition
+    # reads it, in the package or in bench/; the tests do not count
+    sources = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "bench").glob("*.py"))
+    stmts = [(path, stmt) for path in sources
+             for stmt in ast.parse(path.read_text(), filename=str(path)).body]
+    reads = [_read(stmt) for _, stmt in stmts]
+    unused = []
+    for i, (path, stmt) in enumerate(stmts):
+        if path.parent != PACKAGE:
+            continue
+        for name in sorted(_defined(stmt)):
+            if not name.startswith("__") and not any(
+                    name in r for j, r in enumerate(reads) if j != i):
+                unused.append(f"{path.stem}.{name}")
+    assert unused == []

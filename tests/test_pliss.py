@@ -9,16 +9,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gmstruct.dynamics import Point, intermittent_solenoid, log_contraction_series, uniform_solenoid
-from gmstruct.errors import EmptySubset
+from gmstruct.dynamics import intermittent_solenoid, uniform_solenoid
 from gmstruct.pliss import (
+    DISK_CENTER,
+    DISK_RADIUS,
     PlissScan,
-    contraction_slack,
     disk_grid_points,
     disk_scan,
     expansion_tail,
-    expansion_time,
     geometric_grid,
+)
+from oracles import (
+    EmptySubset,
+    contraction_slack,
+    expansion_time,
+    log_contraction_series,
     pliss_times,
     summed_density_check,
     theta_pliss,
@@ -53,13 +58,13 @@ def brute_force_expansion_time(values, c, horizon, guard_frac=0.1):
 
 def test_constant_contracting_all_times():
     series = np.full(40, math.log(0.5))
-    times = pliss_times(series, 0.6).times
+    times = pliss_times(series, 0.6)
     assert np.array_equal(times, np.arange(1, 41))
 
 
 def test_frozen_two_term_example():
     series = np.array([math.log(2.0), math.log(0.25)])
-    assert len(pliss_times(series, 0.5).times) == 0
+    assert len(pliss_times(series, 0.5)) == 0
 
 
 def test_scan_matches_brute_force_small_corpus():
@@ -68,7 +73,7 @@ def test_scan_matches_brute_force_small_corpus():
         n = int(rng.integers(1, 300))
         vals = rng.uniform(-1.0, 1.0, n)
         sigma = float(rng.uniform(0.2, 0.95))
-        assert np.array_equal(pliss_times(vals, sigma).times,
+        assert np.array_equal(pliss_times(vals, sigma),
                               brute_force_pliss(vals, sigma))
 
 
@@ -77,8 +82,8 @@ def test_scan_matches_brute_force_small_corpus():
        st.floats(0.05, 0.95), st.floats(0.05, 0.95))
 def test_monotone_in_sigma(vals, s_a, s_b):
     s1, s2 = sorted((s_a, s_b))
-    t1 = set(pliss_times(np.array(vals), s1).times.tolist())
-    t2 = set(pliss_times(np.array(vals), s2).times.tolist())
+    t1 = set(pliss_times(np.array(vals), s1).tolist())
+    t2 = set(pliss_times(np.array(vals), s2).tolist())
     assert t1 <= t2
 
 
@@ -98,9 +103,9 @@ def test_streaming_scan_matches_series_reference(sys, sigma):
     steps = [[np.copy(x) for x in scan.advance(sys)] for _ in range(n)]
     a, hyp, _ = (np.array(col) for col in zip(*steps))
     for j, t0 in enumerate(pts):
-        series = log_contraction_series(sys, Point(t0), n)
+        series = log_contraction_series(sys, t0, n)
         assert np.array_equal(a[:, j].view(np.uint64), series.view(np.uint64))
-        assert np.array_equal(np.flatnonzero(hyp[:, j]) + 1, pliss_times(series, sigma).times)
+        assert np.array_equal(np.flatnonzero(hyp[:, j]) + 1, pliss_times(series, sigma))
 
 
 def _digest(value):
@@ -158,31 +163,31 @@ def test_contraction_slack_on_model_orbits():
     for sys in (uniform_solenoid(), intermittent_solenoid(alpha=0.5)):
         rng = np.random.default_rng(5)
         for t0 in rng.random(5):
-            series = log_contraction_series(sys, Point(t0), 2000)
+            series = log_contraction_series(sys, t0, 2000)
             assert contraction_slack(series, 0.8) <= 1e-12
 
 
 def test_expansion_time_frozen_examples():
     const = np.full(20, -math.log(2.0))
-    r = expansion_time(const, 0.5, 20)
-    assert r.value == 1 and not r.censored
+    value, censored = expansion_time(const, 0.5, 20)
+    assert value == 1 and not censored
 
     vals = np.full(20, -math.log(2.0))
     vals[0] = math.log(2.0)
-    r = expansion_time(vals, 0.3, 20)
-    assert r.value == 4 and not r.censored
+    value, censored = expansion_time(vals, 0.3, 20)
+    assert value == 4 and not censored
 
     grow = np.full(20, math.log(2.0))
-    r = expansion_time(grow, 0.3, 20)
-    assert r.censored
+    _, censored = expansion_time(grow, 0.3, 20)
+    assert censored
 
 
 def test_expansion_time_guard_window_censoring():
     # condition only starts holding inside the final 10%: censored
     vals = np.full(100, 1.0)
     vals[95:] = -200.0
-    r = expansion_time(vals, 0.5, 100)
-    assert r.censored
+    _, censored = expansion_time(vals, 0.5, 100)
+    assert censored
 
 
 def test_expansion_time_matches_brute_force():
@@ -191,12 +196,12 @@ def test_expansion_time_matches_brute_force():
         n = int(rng.integers(2, 200))
         vals = rng.uniform(-1.0, 1.0, n)
         c = float(rng.uniform(0.05, 0.8))
-        got = expansion_time(vals, c, n)
+        value, censored = expansion_time(vals, c, n)
         want = brute_force_expansion_time(vals, c, n)
         if want is None:
-            assert got.censored
+            assert censored
         else:
-            assert not got.censored and got.value == want
+            assert not censored and value == want
 
 
 def test_theta_pliss_values():
@@ -231,30 +236,37 @@ def test_geometric_grid_shape():
 
 
 def test_expansion_tail_uniform_is_zero():
-    curve = expansion_tail(uniform_solenoid(), 1000, 0.5, 50)
+    curve = expansion_tail(uniform_solenoid(), 1000, 0.5, 50, math.exp(-0.25))
     assert np.all(curve.values == 0.0)
     assert curve.error == 0.0
 
 
 def test_expansion_tail_monotone_intermittent():
-    curve = expansion_tail(intermittent_solenoid(alpha=0.5), 2048, 0.1, 2000)
+    curve = expansion_tail(intermittent_solenoid(alpha=0.5), 2048, 0.1, 2000,
+                           math.exp(-0.05))
     assert np.all(np.diff(curve.values) <= 1e-15)
     assert curve.values[-1] >= curve.error - 1e-15
     assert curve.values[0] > 0.0
+
+
+def _density_scan(sys, sigma, n, grid):
+    # c = 0.1 is arbitrary: the hyperbolic-time counts do not depend on c
+    return disk_scan(sys, disk_grid_points(DISK_CENTER, DISK_RADIUS, grid), n, sigma, 0.1,
+                     checkpoints=(n,))
 
 
 def test_summed_density_uniform_is_one():
     sys = uniform_solenoid()
     mask = np.zeros(1024, dtype=bool)
     mask[:100] = True
-    val = summed_density_check(sys, mask, 0.8, 50, disk_grid=1024)
+    val = summed_density_check(_density_scan(sys, 0.8, 50, 1024), mask, 50)
     assert val == 1.0
 
 
 def test_summed_density_empty_subset():
+    scan = _density_scan(uniform_solenoid(), 0.8, 50, 1024)
     with pytest.raises(EmptySubset):
-        summed_density_check(uniform_solenoid(), np.zeros(1024, dtype=bool), 0.8, 50,
-                             disk_grid=1024)
+        summed_density_check(scan, np.zeros(1024, dtype=bool), 50)
 
 
 def test_summed_density_single_step():
@@ -263,4 +275,4 @@ def test_summed_density_single_step():
     pts = disk_grid_points(0.25, 0.45, 1024)
     scan = disk_scan(sys, pts, 1, 0.8, 0.1, checkpoints=(1,))
     mask = scan.hyp_count_at[1] == 1
-    assert summed_density_check(sys, mask, 0.8, 1, scan=scan) == 1.0
+    assert summed_density_check(scan, mask, 1) == 1.0

@@ -60,8 +60,7 @@ def test_observable_unknown_kind():
 
 
 def test_correlation_constant_observable():
-    c = correlation(UNIFORM, Observable(kind="constant"),
-                    Observable(kind="constant"), 50, 10 ** 4 * 100 // 100)
+    c = correlation(UNIFORM, trig_base(0), trig_base(0), 50, 10 ** 4 * 100 // 100)
     assert np.max(c.values) <= 1e-14
 
 
@@ -108,7 +107,7 @@ def test_ks_statistic_matches_scipy_kstest():
 
 def test_clt_constant_degenerate():
     with pytest.raises(DegenerateVariance):
-        clt_test(UNIFORM, Observable(kind="constant"), 1000, 1000)
+        clt_test(UNIFORM, trig_base(0), 1000, 1000)
 
 
 def test_clt_contract_sizes():
