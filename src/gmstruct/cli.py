@@ -275,6 +275,7 @@ def _write_manifest(out: Path, cfg: ExperimentConfig, stages: dict, failed: str 
         "tool_version": TOOL_VERSION,
         "config": cfg.echo(),
         "auto_resolutions": cfg.resolved_rules,
+        "config_warnings": cfg.warnings,
         "workers": workers,
         "stages": stages,
         "failed_stage": failed,

@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass, field
 
 from .dynamics import ModelSystem, intermittent_solenoid, uniform_solenoid
-from .errors import ConfigError, ParamError
-from .inducing import MAX_GRID, ConstructionParams
+from .errors import ConfigError
+from .inducing import DELTA1, K0, MAX_GRID, N0, ConstructionParams
 from .stats import observable
 
 #: every recognised key: (ExperimentConfig field, type[, default as text]).
@@ -42,8 +42,6 @@ _KEYS = {
     "output_dir": ("output_dir", str, "out"),
     "system.alpha": ("alpha", float, None),
 }
-#: ModelSystem / ConstructionParams field named by a ParamError -> its key
-_PARAM_KEY = {spec[0]: key for key, spec in _KEYS.items()} | {"base_param": "system.alpha"}
 
 
 def parse_dotted(text: str) -> dict:
@@ -102,6 +100,8 @@ class ExperimentConfig:
     seed: int
     output_dir: str
     resolved_rules: dict = field(default_factory=dict)
+    #: the soft rules this config breaks (never fatal), for the manifest
+    warnings: list = field(default_factory=list, init=False)
 
     def system(self) -> ModelSystem:
         if self.family == "uniform":
@@ -120,6 +120,64 @@ class ExperimentConfig:
         return {key: value for key, value in values.items() if value is not None}
 
 
+def _rules(cfg: ExperimentConfig):
+    """Every rule a config must keep, as (key, holds, message) rows in check order.
+
+    This table is the package's only parameter check: a ModelSystem or
+    ConstructionParams built in code is not checked.  It is a generator, so
+    a row is evaluated only once every row above it holds (the epsilon rows
+    read the auto epsilon, which exists only for a sigma in (0, 1)).
+    """
+    rules = cfg.resolved_rules
+    family, alpha, obs = cfg.family, cfg.alpha, cfg.observable
+    yield ("system.family", family in ("uniform", "intermittent"),
+           "must be 'uniform' or 'intermittent'")
+    yield ("system.alpha", (alpha is None) == (family != "intermittent"),
+           f"{'required' if alpha is None else 'only meaningful'} for the intermittent family")
+    yield "system.lambda_s", 0.0 < cfg.lambda_s < 0.5, "must lie in (0, 1/2)"
+    yield "pliss.c", cfg.c > 0.0, "must be > 0"
+    yield ("pliss.c", "pliss.sigma" not in rules or cfg.sigma < 1.0,
+           "too small for pliss.sigma = auto: exp(-c/2) rounds to 1")
+    yield "pliss.horizon", cfg.horizon >= 1, "must be >= 1"
+    yield "pliss.grid", 1000 <= cfg.grid <= MAX_GRID, f"must lie in [1000, {MAX_GRID}]"
+    yield "inducing.R0", cfg.R0 >= 1, "must be >= 1"
+    yield "inducing.n_max", cfg.n_max > cfg.R0, "must exceed inducing.R0"
+    yield "stats.observables", "," not in obs, f"takes one observable, not the list {obs!r}"
+    yield ("stats.n_max", cfg.stats_n_max >= 100,
+           "must be >= 100 (the CLT test runs 10 * stats.n_max >= 1000 steps)")
+    yield ("stats.orbit_len", cfg.orbit_len >= 100 * cfg.stats_n_max,
+           "must be >= 100 * stats.n_max")
+    yield "stats.ensemble", cfg.ensemble >= 1000, "must be >= 1000"
+    yield "stats.eps", cfg.eps > 0.0, "must be > 0"
+    yield "seed", 0 <= cfg.seed < 2 ** 64, "must be an unsigned 64-bit integer"
+    phi = observable(obs)
+    yield ("stats.observables", phi is not None,
+           f"unknown observable {obs!r} (use trigK or fiber_norm)")
+    # cos(0) = 1 is a constant: its variance is zero and the CLT has nothing to test
+    yield ("stats.observables", phi.kind != "trig" or phi.k >= 1,
+           f"{obs!r} is constant; trigK needs K >= 1")
+    yield "system.coupling", cfg.coupling >= 0.0, "must be >= 0"
+    yield ("system.alpha", alpha is None or 0.0 < alpha < 1.0,
+           "intermittency exponent must lie in (0, 1)")
+    yield ("system.coupling", cfg.lambda_s + cfg.coupling / 2.0 <= 1.0,
+           "lambda_s + coupling/2 must be <= 1 to keep the fiber invariant")
+    yield "pliss.sigma", 0.0 < cfg.sigma < 1.0, "must lie in (0, 1)"
+    yield "inducing.delta0", cfg.delta0 > 0.0, "must be > 0"
+    yield ("inducing.delta0", 2.0 * math.sqrt(cfg.delta0) < DELTA1,
+           "outer cylinder 2*sqrt(delta0) must fit inside delta1")
+    # an auto epsilon is fixed by sigma (auto: by c): blame the key the file set
+    eps_key = next(k for k in ("inducing.epsilon", "pliss.sigma", "pliss.c") if k not in rules)
+    eps = "epsilon" if eps_key == "inducing.epsilon" else "epsilon = auto = epsilon_max/2"
+    yield eps_key, cfg.epsilon > 0.0, f"{eps} must be > 0"
+    yield (eps_key, cfg.epsilon < cfg.construction_params().epsilon_max(),
+           f"{eps} exceeds the admissible bound epsilon_max")
+    yield eps_key, cfg.epsilon <= cfg.delta0 / 2.0, f"{eps} must be << delta0 (<= delta0/2)"
+    yield ("inducing.resolution", 0.0 < cfg.resolution < cfg.delta0,
+           "must be positive and below inducing.delta0")
+    yield ("inducing.resolution", 2.0 * cfg.delta0 / cfg.resolution <= MAX_GRID,
+           f"gives more than {MAX_GRID} grid points")
+
+
 def config_from_raw(raw: dict) -> ExperimentConfig:
     """Validate a raw key/value mapping into an ExperimentConfig."""
     for key in raw:
@@ -133,35 +191,6 @@ def config_from_raw(raw: dict) -> ExperimentConfig:
         auto = text is None or (text == "auto" and default == ["auto"])
         v[name] = None if auto else _parse(key, text, kind)
 
-    family, alpha, obs = v["family"], v["alpha"], v["observable"]
-    for key, ok, message in (
-        ("system.family", family in ("uniform", "intermittent"),
-         "must be 'uniform' or 'intermittent'"),
-        ("system.alpha", (alpha is None) == (family != "intermittent"),
-         f"{'required' if alpha is None else 'only meaningful'} for the intermittent family"),
-        ("system.lambda_s", 0.0 < v["lambda_s"] < 0.5, "must lie in (0, 1/2)"),
-        # kept here, not left to ConstructionParams: sigma = auto needs c > 0,
-        # and a c for which exp(-c/2) does not round to 1
-        ("pliss.c", v["c"] > 0.0, "must be > 0"),
-        ("pliss.c", v["sigma"] is not None or v["c"] <= 0.0 or math.exp(-v["c"] / 2.0) < 1.0,
-         "too small for pliss.sigma = auto: exp(-c/2) rounds to 1"),
-        ("pliss.horizon", v["horizon"] >= 1, "must be >= 1"),
-        ("pliss.grid", 1000 <= v["grid"] <= MAX_GRID, f"must lie in [1000, {MAX_GRID}]"),
-        ("inducing.R0", v["R0"] >= 1, "must be >= 1"),
-        ("inducing.n_max", v["n_max"] > v["R0"], "must exceed inducing.R0"),
-        ("stats.observables", "," not in obs,
-         f"takes one observable, not the list {obs!r}"),
-        ("stats.n_max", v["stats_n_max"] >= 100,
-         "must be >= 100 (the CLT test runs 10 * stats.n_max >= 1000 steps)"),
-        ("stats.orbit_len", v["orbit_len"] >= 100 * v["stats_n_max"],
-         "must be >= 100 * stats.n_max"),
-        ("stats.ensemble", v["ensemble"] >= 1000, "must be >= 1000"),
-        ("stats.eps", v["eps"] > 0.0, "must be > 0"),
-        ("seed", 0 <= v["seed"] < 2 ** 64, "must be an unsigned 64-bit integer"),
-    ):
-        if not ok:
-            raise ConfigError(key, message)
-
     rules = {}
     if v["sigma"] is None:
         v["sigma"] = math.exp(-v["c"] / 2.0)     # half the NUE rate c
@@ -170,18 +199,18 @@ def config_from_raw(raw: dict) -> ExperimentConfig:
         v["resolution"] = 2.0 ** -20
         rules["inducing.resolution"] = f"auto -> 2^-20 = {v['resolution']!r}"
     cfg = ExperimentConfig(**v, resolved_rules=rules)
-    try:
-        observable(obs)
-        cfg.system()
-        params = cfg.construction_params()
-        params.validate()
-    except ParamError as exc:
-        raise ConfigError(_PARAM_KEY[exc.param], str(exc)) from None
-    if cfg.epsilon is None:
-        cfg.epsilon = params.epsilon
+    if cfg.epsilon is None and 0.0 < cfg.sigma < 1.0:   # else the pliss.sigma row fails
+        cfg.epsilon = cfg.construction_params().epsilon
         rules["inducing.epsilon"] = (
             f"auto -> epsilon_max/2 = (C1/C0) delta0 (sigma^-1/2 - 1)/2"
-            f" = {params.epsilon!r} (C1 = 1; C0 = 2 is a fixed bound, not calibrated)")
+            f" = {cfg.epsilon!r} (C1 = 1; C0 = 2 is a fixed bound, not calibrated)")
+    for key, holds, message in _rules(cfg):
+        if not holds:
+            raise ConfigError(key, message)
+    # soft rule: the worst-case window bound; recorded, never fatal
+    if not 5.0 * cfg.delta0 * K0 ** N0 < DELTA1 / 4.0:
+        cfg.warnings.append("inducing.delta0: 5*delta0*K0^N0 >= delta1/4"
+                            " (worst-case window bound fails)")
     return cfg
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotSettled, ParamError
+from .errors import NotSettled
 
 TWO_PI = 2.0 * math.pi
 #: sub-resolution dither added to base coordinates by the ensemble and
@@ -70,28 +70,17 @@ class Family(enum.Enum):
 class ModelSystem:
     """A concrete skew-product diffeomorphism with its splitting data.
 
-    ``base_param`` is the base expansion factor (must be 2) for the uniform
+    ``base_param`` is the base expansion factor (2) for the uniform
     family and the intermittency exponent alpha in (0, 1) for the
     intermittent family.  ``lambda_s`` is the fiber contraction rate and
-    ``coupling`` the amplitude A of the base-to-fiber coupling.
+    ``coupling`` the amplitude A of the base-to-fiber coupling.  The fields
+    are not checked here: the rule table in ``config.py`` checks them.
     """
 
     family: Family
     base_param: float
     lambda_s: float = 0.25
     coupling: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 < self.lambda_s < 1.0:
-            raise ParamError("lambda_s", "lambda_s must lie in (0, 1)")
-        if not self.coupling >= 0.0:
-            raise ParamError("coupling", "coupling must be >= 0")
-        if self.family is Family.UNIFORM and self.base_param != 2.0:
-            raise ParamError("base_param", "uniform family is defined with base_param = 2")
-        if self.family is Family.INTERMITTENT and not 0.0 < self.base_param < 1.0:
-            raise ParamError("base_param", "intermittency exponent must lie in (0, 1)")
-        if self.lambda_s + self.coupling / 2.0 > 1.0:
-            raise ParamError("coupling", "lambda_s + coupling/2 must be <= 1 to keep the fiber invariant")
 
     # -- base circle map -------------------------------------------------
 

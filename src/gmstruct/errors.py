@@ -29,14 +29,6 @@ class MissingStage(GmstructError):
     """A report was requested but stage outputs are absent."""
 
 
-class ParamError(ValueError):
-    """A model or construction constant out of range; ``param`` names its field."""
-
-    def __init__(self, param, message):
-        self.param = param
-        super().__init__(message)
-
-
 class ConfigError(GmstructError):
     """Invalid experiment configuration."""
 

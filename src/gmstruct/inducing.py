@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import ModelSystem, circle_offset, dither_rng
-from .errors import ParamError
 from .pliss import PlissScan, disk_grid_points, geometric_grid, survival_curve
 
 SCHEMA_VERSION = 1
@@ -77,7 +76,8 @@ class ConstructionParams:
 
     ``delta0`` is the radius of the partitioned arc, ``epsilon`` the A^eps
     margin and ``resolution`` the sampling cell width of the pointwise grid;
-    the remaining constants are the module-level DELTA1 ... K0.
+    the remaining constants are the module-level DELTA1 ... K0.  The fields
+    are not checked here: the rule table in ``config.py`` checks them.
     """
 
     delta0: float
@@ -94,33 +94,7 @@ class ConstructionParams:
 
     def epsilon_max(self):
         """Largest admissible A^eps margin keeping carves off waiting points."""
-        if not 0.0 < self.sigma < 1.0:
-            raise ParamError("sigma", "sigma must lie in (0, 1)")
         return (C1 / C0) * self.delta0 * (self.sigma ** -0.5 - 1.0)
-
-    def validate(self):
-        """Check the constant ordering; returns a list of soft warnings."""
-        warnings = []
-        epsilon_max = self.epsilon_max()      # checks sigma first
-        if self.c <= 0.0:
-            raise ParamError("c", "c must be > 0")
-        if self.delta0 <= 0.0:
-            raise ParamError("delta0", "delta0 must be positive")
-        if 2.0 * math.sqrt(self.delta0) >= DELTA1:
-            raise ParamError("delta0", "outer cylinder 2*sqrt(delta0) must fit inside delta1")
-        if not self.epsilon > 0.0:
-            raise ParamError("epsilon", "epsilon must be > 0")
-        if not self.epsilon < epsilon_max:
-            raise ParamError("epsilon", "epsilon exceeds the admissible bound")
-        if not self.epsilon <= self.delta0 / 2.0:
-            raise ParamError("epsilon", "epsilon must be << delta0")
-        if self.resolution <= 0.0 or self.resolution >= self.delta0:
-            raise ParamError("resolution", "resolution must be positive and below delta0")
-        if 2.0 * self.delta0 / self.resolution > MAX_GRID:
-            raise ParamError("resolution", f"resolution gives more than {MAX_GRID} grid points")
-        if not 5.0 * self.delta0 * K0 ** N0 < DELTA1 / 4.0:
-            warnings.append("5*delta0*K0^N0 >= delta1/4 (worst-case window bound fails)")
-        return warnings
 
     @property
     def grid_size(self):
@@ -198,8 +172,7 @@ class ConstructionState:
         return self.R == 0
 
 
-def init_state(sys: ModelSystem, params: ConstructionParams, p_base: float,
-               seed: int = 0) -> ConstructionState:
+def init_state(params: ConstructionParams, p_base: float, seed: int = 0) -> ConstructionState:
     pts = disk_grid_points(p_base, params.delta0, params.grid_size)
     m = len(pts)
     z = np.zeros(m)
@@ -221,15 +194,13 @@ def _stable_burn_in(sys: ModelSystem) -> int:
 
 
 def step_partition(state: ConstructionState, sys: ModelSystem,
-                   params: ConstructionParams, rings: RingTable = None) -> ConstructionState:
+                   params: ConstructionParams, rings: RingTable) -> ConstructionState:
     """Advance the construction from time n-1 to n (mutates state).
 
     Orbit and hyperbolic-time bookkeeping always advances; carving only
     happens for n > R0 (first-step convention: A_n = Delta_0, B_n = empty).
     The scan steps every grid point; the rest touches active points only.
     """
-    if rings is None:
-        rings = build_rings(params)
     n = state.n + 1
     scan = state.scan
     ia = np.flatnonzero(state.R == 0)
@@ -356,11 +327,10 @@ class GibbsMarkovStructure:
 def run_construction(sys: ModelSystem, params: ConstructionParams,
                      p_base: float = None, seed: int = 0) -> GibbsMarkovStructure:
     """Iterate the step machine to n_max and package the result."""
-    params.validate()
     if p_base is None:
         p_base = choose_base_point(seed)
     rings = build_rings(params)
-    state = init_state(sys, params, p_base, seed=seed)
+    state = init_state(params, p_base, seed=seed)
     for _ in range(params.n_max):
         step_partition(state, sys, params, rings)
     leftover = float(np.count_nonzero(state.R == 0)) / len(state.R)

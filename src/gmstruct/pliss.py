@@ -65,8 +65,6 @@ class DiskScan:
     hyp_count_at: dict          # n -> counts in [1, n] for requested checkpoints
     max_expansion_log: float    # sup of -a_j over the whole scan
     horizon: int
-    sigma: float
-    c: float
 
 
 def disk_grid_points(center: float, radius: float, grid: int) -> np.ndarray:
@@ -153,7 +151,7 @@ def disk_scan(sys: ModelSystem, points, horizon: int, sigma: float, c: float,
     evalue = np.where(censored, horizon, evalue)
     return DiskScan(points=np.array(points, dtype=float), expansion_time=evalue,
                     censored=censored, hyp_count=hyp_count, hyp_count_at=hyp_count_at,
-                    max_expansion_log=max_neg_a, horizon=horizon, sigma=sigma, c=c)
+                    max_expansion_log=max_neg_a, horizon=horizon)
 
 
 def geometric_grid(horizon: int) -> np.ndarray:
@@ -176,8 +174,6 @@ def expansion_tail(sys: ModelSystem, disk_grid: int, c: float, horizon: int, sig
 
     Censored grid points count toward the survival at every n <= horizon.
     """
-    if disk_grid < 1000:
-        raise ValueError("disk_grid must be >= 1000")
     scan = disk_scan(sys, disk_grid_points(center, radius, disk_grid), horizon, sigma, c)
     return survival_curve(scan.expansion_time, scan.censored, geometric_grid(horizon))
 

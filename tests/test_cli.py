@@ -108,6 +108,18 @@ def test_tails_stage_artifacts(quick_cfg, tmp_path):
     assert man["config"]["pliss.sigma"] == 0.51
     # auto fields echoed with the rule that produced them
     assert "inducing.epsilon" in man["auto_resolutions"]
+    assert man["config_warnings"] == []
+
+
+def test_manifest_records_config_warnings(tmp_path):
+    # a soft rule breaks from delta0 = 0.0225 (K0 = 1) on, but the run goes on
+    path = tmp_path / "wide.cfg"
+    path.write_text(QUICK.replace("inducing.delta0 = 0.02", "inducing.delta0 = 0.04"))
+    out = tmp_path / "o"
+    assert _run("tails", "--config", str(path), "--out", str(out)) == 0
+    man = json.loads((out / "manifest.json").read_text())
+    assert man["config_warnings"] == ["inducing.delta0: 5*delta0*K0^N0 >= delta1/4"
+                                      " (worst-case window bound fails)"]
 
 
 def test_report_partial_directory(quick_cfg, tmp_path):

@@ -65,6 +65,8 @@ def test_minimal_config_resolves():
     assert "inducing.resolution" in cfg.resolved_rules
     assert "inducing.epsilon" in cfg.resolved_rules
     assert "pliss.sigma" not in cfg.resolved_rules   # given explicitly
+    # auto epsilon is half the admissible bound
+    assert cfg.epsilon == 0.5 * cfg.construction_params().epsilon_max()
 
 
 def test_sigma_auto_rule():
@@ -137,12 +139,38 @@ def test_coupling_bound_matches_model():
     ({"stats.observables": "trig0"}, "stats.observables"),
     # the tails scan gets the construction's cap: 1e11 points would not fit in memory
     ({"pliss.grid": "100000000000"}, "pliss.grid"),
+    ({"system.lambda_s": "1.5"}, "system.lambda_s"),
+    # lambda_s + A/2 > 1 would let the fiber escape the disk; lambda_s fails first
+    ({"system.lambda_s": "0.9", "system.coupling": "1.0"}, "system.lambda_s"),
+    # 2 sqrt(0.2) > delta1: the outer cylinder does not fit inside the disk
+    ({"inducing.delta0": "0.2"}, "inducing.delta0"),
+    ({"pliss.sigma": "1.5"}, "pliss.sigma"),
+    # checked before the auto epsilon, which would divide by zero or go complex
+    ({"pliss.sigma": "0"}, "pliss.sigma"),
+    ({"pliss.sigma": "-0.5"}, "pliss.sigma"),
+    ({"inducing.epsilon": "1.0"}, "inducing.epsilon"),
+    # below epsilon_max = 0.01236 but above delta0 / 2
+    ({"inducing.epsilon": "0.012", "pliss.sigma": "0.2"}, "inducing.epsilon"),
+    # an auto epsilon above delta0 / 2 names the key that fixed it:
+    # sigma if the file sets it, else c (sigma = auto = exp(-c/2))
+    ({"pliss.sigma": "0.11"}, "pliss.sigma"),
+    ({"pliss.c": "5", "pliss.sigma": "auto"}, "pliss.c"),
+    ({"stats.n_max": "100", "stats.orbit_len": "100"}, "stats.orbit_len"),
+    # the CLT test runs 10 * stats.n_max = 100 steps
+    ({"stats.n_max": "10"}, "stats.n_max"),
+    ({"stats.ensemble": "100"}, "stats.ensemble"),
+    ({"stats.ensemble": "999"}, "stats.ensemble"),
+    ({"stats.eps": "-0.1"}, "stats.eps"),
 ], ids=["alpha-range", "alpha-nan", "coupling-sign", "coupling-nan", "lambda_s",
         "resolution-grid-cap", "epsilon-negative", "epsilon-zero", "c-tiny", "c-below-ulp",
-        "trig-zero", "pliss-grid-cap"])
+        "trig-zero", "pliss-grid-cap", "lambda_s-above-one", "coupling-escapes-disk",
+        "delta0-cylinder", "sigma-above-one", "sigma-zero", "sigma-negative",
+        "epsilon-above-bound", "epsilon-above-half-delta0", "auto-epsilon-by-sigma",
+        "auto-epsilon-by-c", "orbit-len", "clt-length", "ensemble-100", "ensemble-999",
+        "eps-negative"])
 def test_model_errors_name_the_key(overrides, key):
-    # the model parameters are checked by ModelSystem itself
-    with pytest.raises(ConfigError, match=key):
+    # config.py's rule table is the only parameter check
+    with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: "):
         config_from_raw(_raw(**overrides))
 
 
@@ -245,7 +273,7 @@ def test_load_baseline_files():
     for name in ("configs/uniform_baseline.cfg", "configs/intermittent_alpha05.cfg"):
         cfg = load_config(name)
         assert cfg.system() is not None
-        cfg.construction_params().validate()
+        assert cfg.warnings == []
 
 
 def test_system_and_params_builders():

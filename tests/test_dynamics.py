@@ -215,15 +215,6 @@ def test_orbit_helpers():
     assert np.max(np.abs([float(sys.base_map(back[i])) - back[i + 1] for i in range(3)])) < 1e-12
 
 
-def test_invalid_params_rejected():
-    with pytest.raises(ValueError):
-        uniform_solenoid(lambda_s=1.5)
-    with pytest.raises(ValueError):
-        intermittent_solenoid(alpha=1.5)
-    with pytest.raises(ValueError):
-        uniform_solenoid(lambda_s=0.9, coupling=1.0)  # fiber would escape the disk
-
-
 # ---------------------------------------------------------------------------
 # kernel fast paths against the general formulas
 

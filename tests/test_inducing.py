@@ -77,19 +77,6 @@ def test_ring_truncation_at_resolution():
     assert rings.ring_index(d0 * 1.0000001) == rings.k_max
 
 
-def test_params_validation():
-    with pytest.raises(ValueError):
-        ConstructionParams(delta0=0.2, sigma=0.5, c=0.5, n_max=10).validate()
-    with pytest.raises(ValueError):
-        ConstructionParams(delta0=0.02, sigma=1.5, c=0.5, n_max=10).validate()
-    with pytest.raises(ValueError):
-        ConstructionParams(delta0=0.02, sigma=0.5, c=0.5, n_max=10,
-                           epsilon=1.0).validate()
-    params = ConstructionParams(delta0=0.02, sigma=0.51, c=0.5, n_max=10)
-    assert params.epsilon == pytest.approx(0.5 * params.epsilon_max())
-    assert params.validate() == []
-
-
 def test_grid_size_matches_resolution():
     params = ConstructionParams(delta0=0.02, sigma=0.51, c=0.5, n_max=10,
                                 resolution=2.0 ** -20)
@@ -159,9 +146,10 @@ def test_construction_outputs_pinned(case):
 def test_first_steps_no_carving():
     params = ConstructionParams(delta0=0.02, sigma=0.51, c=0.5, n_max=30,
                                 resolution=2.0 ** -12)
-    state = init_state(UNIFORM, params, 0.37, seed=0)
+    state = init_state(params, 0.37, seed=0)
+    rings = build_rings(params)
     for _ in range(params.R0):
-        step_partition(state, UNIFORM, params)
+        step_partition(state, UNIFORM, params, rings)
     # before R0 nothing is carved and nothing waits: A_n is everything
     assert np.all(state.R == 0)
     assert np.all(state.t == 0)
@@ -172,7 +160,7 @@ def test_first_steps_no_carving():
 def test_step_mass_conservation_and_wait_decrement():
     params = ConstructionParams(delta0=0.02, sigma=0.51, c=0.5, n_max=60,
                                 resolution=2.0 ** -12)
-    state = init_state(UNIFORM, params, 0.37, seed=0)
+    state = init_state(params, 0.37, seed=0)
     rings = build_rings(params)
     prev_t = None
     for _ in range(60):
@@ -196,7 +184,7 @@ def test_wait_values_bounded_by_ring_table(uniform_structure):
     st, params = uniform_structure
     rings = st.ring_table
     # re-run a short construction tracking t against k_max
-    state = init_state(UNIFORM, params, st.p_base, seed=0)
+    state = init_state(params, st.p_base, seed=0)
     for _ in range(50):
         step_partition(state, UNIFORM, params, rings)
         assert np.max(state.t) <= rings.k_max

@@ -78,11 +78,6 @@ def test_correlation_symmetry():
     assert np.max(np.abs(a.values - b.values)) <= 4.0 * a.error
 
 
-def test_correlation_orbit_length_contract():
-    with pytest.raises(ValueError):
-        correlation(UNIFORM, trig_base(1), trig_base(1), 100, 100)
-
-
 # ---------------------------------------------------------------------------
 # CLT
 
@@ -110,13 +105,6 @@ def test_clt_constant_degenerate():
         clt_test(UNIFORM, trig_base(0), 1000, 1000)
 
 
-def test_clt_contract_sizes():
-    with pytest.raises(ValueError):
-        clt_test(UNIFORM, trig_base(1), 100, 2000)
-    with pytest.raises(ValueError):
-        clt_test(UNIFORM, trig_base(1), 2000, 100)
-
-
 # ---------------------------------------------------------------------------
 # large deviations
 
@@ -131,13 +119,6 @@ def test_ld_uniform_decay():
                              [10, 30, 100, 300, 1000], 10 ** 4, seed=3)
     assert np.all(np.diff(curve.values) <= 0.0)
     assert curve.values[-1] <= 1e-3
-
-
-def test_ld_contract():
-    with pytest.raises(ValueError):
-        large_deviations(UNIFORM, trig_base(1), -0.1, [10], 10 ** 4)
-    with pytest.raises(ValueError):
-        large_deviations(UNIFORM, trig_base(1), 0.1, [10], 100)
 
 
 # ---------------------------------------------------------------------------
