@@ -59,7 +59,7 @@ STAGE_ORDER = ("tails", "induce", "verify", "regularity", "limits", "report")
 
 def stage_tails(cfg: ExperimentConfig, out: Path, ctx: dict):
     sys_ = cfg.system()
-    curve = expansion_tail(sys_, cfg.grid, cfg.c, cfg.horizon, sigma=cfg.sigma)
+    curve = expansion_tail(sys_, cfg.grid, cfg.c, cfg.horizon)
     write_curve_csv(out / "tail_E.csv", curve, "survival", "censored_mass")
 
 

@@ -136,8 +136,8 @@ def _rules(cfg: ExperimentConfig):
            f"{'required' if alpha is None else 'only meaningful'} for the intermittent family")
     yield "system.lambda_s", 0.0 < cfg.lambda_s < 0.5, "must lie in (0, 1/2)"
     yield "pliss.c", cfg.c > 0.0, "must be > 0"
-    yield ("pliss.c", "pliss.sigma" not in rules or cfg.sigma < 1.0,
-           "too small for pliss.sigma = auto: exp(-c/2) rounds to 1")
+    yield ("pliss.c", "pliss.sigma" not in rules or 0.0 < cfg.sigma < 1.0,
+           "out of range for pliss.sigma = auto: exp(-c/2) rounds to 1 or underflows to 0")
     yield "pliss.horizon", cfg.horizon >= 1, "must be >= 1"
     yield "pliss.grid", 1000 <= cfg.grid <= MAX_GRID, f"must lie in [1000, {MAX_GRID}]"
     yield "inducing.R0", cfg.R0 >= 1, "must be >= 1"

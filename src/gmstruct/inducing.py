@@ -9,8 +9,8 @@ coordinate map, so "the image u-crosses the cylinder C^i" is exactly
 
 The construction is pointwise: the radius-delta0 arc is sampled on a
 uniform grid (cell width = the resolution parameter) and every grid
-point carries its own orbit, tangent slope, hyperbolic-time scan state,
-wait value t and return time R.  A point is carved into an element
+point carries its own orbit, tangent slope, Pliss prefix sums, wait
+value t and return time R.  A point is carved into an element
 {R = n} when, at a step n > R0, it sits in A^eps_{n-1}, had a recent
 sigma-hyperbolic time (within N0 steps, so a hyperbolic pre-ball
 certifies that its component fully u-crosses), and its image lands
@@ -35,7 +35,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .dynamics import ModelSystem, circle_offset, dither_rng
-from .pliss import PlissScan, disk_grid_points, geometric_grid, survival_curve
+from .pliss import (
+    CocycleScan,
+    disk_grid_points,
+    geometric_grid,
+    hyperbolic_flags,
+    survival_curve,
+)
 
 SCHEMA_VERSION = 1
 
@@ -59,8 +65,8 @@ C1 = 1.0
 #: sup ||Df^-1|E^cu||; <= 1 when the base map never contracts
 K0 = 1.0
 #: most grid points a construction (or, through config, the tails scan) may
-#: sample: each carries about a dozen 8-byte arrays (orbit, Pliss scan state,
-#: log-derivatives, t, R, ...), so 2^25 points already hold about 3 GB
+#: sample: each carries about a dozen 8-byte arrays (orbit, scan buffers,
+#: Pliss sums, log-derivatives, t, R, ...), so 2^25 points hold about 3 GB
 MAX_GRID = 2 ** 25
 #: narrowest predicted element width that verification resolves and checks
 WIDTH_FLOOR = 1e-11
@@ -157,7 +163,9 @@ class ConstructionState:
     n: int
     p_base: float
     points: np.ndarray       # grid points in the radius-delta0 arc (fixed)
-    scan: PlissScan          # g^n of each point (frozen at carve time), Pliss state
+    scan: CocycleScan        # g^n of each point (frozen at carve time), cu slopes
+    bsum: np.ndarray         # Pliss prefix sums B_n (valid on active points)
+    bmin: np.ndarray         # min of B_m over m < n (valid on active points)
     last_hyp: np.ndarray
     log_deriv: np.ndarray    # log (g^n)' along the orbit (frozen at carve time)
     log_deriv_hyp: np.ndarray
@@ -179,9 +187,10 @@ def init_state(params: ConstructionParams, p_base: float, seed: int = 0) -> Cons
     # sub-resolution dither models each grid point as a real point drawn
     # from its cell: pure binary base maps otherwise exhaust the mantissa
     # and collapse every orbit onto the fixed point after ~52 steps
-    scan = PlissScan(pts, params.sigma, rng=dither_rng(seed))
+    scan = CocycleScan(pts, rng=dither_rng(seed))
     return ConstructionState(
-        n=0, p_base=p_base, points=pts, scan=scan, last_hyp=np.zeros(m, dtype=np.int64),
+        n=0, p_base=p_base, points=pts, scan=scan, bsum=z.copy(), bmin=z.copy(),
+        last_hyp=np.zeros(m, dtype=np.int64),
         log_deriv=z.copy(), log_deriv_hyp=z.copy(),
         t=np.zeros(m, dtype=np.int64), R=np.zeros(m, dtype=np.int64),
         n_hyp=np.zeros(m, dtype=np.int64))
@@ -208,11 +217,14 @@ def step_partition(state: ConstructionState, sys: ModelSystem,
     # x_final is g^R of each element (test_return_images_frozen_at_carve_time
     # pins it), and roaming orbits would slow the intermittent branch test;
     # log_deriv stays frozen on them, as the log (g^R)' the structure keeps
-    _, hyp, gp = scan.advance(sys)
+    a, gp = scan.advance(sys)
     x_prev = scan.spare
     x_prev[ia] = scan.t[ia]
     scan.t, scan.spare = x_prev, scan.t
-    hyp = hyp[ia]
+    # a carved point's Pliss sums are never read again
+    bsum, bmin = state.bsum[ia], state.bmin[ia]
+    hyp = hyperbolic_flags(bsum, bmin, a[ia], math.log(params.sigma))
+    state.bsum[ia], state.bmin[ia] = bsum, bmin
     ih = ia[hyp]
     state.last_hyp[ih] = n
     state.log_deriv[ia] += np.log(gp[ia])

@@ -7,9 +7,9 @@ B_n for the prefix sums of b (B_0 = 0), this is equivalent to B_n being a
 record minimum: B_n <= B_m for all 0 <= m < n, which a running-minimum
 scan detects in linear time.
 
-Along many orbits at once :class:`PlissScan` streams this scan with the
-tangent cocycle; the disk scan and the inducing construction step their
-orbits through it.
+:class:`CocycleScan` streams the a_n along many orbits at once, for the
+disk scan and the inducing construction.  Hyperbolic times only carve the
+partition, so only the construction applies :func:`hyperbolic_flags`.
 
 The expansion time of an orbit is the first index N from which every
 running average of the a_j stays below -c.  On a finite horizon the tail
@@ -56,15 +56,10 @@ def _censored(value, horizon: int):
 
 @dataclass
 class DiskScan:
-    """Pointwise expansion/hyperbolicity data over a grid on a base arc."""
+    """Pointwise expansion times over a grid on a base arc."""
 
-    points: np.ndarray          # base coordinates of the grid
     expansion_time: np.ndarray  # pointwise E (== horizon for censored points)
     censored: np.ndarray        # bool mask
-    hyp_count: np.ndarray       # number of hyperbolic times in [1, horizon]
-    hyp_count_at: dict          # n -> counts in [1, n] for requested checkpoints
-    max_expansion_log: float    # sup of -a_j over the whole scan
-    horizon: int
 
 
 def disk_grid_points(center: float, radius: float, grid: int) -> np.ndarray:
@@ -73,37 +68,32 @@ def disk_grid_points(center: float, radius: float, grid: int) -> np.ndarray:
     return (center - radius + h * (np.arange(grid) + 0.5)) % 1.0
 
 
-class PlissScan:
-    """Streaming Pliss scan: tangent cocycle and record minima along many orbits.
+class CocycleScan:
+    """Streaming tangent cocycle along many orbits.
 
-    ``t`` holds the current base points, ``s1``/``s2`` their cu slopes
-    (horizontal at the start), ``bsum`` the prefix sums B_n and ``bmin`` the
-    running minimum of B_m over m < n.  With ``rng`` every step is dithered.
-    The scan owns its work arrays, so a step allocates only g'(t) and the
+    ``t`` holds the current base points and ``s1``/``s2`` their cu slopes
+    (horizontal at the start).  With ``rng`` every step is dithered.  The
+    scan owns its work arrays, so a step allocates only g'(t) and the
     select's mask: ``spare`` receives g(t) and trades places with ``t``.
     """
 
-    def __init__(self, points, sigma: float, rng=None):
+    def __init__(self, points, rng=None):
         self.t = np.array(points, dtype=float)
         m = len(self.t)
         self.s1 = np.zeros(m)
         self.s2 = np.zeros(m)
-        self.bsum = np.zeros(m)
-        self.bmin = np.zeros(m)
-        self.log_sigma = math.log(sigma)
         self.rng = rng
         # g(t), a_n, two scratch rows and a coupled push's new slopes, in one
         # block: as six separate arrays, once freed, they left the peak RSS
         # of a later stage about 2 MB higher (glibc keeps that heap)
         self.spare, self._a, self._w1, self._w2, self._n1, self._n2 = np.empty((6, m))
-        self._hyp = np.empty(m, dtype=bool)
 
     def advance(self, sys: ModelSystem):
-        """Step every orbit once; returns (a_n, n is sigma-hyperbolic, g'(t_{n-1})) per orbit.
+        """Step every orbit once; returns (a_n, g'(t_{n-1})) per orbit.
 
-        a_n and the flags live in the scan's buffers: the next call
-        overwrites them, so copy what must outlive it.  ``spare`` holds the
-        previous ``t`` until then.
+        a_n lives in the scan's buffer: the next call overwrites it, so copy
+        it if it must outlive that.  ``spare`` holds the previous ``t`` until
+        then.
         """
         w1, w2 = self._w1, self._w2
         g, gp = sys.base_step(self.t, out=(self.spare, w1))
@@ -111,47 +101,44 @@ class PlissScan:
                                              out=(self._n1, self._n2, self._a, w1, w2))
         a = np.log(expansion, out=self._a)
         np.negative(a, out=a)
-        self.bsum += np.subtract(a, self.log_sigma, out=w1)
-        hyp = np.less_equal(self.bsum, self.bmin, out=self._hyp)
-        np.minimum(self.bmin, self.bsum, out=self.bmin)
         if s1 is not self.s1:
             # a coupled push wrote the new slopes into the spare pair
             self._n1, self._n2, self.s1, self.s2 = self.s1, self.s2, s1, s2
         self.t, self.spare = g, self.t
         if self.rng is not None:
             dither(self.t, self.rng, out=self.t, work=w1)
-        return a, hyp, gp
+        return a, gp
 
 
-def disk_scan(sys: ModelSystem, points, horizon: int, sigma: float, c: float,
-              checkpoints=()) -> DiskScan:
-    """Vectorized orbit scan computing E and hyperbolic-time counts per point.
+def hyperbolic_flags(bsum, bmin, a, log_sigma: float):
+    """Add a_n - log sigma to the prefix sums ``bsum`` in place; flags the record minima.
+
+    Returns B_n <= min_{m<n} B_m and keeps ``bmin`` the running minimum (both start at 0).
+    """
+    bsum += a - log_sigma
+    flags = bsum <= bmin
+    np.minimum(bmin, bsum, out=bmin)
+    return flags
+
+
+def disk_scan(sys: ModelSystem, points, horizon: int, c: float) -> DiskScan:
+    """Vectorized orbit scan computing the expansion time E of every point.
 
     Runs the tangent cocycle along every orbit simultaneously; memory stays
     O(grid) by streaming over time instead of materializing the series.
     """
-    scan = PlissScan(points, sigma)
+    scan = CocycleScan(points)
     m = len(scan.t)
     ssum = np.zeros(m)            # prefix sum of a_j
     last_fail = np.zeros(m, dtype=np.int64)
-    hyp_count = np.zeros(m, dtype=np.int64)
-    hyp_count_at = {}
-    max_neg_a = 0.0
-    checkpoints = set(int(k) for k in checkpoints)
     for n in range(1, horizon + 1):
-        a, hyp, _ = scan.advance(sys)
-        max_neg_a = max(max_neg_a, -float(np.min(a)))
+        a, _ = scan.advance(sys)
         ssum += a
-        hyp_count += hyp
         np.copyto(last_fail, n, where=(ssum >= -c * n))
-        if n in checkpoints:
-            hyp_count_at[n] = hyp_count.copy()
     evalue = last_fail + 1
     censored = _censored(evalue, horizon)
     evalue = np.where(censored, horizon, evalue)
-    return DiskScan(points=np.array(points, dtype=float), expansion_time=evalue,
-                    censored=censored, hyp_count=hyp_count, hyp_count_at=hyp_count_at,
-                    max_expansion_log=max_neg_a, horizon=horizon)
+    return DiskScan(expansion_time=evalue, censored=censored)
 
 
 def geometric_grid(horizon: int) -> np.ndarray:
@@ -168,13 +155,13 @@ def geometric_grid(horizon: int) -> np.ndarray:
     return np.array(out, dtype=np.int64)
 
 
-def expansion_tail(sys: ModelSystem, disk_grid: int, c: float, horizon: int, sigma: float,
+def expansion_tail(sys: ModelSystem, disk_grid: int, c: float, horizon: int,
                    center: float = DISK_CENTER, radius: float = DISK_RADIUS) -> Curve:
     """Survival curve Leb_D{ E > n } on a geometric n-grid.
 
     Censored grid points count toward the survival at every n <= horizon.
     """
-    scan = disk_scan(sys, disk_grid_points(center, radius, disk_grid), horizon, sigma, c)
+    scan = disk_scan(sys, disk_grid_points(center, radius, disk_grid), horizon, c)
     return survival_curve(scan.expansion_time, scan.censored, geometric_grid(horizon))
 
 

@@ -1,13 +1,16 @@
 """Reference definitions on one orbit or one series, which the tests check the
-streaming pipeline (``PlissScan``, ``disk_scan``, ``cu_directions``) against."""
+streaming pipeline (``CocycleScan``, ``hyperbolic_flags``, ``disk_scan``,
+``cu_directions``) against, and the hyperbolic-time counts over a disk
+(``hyperbolic_counts``) that the Pliss density-floor tests read."""
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from gmstruct.dynamics import ModelSystem, cu_directions
 from gmstruct.errors import GmstructError
-from gmstruct.pliss import _censored
+from gmstruct.pliss import CocycleScan, _censored, hyperbolic_flags
 
 
 class EmptySubset(GmstructError):
@@ -137,12 +140,47 @@ def contraction_slack(series, sigma: float, times=None):
     return float(np.max(slack))
 
 
+@dataclass
+class HyperbolicCounts:
+    """Hyperbolic-time counts of many orbits, as :func:`hyperbolic_counts` returns them."""
+
+    hyp_count: np.ndarray       # number of hyperbolic times in [1, horizon]
+    hyp_count_at: dict          # n -> counts in [1, n] for requested checkpoints
+    max_expansion_log: float    # sup of -a_j over the whole scan
+    horizon: int
+
+
+def hyperbolic_counts(sys: ModelSystem, points, horizon: int, sigma: float,
+                      checkpoints=()) -> HyperbolicCounts:
+    """Count the sigma-hyperbolic times of the orbits of ``points`` up to ``horizon``.
+
+    Streams the orbits through ``CocycleScan`` and ``hyperbolic_flags``, as
+    the construction does, on every point at every step.
+    """
+    scan = CocycleScan(points)
+    m = len(scan.t)
+    bsum, bmin = np.zeros(m), np.zeros(m)
+    log_sigma = math.log(sigma)
+    hyp_count = np.zeros(m, dtype=np.int64)
+    hyp_count_at = {}
+    max_neg_a = 0.0
+    checkpoints = set(int(k) for k in checkpoints)
+    for n in range(1, horizon + 1):
+        a, _ = scan.advance(sys)
+        max_neg_a = max(max_neg_a, -float(np.min(a)))
+        hyp_count += hyperbolic_flags(bsum, bmin, a, log_sigma)
+        if n in checkpoints:
+            hyp_count_at[n] = hyp_count.copy()
+    return HyperbolicCounts(hyp_count=hyp_count, hyp_count_at=hyp_count_at,
+                            max_expansion_log=max_neg_a, horizon=horizon)
+
+
 def summed_density_check(scan, subset_mask, n: int) -> float:
     """Average over the subset of the hyperbolic-time density up to n.
 
     Computes (1/n) sum_j Leb_D(A cap H_j) / Leb_D(A), which equals the mean
     over A of the pointwise density of hyperbolic times in [1, n], from the
-    counts of a ``pliss.disk_scan``.  The caller is responsible for A
+    counts of a :func:`hyperbolic_counts`.  The caller is responsible for A
     avoiding { E > n }.
     """
     mask = np.asarray(subset_mask, dtype=bool)

@@ -26,7 +26,7 @@ from gmstruct.inducing import (
     verify_pairs,
 )
 from gmstruct.pliss import (
-    PlissScan,
+    CocycleScan,
     disk_grid_points,
     disk_scan,
     expansion_tail,
@@ -48,6 +48,7 @@ from gmstruct.stats import (
 from oracles import (
     contraction_slack,
     expansion_time,
+    hyperbolic_counts,
     pliss_times,
     summed_density_check,
     theta_pliss,
@@ -100,7 +101,7 @@ def test_criterion_1_pliss_oracle():
                                         (INTERMITTENT_05, math.exp(-0.05))])
 def test_criterion_2_hyperbolic_time_contraction(sys_, sigma):
     rng = np.random.default_rng(2)
-    scan = PlissScan(rng.random(100), sigma)
+    scan = CocycleScan(rng.random(100))
     # advance reuses its buffers: keep a copy of each step's a_n
     series = np.array([scan.advance(sys_)[0].copy() for _ in range(10 ** 4)])
     for i in range(series.shape[1]):
@@ -143,25 +144,28 @@ def test_criterion_3_expansion_time_oracle():
 
 @pytest.fixture(scope="module")
 def density_scan():
+    # E and the censoring mask from the tails scan, the hyperbolic-time
+    # counts from the Pliss sums along the same orbits
     start = time.monotonic()
     pts = disk_grid_points(0.25, 0.45, 2 ** 14)
-    scan = disk_scan(INTERMITTENT_05, pts, 10 ** 4, math.exp(-0.05), 0.1,
-                     checkpoints=(10 ** 4,))
-    return scan, time.monotonic() - start
+    scan = disk_scan(INTERMITTENT_05, pts, 10 ** 4, 0.1)
+    counts = hyperbolic_counts(INTERMITTENT_05, pts, 10 ** 4, math.exp(-0.05),
+                               checkpoints=(10 ** 4,))
+    return scan, counts, time.monotonic() - start
 
 
 def test_criterion_4_density_floor(density_scan):
-    scan, elapsed = density_scan
+    scan, counts, elapsed = density_scan
     assert elapsed < 120.0
-    theta = theta_pliss(0.1, math.exp(-0.05), scan.max_expansion_log)
+    theta = theta_pliss(0.1, math.exp(-0.05), counts.max_expansion_log)
     live = ~scan.censored
     assert live.any()
-    density = scan.hyp_count[live] / scan.horizon
+    density = counts.hyp_count[live] / counts.horizon
     assert np.min(density) >= theta - 1e-12
     rng = np.random.default_rng(4)
     for _ in range(5):
-        mask = live & (rng.random(len(scan.points)) < 0.5)
-        summed = summed_density_check(scan, mask, scan.horizon)
+        mask = live & (rng.random(len(live)) < 0.5)
+        summed = summed_density_check(counts, mask, counts.horizon)
         assert summed >= theta - 1e-12
 
 
@@ -254,8 +258,7 @@ def tail_transfer():
                           seed=0)
     tail_r = return_tail(st)
     tail_e = expansion_tail(INTERMITTENT_05, 2 ** 16, 0.1, 2000,
-                            sigma=math.exp(-0.05), center=P_INTERMITTENT,
-                            radius=delta0)
+                            center=P_INTERMITTENT, radius=delta0)
     fit_r = fit_power_law(tail_r, window=(20, 1000))
     fit_e = fit_power_law(tail_e, window=(20, 1000))
     return fit_e, fit_r, time.monotonic() - start

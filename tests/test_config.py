@@ -135,6 +135,8 @@ def test_coupling_bound_matches_model():
     # sigma = auto is exp(-c/2), which rounds to 1 for these c
     ({"pliss.c": "1e-300", "pliss.sigma": "auto"}, "pliss.c"),
     ({"pliss.c": "1e-17", "pliss.sigma": "auto"}, "pliss.c"),
+    # and underflows to 0 for these
+    ({"pliss.c": "2000", "pliss.sigma": "auto"}, "pliss.c"),
     # cos(2 pi 0 t) = 1 is a constant: the CLT would end in DegenerateVariance
     ({"stats.observables": "trig0"}, "stats.observables"),
     # the tails scan gets the construction's cap: 1e11 points would not fit in memory
@@ -163,7 +165,7 @@ def test_coupling_bound_matches_model():
     ({"stats.eps": "-0.1"}, "stats.eps"),
 ], ids=["alpha-range", "alpha-nan", "coupling-sign", "coupling-nan", "lambda_s",
         "resolution-grid-cap", "epsilon-negative", "epsilon-zero", "c-tiny", "c-below-ulp",
-        "trig-zero", "pliss-grid-cap", "lambda_s-above-one", "coupling-escapes-disk",
+        "c-huge", "trig-zero", "pliss-grid-cap", "lambda_s-above-one", "coupling-escapes-disk",
         "delta0-cylinder", "sigma-above-one", "sigma-zero", "sigma-negative",
         "epsilon-above-bound", "epsilon-above-half-delta0", "auto-epsilon-by-sigma",
         "auto-epsilon-by-c", "orbit-len", "clt-length", "ensemble-100", "ensemble-999",

@@ -13,16 +13,18 @@ from gmstruct.dynamics import intermittent_solenoid, uniform_solenoid
 from gmstruct.pliss import (
     DISK_CENTER,
     DISK_RADIUS,
-    PlissScan,
+    CocycleScan,
     disk_grid_points,
     disk_scan,
     expansion_tail,
     geometric_grid,
+    hyperbolic_flags,
 )
 from oracles import (
     EmptySubset,
     contraction_slack,
     expansion_time,
+    hyperbolic_counts,
     log_contraction_series,
     pliss_times,
     summed_density_check,
@@ -94,27 +96,53 @@ def test_monotone_in_sigma(vals, s_a, s_b):
     (intermittent_solenoid(alpha=0.5, lambda_s=0.1, coupling=0.5), 0.6),
 ], ids=["uniform", "uniform-coupled", "intermittent", "intermittent-coupled"])
 def test_streaming_scan_matches_series_reference(sys, sigma):
-    # per-step a_n and hyperbolic flags of the array scan, bit for bit
+    # per-step a_n of the array scan and its hyperbolic flags, bit for bit
     # against the one-orbit series and the prefix-sum Pliss detection
     pts = np.random.default_rng(8).random(16)
     n = 1000
-    scan = PlissScan(pts, sigma)
-    # advance reuses its buffers: keep a copy of each step's results
-    steps = [[np.copy(x) for x in scan.advance(sys)] for _ in range(n)]
-    a, hyp, _ = (np.array(col) for col in zip(*steps))
+    scan = CocycleScan(pts)
+    bsum, bmin = np.zeros(16), np.zeros(16)
+    a = np.empty((n, 16))
+    hyp = np.empty((n, 16), dtype=bool)
+    for k in range(n):
+        # advance reuses its buffers: keep a copy of each step's a_n
+        a[k] = scan.advance(sys)[0]
+        hyp[k] = hyperbolic_flags(bsum, bmin, a[k], math.log(sigma))
     for j, t0 in enumerate(pts):
         series = log_contraction_series(sys, t0, n)
         assert np.array_equal(a[:, j].view(np.uint64), series.view(np.uint64))
         assert np.array_equal(np.flatnonzero(hyp[:, j]) + 1, pliss_times(series, sigma))
 
 
+def test_hyperbolic_flags_on_active_subset_match_full_update():
+    # the construction updates the Pliss sums of its active points only: on
+    # every orbit still active, flags and sums equal the full update's
+    rng = np.random.default_rng(19)
+    m, log_sigma = 64, math.log(0.8)
+    full_sum, full_min, sub_sum, sub_min = np.zeros((4, m))
+    active = np.ones(m, dtype=bool)
+    for _ in range(1000):
+        a = rng.uniform(-1.0, 1.0, m)
+        ia = np.flatnonzero(active)
+        want = hyperbolic_flags(full_sum, full_min, a, log_sigma)[ia]
+        bsum, bmin = sub_sum[ia], sub_min[ia]
+        got = hyperbolic_flags(bsum, bmin, a[ia], log_sigma)
+        sub_sum[ia], sub_min[ia] = bsum, bmin
+        assert np.array_equal(got, want)
+        for sub, full in ((sub_sum, full_sum), (sub_min, full_min)):
+            assert np.array_equal(sub[ia].view(np.uint64), full[ia].view(np.uint64))
+        active &= rng.random(m) >= 0.003
+    assert 0 < np.count_nonzero(active) < m
+
+
 def _digest(value):
     return hashlib.sha256(np.asarray(value).tobytes()).hexdigest()[:16]
 
 
-# sha256 prefixes of a small disk scan's outputs (expansion_time, censored,
-# hyp_count, hyp_count_at[100], max_expansion_log), taken under numpy 2.4.6
-# on x86-64; a faster orbit kernel must reproduce every bit of them
+# sha256 prefixes of a small disk scan's outputs (expansion_time, censored)
+# and of the hyperbolic-time counts on the same grid (hyp_count,
+# hyp_count_at[100], max_expansion_log), taken under numpy 2.4.6 on x86-64;
+# a faster orbit kernel must reproduce every bit of them
 DISK_SCAN_DIGESTS = {
     "uniform": (uniform_solenoid(), 0.5, (
         "3ff6c238a98ca6a7", "e5a00aa9991ac8a5", "893fb36e8a181c4f",
@@ -131,10 +159,11 @@ DISK_SCAN_DIGESTS = {
 @pytest.mark.parametrize("case", sorted(DISK_SCAN_DIGESTS))
 def test_disk_scan_outputs_pinned(case):
     sys, c, want = DISK_SCAN_DIGESTS[case]
-    scan = disk_scan(sys, disk_grid_points(0.25, 0.45, 2048), 500, math.exp(-c / 2.0), c,
-                     checkpoints=(100,))
-    got = (scan.expansion_time, scan.censored, scan.hyp_count, scan.hyp_count_at[100],
-           np.float64(scan.max_expansion_log))
+    pts = disk_grid_points(0.25, 0.45, 2048)
+    scan = disk_scan(sys, pts, 500, c)
+    counts = hyperbolic_counts(sys, pts, 500, math.exp(-c / 2.0), checkpoints=(100,))
+    got = (scan.expansion_time, scan.censored, counts.hyp_count, counts.hyp_count_at[100],
+           np.float64(counts.max_expansion_log))
     assert tuple(_digest(v) for v in got) == want
 
 
@@ -145,7 +174,7 @@ def test_advance_works_in_its_own_buffers(sys):
     # a step may allocate g'(t) and a mask, not the ~6 grid-sized
     # temporaries of an allocating kernel (numpy reports to tracemalloc)
     m = 2 ** 15
-    scan = PlissScan(disk_grid_points(0.25, 0.45, m), 0.9, rng=np.random.default_rng(0))
+    scan = CocycleScan(disk_grid_points(0.25, 0.45, m), rng=np.random.default_rng(0))
     for _ in range(3):
         scan.advance(sys)
     tracemalloc.start()
@@ -222,10 +251,11 @@ def test_density_floor_on_intermittent_sample():
     sigma = math.exp(-c / 2.0)
     horizon = 4000
     pts = disk_grid_points(0.25, 0.45, 512)
-    scan = disk_scan(sys, pts, horizon, sigma, c)
-    theta = theta_pliss(c, sigma, scan.max_expansion_log)
+    scan = disk_scan(sys, pts, horizon, c)
+    counts = hyperbolic_counts(sys, pts, horizon, sigma)
+    theta = theta_pliss(c, sigma, counts.max_expansion_log)
     ok = ~scan.censored
-    density = scan.hyp_count[ok] / horizon
+    density = counts.hyp_count[ok] / horizon
     assert np.all(density >= theta)
 
 
@@ -236,23 +266,21 @@ def test_geometric_grid_shape():
 
 
 def test_expansion_tail_uniform_is_zero():
-    curve = expansion_tail(uniform_solenoid(), 1000, 0.5, 50, math.exp(-0.25))
+    curve = expansion_tail(uniform_solenoid(), 1000, 0.5, 50)
     assert np.all(curve.values == 0.0)
     assert curve.error == 0.0
 
 
 def test_expansion_tail_monotone_intermittent():
-    curve = expansion_tail(intermittent_solenoid(alpha=0.5), 2048, 0.1, 2000,
-                           math.exp(-0.05))
+    curve = expansion_tail(intermittent_solenoid(alpha=0.5), 2048, 0.1, 2000)
     assert np.all(np.diff(curve.values) <= 1e-15)
     assert curve.values[-1] >= curve.error - 1e-15
     assert curve.values[0] > 0.0
 
 
 def _density_scan(sys, sigma, n, grid):
-    # c = 0.1 is arbitrary: the hyperbolic-time counts do not depend on c
-    return disk_scan(sys, disk_grid_points(DISK_CENTER, DISK_RADIUS, grid), n, sigma, 0.1,
-                     checkpoints=(n,))
+    return hyperbolic_counts(sys, disk_grid_points(DISK_CENTER, DISK_RADIUS, grid), n, sigma,
+                             checkpoints=(n,))
 
 
 def test_summed_density_uniform_is_one():
@@ -273,6 +301,6 @@ def test_summed_density_single_step():
     # n = 1 with the subset restricted to points hyperbolic at time 1
     sys = intermittent_solenoid(alpha=0.5)
     pts = disk_grid_points(0.25, 0.45, 1024)
-    scan = disk_scan(sys, pts, 1, 0.8, 0.1, checkpoints=(1,))
+    scan = hyperbolic_counts(sys, pts, 1, 0.8, checkpoints=(1,))
     mask = scan.hyp_count_at[1] == 1
     assert summed_density_check(scan, mask, 1) == 1.0
