@@ -311,7 +311,10 @@ def main(argv=None) -> int:
                 raise ConfigError("--seed", "must be an unsigned 64-bit integer")
             cfg.seed = args.seed
         out = Path(args.out if args.out is not None else cfg.output_dir)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError("--out", f"cannot create {out}: {exc}") from None
     except ConfigError as exc:
         print(f"config error: {exc}", file=_sys.stderr)
         return 2

@@ -216,8 +216,8 @@ def config_from_raw(raw: dict) -> ExperimentConfig:
 
 def load_config(path) -> ExperimentConfig:
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError("--config", f"cannot read {path}: {exc}") from None
     return config_from_raw(parse_dotted(text))

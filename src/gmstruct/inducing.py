@@ -28,6 +28,7 @@ how many were skipped.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -47,7 +48,7 @@ SCHEMA_VERSION = 1
 
 
 # ---------------------------------------------------------------------------
-# parameters and rings
+# parameters
 
 
 #: radius of the reference disk D (and of hyperbolic pre-ball images)
@@ -84,6 +85,9 @@ class ConstructionParams:
     margin and ``resolution`` the sampling cell width of the pointwise grid;
     the remaining constants are the module-level DELTA1 ... K0.  The fields
     are not checked here: the rule table in ``config.py`` checks them.
+    It owns what the fields imply: ``cell_width``, and through ``k_max`` and
+    ``ring_index`` the wait assignment's ring annuli, I_k spanning distances
+    delta0 (1 + sigma^{k/2}) to delta0 (1 + sigma^{(k-1)/2}) from p.
     """
 
     delta0: float
@@ -106,15 +110,18 @@ class ConstructionParams:
     def grid_size(self):
         return int(math.ceil(2.0 * self.delta0 / self.resolution))
 
+    @property
+    def cell_width(self):
+        return 2.0 * self.delta0 / self.grid_size
 
-@dataclass
-class RingTable:
-    """Ring annuli I_k of the wait-assignment, by distance from p."""
-
-    delta0: float
-    sigma: float
-    k_max: int
-    boundaries: np.ndarray   # boundaries[k] = delta0 (1 + sigma^{k/2}), k = 0..k_max
+    @functools.cached_property
+    def k_max(self):
+        """Last ring index: the rings narrower than the resolution merge into it."""
+        d0, s = self.delta0, self.sigma
+        k_max = 1
+        while d0 * (s ** (k_max / 2.0) - s ** ((k_max + 1) / 2.0)) >= self.resolution:
+            k_max += 1
+        return k_max
 
     def ring_index(self, d):
         """Index s with d in I_s, for delta0 < d < 2 delta0; clipped to [1, k_max].
@@ -125,16 +132,6 @@ class RingTable:
         ratio = np.maximum(d / self.delta0 - 1.0, 1e-300)
         k = np.floor(2.0 * np.log(ratio) / math.log(self.sigma)).astype(np.int64) + 1
         return np.clip(k, 1, self.k_max)
-
-
-def build_rings(params: ConstructionParams) -> RingTable:
-    """The I_k table, truncated at the first sub-resolution ring."""
-    d0, s = params.delta0, params.sigma
-    k_max = 1
-    while d0 * (s ** (k_max / 2.0) - s ** ((k_max + 1) / 2.0)) >= params.resolution:
-        k_max += 1
-    bnd = d0 * (1.0 + s ** (np.arange(k_max + 1) / 2.0))
-    return RingTable(delta0=d0, sigma=s, k_max=k_max, boundaries=bnd)
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +200,7 @@ def _stable_burn_in(sys: ModelSystem) -> int:
 
 
 def step_partition(state: ConstructionState, sys: ModelSystem,
-                   params: ConstructionParams, rings: RingTable) -> ConstructionState:
+                   params: ConstructionParams) -> ConstructionState:
     """Advance the construction from time n-1 to n (mutates state).
 
     Orbit and hyperbolic-time bookkeeping always advances; carving only
@@ -249,8 +246,7 @@ def step_partition(state: ConstructionState, sys: ModelSystem,
         # on both shipped configs; it stays as part of the definition
         k = np.flatnonzero(np.diff(ia) == 1)
         ld = state.log_deriv
-        cell = 2.0 * params.delta0 / len(state.R)
-        near = cell * np.exp(0.5 * (ld[ia[k + 1]] + ld[ia[k]])) < params.epsilon
+        near = params.cell_width * np.exp(0.5 * (ld[ia[k + 1]] + ld[ia[k]])) < params.epsilon
         aeps = a_prev.copy()
         aeps[k + 1] |= a_prev[k] & near
         aeps[k] |= a_prev[k + 1] & near
@@ -271,7 +267,7 @@ def step_partition(state: ConstructionState, sys: ModelSystem,
         state.n_hyp[ic] = state.last_hyp[ic]
         # three-case wait update on the active points
         new_t = np.where(t_prev > 0, t_prev - 1, 0)
-        new_t[ring] = rings.ring_index(d[ring])
+        new_t[ring] = params.ring_index(d[ring])
         new_t[carve] = 0
         state.t[ia] = new_t
         rec["carved"] = len(ic)
@@ -296,10 +292,8 @@ class GibbsMarkovStructure:
     n_hyp: np.ndarray
     log_deriv_carve: np.ndarray  # log (g^R)' on carved points
     x_final: np.ndarray        # g^R at carve time (g^{n_max} on leftover)
-    ring_table: RingTable
     violations: int
     trace: list
-    nonconvergent: bool
     # grid-index runs of equal R (first and last index): elements have R > 0,
     # the leftover R = 0
     elem_lo: np.ndarray = field(init=False)
@@ -322,8 +316,9 @@ class GibbsMarkovStructure:
         return len(self.R)
 
     @property
-    def cell_width(self):
-        return 2.0 * self.params.delta0 / self.grid_size
+    def nonconvergent(self):
+        """More than half the arc was left unpartitioned."""
+        return self.leftover_mass() > 0.5
 
     def element_R(self):
         return self.R[self.elem_lo]
@@ -341,16 +336,13 @@ def run_construction(sys: ModelSystem, params: ConstructionParams,
     """Iterate the step machine to n_max and package the result."""
     if p_base is None:
         p_base = choose_base_point(seed)
-    rings = build_rings(params)
     state = init_state(params, p_base, seed=seed)
     for _ in range(params.n_max):
-        step_partition(state, sys, params, rings)
-    leftover = float(np.count_nonzero(state.R == 0)) / len(state.R)
+        step_partition(state, sys, params)
     return GibbsMarkovStructure(
         params=params, p_base=p_base, points=state.points, R=state.R,
         n_hyp=state.n_hyp, log_deriv_carve=state.log_deriv,
-        x_final=state.scan.t, ring_table=rings, violations=state.violations,
-        trace=state.trace, nonconvergent=leftover > 0.5)
+        x_final=state.scan.t, violations=state.violations, trace=state.trace)
 
 
 # ---------------------------------------------------------------------------
@@ -441,7 +433,7 @@ def _verifiable_elements(structure, max_elements, seed):
     own element.  At coarse resolutions many samples share one wide element
     and the runs are thinned to about one sample per predicted width.
     """
-    cell = structure.cell_width
+    cell = structure.params.cell_width
     w_all = 2.0 * structure.params.delta0 * np.exp(-structure.log_deriv_carve)
     reps = []
     for lo, hi in zip(structure.elem_lo, structure.elem_hi):
@@ -664,7 +656,7 @@ def measure_flow_constants(structure: GibbsMarkovStructure) -> dict:
 
 def structure_to_json(structure: GibbsMarkovStructure) -> dict:
     """JSON document with element intervals, leftover, params and gcd."""
-    cell = structure.cell_width
+    cell = structure.params.cell_width
 
     def arcs(first, last):
         # outer edges of the first and last grid cells of each run

@@ -38,7 +38,7 @@ AC_REFINE_TOL = 1e-6        # grid doubling stops when the worst cell moves less
 
 
 # ---------------------------------------------------------------------------
-# unstable curves and holonomy pairs
+# unstable curves
 
 
 @dataclass
@@ -54,15 +54,6 @@ class UnstableCurve:
     sys: ModelSystem
     branches: np.ndarray
 
-    def _backward_chain(self, tau):
-        tau = np.asarray(tau, dtype=float)
-        chain = np.empty((len(self.branches),) + tau.shape)
-        cur = tau
-        for k, b in enumerate(self.branches):
-            cur = self.sys.base_inverse(cur, int(b))
-            chain[k] = cur
-        return chain
-
     def evaluate(self, tau):
         """Fiber (u, v) and graph slope (s1, s2) = d(u, v)/d tau over tau."""
         sys = self.sys
@@ -70,16 +61,14 @@ class UnstableCurve:
             # the horizontal circle is invariant: every term below is +0.0
             zero = np.zeros(np.shape(tau))
             return zero, zero, zero, zero
-        chain = self._backward_chain(tau)
+        tk = np.asarray(tau, dtype=float)
         amp = sys.coupling / 4.0
-        u = np.zeros_like(chain[0])
-        v = np.zeros_like(chain[0])
-        s1 = np.zeros_like(chain[0])
-        s2 = np.zeros_like(chain[0])
-        w = np.ones_like(chain[0])          # d tau_{-k} / d tau
+        u, v, s1, s2 = (np.zeros_like(tk) for _ in range(4))
+        w = np.ones_like(tk)                # d tau_{-k} / d tau
         lam = 1.0
-        for k in range(len(self.branches)):
-            tk = chain[k]
+        # one pass down the preimage chain: tk is tau_{-k} at level k
+        for b in self.branches:
+            tk = sys.base_inverse(tk, int(b))
             w = w / sys.base_deriv(tk)
             cos, sin = np.cos(2.0 * math.pi * tk), np.sin(2.0 * math.pi * tk)
             u += lam * amp * cos
@@ -90,31 +79,11 @@ class UnstableCurve:
         return u, v, s1, s2
 
 
-@dataclass
-class HolonomyPair:
-    """Two unstable curves with the vertical-fiber correspondence phi.
-
-    phi maps the point of ``gamma`` over tau to the point of
-    ``gamma_prime`` over the same tau; base(phi(x)) = base(x) exactly.
-    """
-
-    gamma: UnstableCurve
-    gamma_prime: UnstableCurve
-
-
 def grow_unstable_curve(sys: ModelSystem, seed: int = 0,
                         depth: int = GROWTH_DEPTH) -> UnstableCurve:
     """An unstable curve from a random backward branch itinerary."""
     rng = np.random.default_rng(seed)
     return UnstableCurve(sys=sys, branches=rng.integers(0, 2, depth))
-
-
-@dataclass
-class ProductTail:
-    """Tail magnitudes of the log-Jacobian product after index N."""
-
-    N_values: np.ndarray
-    tail_log: np.ndarray
 
 
 # ---------------------------------------------------------------------------
@@ -242,22 +211,21 @@ def _log_jacobian_terms(sys: ModelSystem, tau, slopes, slopes_prime, n_terms: in
     return terms
 
 
-def holonomy_jacobian(sys: ModelSystem, pair: HolonomyPair, x,
+def holonomy_jacobian(gamma: UnstableCurve, gamma_prime: UnstableCurve, x,
                       N_trunc: int = N_TRUNC) -> dict:
     """J(x) = prod_{i=0}^{N_trunc} det Df^u(f^i x) / det Df^u(f^i phi(x)).
 
-    ``x`` is the base coordinate of the point on ``pair.gamma``.  The tail
-    table reports |log prod_{i=N}^{N_trunc}| for a grid of N, which decays
+    phi maps the point of ``gamma`` over a base coordinate to the point of
+    ``gamma_prime`` over the same one, and ``x`` is that base coordinate.
+    ``tail_log[N]`` is |log prod_{i=N}^{N_trunc}|, which decays
     geometrically at the stable-contraction rate.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    _, _, s1, s2 = pair.gamma.evaluate(x)
-    _, _, p1, p2 = pair.gamma_prime.evaluate(x)
-    terms = _log_jacobian_terms(sys, x, (s1, s2), (p1, p2), N_trunc + 1)
+    _, _, s1, s2 = gamma.evaluate(x)
+    _, _, p1, p2 = gamma_prime.evaluate(x)
+    terms = _log_jacobian_terms(gamma.sys, x, (s1, s2), (p1, p2), N_trunc + 1)
     totals = np.cumsum(terms[::-1], axis=0)[::-1]   # totals[N] = sum_{i>=N}
-    tail = ProductTail(N_values=np.arange(N_trunc + 1), tail_log=np.abs(totals[:, 0]))
-    j = float(np.exp(np.sum(terms[:, 0])))
-    return {"J": j, "tail": tail}
+    return {"J": float(np.exp(np.sum(terms[:, 0]))), "tail_log": np.abs(totals[:, 0])}
 
 
 def holonomy_jacobian_grid(sys: ModelSystem, tau, slopes, slopes_prime) -> np.ndarray:
@@ -266,7 +234,7 @@ def holonomy_jacobian_grid(sys: ModelSystem, tau, slopes, slopes_prime) -> np.nd
     return np.exp(np.sum(terms, axis=0))
 
 
-def absolute_continuity_test(sys: ModelSystem, pair: HolonomyPair,
+def absolute_continuity_test(gamma: UnstableCurve, gamma_prime: UnstableCurve,
                              cells: int = 64, grid: int = 2 ** 12) -> dict:
     """Compare arclength of phi(A) with int_A J dLeb_gamma per cell.
 
@@ -285,9 +253,9 @@ def absolute_continuity_test(sys: ModelSystem, pair: HolonomyPair,
     while True:
         m = -(-grid // (2 * cells)) * 2 * cells    # grid rounded up to whole cell pairs
         tau = np.linspace(lo, hi, m + 1)
-        _, _, s1, s2 = pair.gamma.evaluate(tau)
-        _, _, p1, p2 = pair.gamma_prime.evaluate(tau)
-        jac = holonomy_jacobian_grid(sys, tau, (s1, s2), (p1, p2))
+        _, _, s1, s2 = gamma.evaluate(tau)
+        _, _, p1, p2 = gamma_prime.evaluate(tau)
+        jac = holonomy_jacobian_grid(gamma.sys, tau, (s1, s2), (p1, p2))
         # arclength elements |gamma'(tau)| of the two graph parametrizations
         speed_src = np.sqrt(1.0 + s1 ** 2 + s2 ** 2)
         speed_dst = np.sqrt(1.0 + p1 ** 2 + p2 ** 2)
@@ -320,14 +288,14 @@ def regularity_report(sys: ModelSystem, fiber_pairs: int = 1000,
     """All regularity checks in one document (regularity.json payload)."""
     contraction = stable_contraction_check(sys, fiber_pairs, seed=seed)
     holder = holder_exponent_cu(sys, holder_pairs, seed=seed)
-    pair = HolonomyPair(gamma=grow_unstable_curve(sys, seed=seed + 1),
-                        gamma_prime=grow_unstable_curve(sys, seed=seed + 2))
-    jac = holonomy_jacobian(sys, pair, 0.5)
-    ac = absolute_continuity_test(sys, pair, cells=cells)
-    tail = jac["tail"]
-    stride = max(1, len(tail.N_values) // 20)
-    table = [{"N": int(n), "tail_log": float(v)}
-             for n, v in zip(tail.N_values[::stride], tail.tail_log[::stride])]
+    gamma = grow_unstable_curve(sys, seed=seed + 1)
+    gamma_prime = grow_unstable_curve(sys, seed=seed + 2)
+    jac = holonomy_jacobian(gamma, gamma_prime, 0.5)
+    ac = absolute_continuity_test(gamma, gamma_prime, cells=cells)
+    tail_log = jac["tail_log"]
+    stride = max(1, len(tail_log) // 20)
+    table = [{"N": n, "tail_log": float(tail_log[n])}
+             for n in range(0, len(tail_log), stride)]
     return {
         "beta_fit": contraction["beta_fit"],
         "C_fit": contraction["C_fit"],

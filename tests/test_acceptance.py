@@ -32,7 +32,6 @@ from gmstruct.pliss import (
     expansion_tail,
 )
 from gmstruct.regularity import (
-    HolonomyPair,
     absolute_continuity_test,
     grow_unstable_curve,
     holonomy_jacobian,
@@ -341,21 +340,19 @@ def test_criterion_9_regularity():
     beta = contraction["beta_fit"]
     assert abs(beta - 0.25) <= 0.02
 
-    pair = HolonomyPair(gamma=grow_unstable_curve(COUPLED, seed=1),
-                        gamma_prime=grow_unstable_curve(COUPLED, seed=2))
-    tail = holonomy_jacobian(COUPLED, pair, 0.5, N_trunc=80)["tail"]
-    live = tail.tail_log > 1e-12
-    vals = tail.tail_log[live]
+    g1, g2 = grow_unstable_curve(COUPLED, seed=1), grow_unstable_curve(COUPLED, seed=2)
+    tail_log = holonomy_jacobian(g1, g2, 0.5, N_trunc=80)["tail_log"]
+    live = tail_log > 1e-12
+    vals = tail_log[live]
     ratios = vals[2:] / vals[1:-1]
     assert np.all(ratios <= beta + 0.05)
 
-    ac = absolute_continuity_test(COUPLED, pair, cells=64, grid=2 ** 12)
+    ac = absolute_continuity_test(g1, g2, cells=64, grid=2 ** 12)
     assert ac["max_rel_err"] <= 1e-3
 
-    flat = HolonomyPair(gamma=grow_unstable_curve(UNIFORM, seed=1),
-                        gamma_prime=grow_unstable_curve(UNIFORM, seed=2))
+    flat = grow_unstable_curve(UNIFORM, seed=1), grow_unstable_curve(UNIFORM, seed=2)
     for x in (0.1, 0.5, 0.9):
-        assert abs(holonomy_jacobian(UNIFORM, flat, x)["J"] - 1.0) <= 1e-12
+        assert abs(holonomy_jacobian(*flat, x)["J"] - 1.0) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,23 @@ def test_exit_2_on_missing_config(tmp_path):
                 "--out", str(tmp_path / "o")) == 2
 
 
+def test_exit_2_on_undecodable_config(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(QUICK.encode() + b"stats.eps = 0.1\xff\n")
+    out = tmp_path / "o"
+    assert _run("tails", "--config", str(path), "--out", str(out)) == 2
+    assert "--config" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_exit_2_on_out_that_is_a_file(quick_cfg, tmp_path, capsys):
+    out = tmp_path / "o"
+    out.write_text("not a directory")
+    assert _run("tails", "--config", quick_cfg, "--out", str(out)) == 2
+    assert "--out" in capsys.readouterr().err
+    assert out.read_text() == "not a directory"
+
+
 def test_exit_2_on_bad_seed_flag(quick_cfg, tmp_path):
     assert _run("tails", "--config", quick_cfg, "--out", str(tmp_path / "o"),
                 "--seed", "-3") == 2

@@ -11,7 +11,6 @@ from gmstruct.dynamics import circle_offset, intermittent_solenoid, uniform_sole
 from gmstruct.inducing import (
     ConstructionParams,
     _evolve_with_deriv,
-    build_rings,
     choose_base_point,
     element_edges,
     init_state,
@@ -49,17 +48,22 @@ def intermittent_structure():
 # parameters and rings
 
 
+def _ring_boundaries(params):
+    # boundaries[k] = delta0 (1 + sigma^{k/2}), k = 0..k_max: the outer edge of I_{k+1}
+    return params.delta0 * (1.0 + params.sigma ** (np.arange(params.k_max + 1) / 2.0))
+
+
 def test_ring_table_frozen_example():
     # delta0 = 0.05, sigma = 0.25: boundaries delta0 (1 + sigma^{k/2})
     params = ConstructionParams(delta0=0.05, sigma=0.25, c=0.5, n_max=10,
                                 resolution=1e-4)
-    rings = build_rings(params)
-    assert rings.boundaries[0] == pytest.approx(0.10)
-    assert rings.boundaries[1] == pytest.approx(0.075)
-    assert rings.boundaries[2] == pytest.approx(0.0625)
-    assert rings.ring_index(0.08) == 1      # I_1 = (0.075, 0.100)
-    assert rings.ring_index(0.07) == 2      # I_2 = (0.0625, 0.075)
-    widths = -np.diff(rings.boundaries)     # widths[k - 1] is the width of I_k
+    boundaries = _ring_boundaries(params)
+    assert boundaries[0] == pytest.approx(0.10)
+    assert boundaries[1] == pytest.approx(0.075)
+    assert boundaries[2] == pytest.approx(0.0625)
+    assert params.ring_index(0.08) == 1      # I_1 = (0.075, 0.100)
+    assert params.ring_index(0.07) == 2      # I_2 = (0.0625, 0.075)
+    widths = -np.diff(boundaries)            # widths[k - 1] is the width of I_k
     assert widths[0] == pytest.approx(0.025)
     assert widths[1] == pytest.approx(0.0125)  # geometric, ratio sqrt(sigma)
 
@@ -67,14 +71,13 @@ def test_ring_table_frozen_example():
 def test_ring_truncation_at_resolution():
     params = ConstructionParams(delta0=0.05, sigma=0.25, c=0.5, n_max=10,
                                 resolution=1e-2)
-    rings = build_rings(params)
-    assert rings.boundaries[rings.k_max - 1] - rings.boundaries[rings.k_max] \
-        >= params.resolution
+    boundaries = _ring_boundaries(params)
+    assert boundaries[params.k_max - 1] - boundaries[params.k_max] >= params.resolution
     d0, s = params.delta0, params.sigma
-    assert d0 * (s ** ((rings.k_max + 1) / 2.0)
-                 - s ** ((rings.k_max + 2) / 2.0)) < params.resolution
+    assert d0 * (s ** ((params.k_max + 1) / 2.0)
+                 - s ** ((params.k_max + 2) / 2.0)) < params.resolution
     # distances below the last boundary clip into the last ring
-    assert rings.ring_index(d0 * 1.0000001) == rings.k_max
+    assert params.ring_index(d0 * 1.0000001) == params.k_max
 
 
 def test_grid_size_matches_resolution():
@@ -147,9 +150,8 @@ def test_first_steps_no_carving():
     params = ConstructionParams(delta0=0.02, sigma=0.51, c=0.5, n_max=30,
                                 resolution=2.0 ** -12)
     state = init_state(params, 0.37, seed=0)
-    rings = build_rings(params)
     for _ in range(params.R0):
-        step_partition(state, UNIFORM, params, rings)
+        step_partition(state, UNIFORM, params)
     # before R0 nothing is carved and nothing waits: A_n is everything
     assert np.all(state.R == 0)
     assert np.all(state.t == 0)
@@ -161,19 +163,18 @@ def test_step_mass_conservation_and_wait_decrement():
     params = ConstructionParams(delta0=0.02, sigma=0.51, c=0.5, n_max=60,
                                 resolution=2.0 ** -12)
     state = init_state(params, 0.37, seed=0)
-    rings = build_rings(params)
     prev_t = None
     for _ in range(60):
         if prev_t is not None:
             act = state.active
-            step_partition(state, UNIFORM, params, rings)
+            step_partition(state, UNIFORM, params)
             # waiting points either count down by one or were just carved
             waited = act & (prev_t > 0)
             assert np.all((state.t[waited] == prev_t[waited] - 1)
                           | (state.R[waited] > 0)
                           | ~state.active[waited])
         else:
-            step_partition(state, UNIFORM, params, rings)
+            step_partition(state, UNIFORM, params)
         prev_t = state.t.copy()
         counts = mass_counts(state)
         carved = int(np.count_nonzero(state.R > 0))
@@ -182,12 +183,11 @@ def test_step_mass_conservation_and_wait_decrement():
 
 def test_wait_values_bounded_by_ring_table(uniform_structure):
     st, params = uniform_structure
-    rings = st.ring_table
     # re-run a short construction tracking t against k_max
     state = init_state(params, st.p_base, seed=0)
     for _ in range(50):
-        step_partition(state, UNIFORM, params, rings)
-        assert np.max(state.t) <= rings.k_max
+        step_partition(state, UNIFORM, params)
+        assert np.max(state.t) <= params.k_max
 
 
 # ---------------------------------------------------------------------------

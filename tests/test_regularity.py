@@ -8,7 +8,6 @@ import pytest
 
 from gmstruct.dynamics import intermittent_solenoid, uniform_solenoid
 from gmstruct.regularity import (
-    HolonomyPair,
     absolute_continuity_test,
     grow_unstable_curve,
     holder_exponent_cu,
@@ -101,9 +100,8 @@ def curves():
 
 def test_jacobian_identity_pair(curves):
     g1, _, _ = curves
-    pair = HolonomyPair(gamma=g1, gamma_prime=g1)
     for x in (0.1, 0.37, 0.9):
-        assert holonomy_jacobian(COUPLED, pair, x)["J"] == 1.0
+        assert holonomy_jacobian(g1, g1, x)["J"] == 1.0
 
 
 @pytest.mark.parametrize("x, j, tail_digest", [
@@ -116,34 +114,31 @@ def test_holonomy_jacobian_coupled_pinned(curves, x, j, tail_digest):
     # 3.11.7 on x86-64 (another numpy or libm may round differently and
     # fail this test)
     g1, g2, _ = curves
-    out = holonomy_jacobian(COUPLED, HolonomyPair(g1, g2), x)
+    out = holonomy_jacobian(g1, g2, x)
     assert out["J"] == j
-    assert hashlib.sha256(out["tail"].tail_log.tobytes()).hexdigest()[:16] == tail_digest
-    assert list(out["tail"].N_values) == list(range(81))
+    assert hashlib.sha256(out["tail_log"].tobytes()).hexdigest()[:16] == tail_digest
+    assert len(out["tail_log"]) == 81
 
 
 def test_jacobian_uncoupled_is_one():
     # det Df^u depends only on the base, which phi preserves
-    pair = HolonomyPair(gamma=grow_unstable_curve(UNCOUPLED, seed=1),
-                        gamma_prime=grow_unstable_curve(UNCOUPLED, seed=2))
-    assert holonomy_jacobian(UNCOUPLED, pair, 0.5)["J"] == 1.0
+    assert holonomy_jacobian(grow_unstable_curve(UNCOUPLED, seed=1),
+                             grow_unstable_curve(UNCOUPLED, seed=2), 0.5)["J"] == 1.0
 
 
 def test_jacobian_truncation_converged(curves):
     g1, g2, _ = curves
-    pair = HolonomyPair(gamma=g1, gamma_prime=g2)
-    j60 = holonomy_jacobian(COUPLED, pair, 0.5, N_trunc=60)["J"]
-    j120 = holonomy_jacobian(COUPLED, pair, 0.5, N_trunc=120)["J"]
+    j60 = holonomy_jacobian(g1, g2, 0.5, N_trunc=60)["J"]
+    j120 = holonomy_jacobian(g1, g2, 0.5, N_trunc=120)["J"]
     assert abs(j60 - j120) <= 1e-8
 
 
 def test_tail_geometric_decay(curves):
     g1, g2, _ = curves
-    pair = HolonomyPair(gamma=g1, gamma_prime=g2)
-    tail = holonomy_jacobian(COUPLED, pair, 0.5, N_trunc=80)["tail"]
+    tail_log = holonomy_jacobian(g1, g2, 0.5, N_trunc=80)["tail_log"]
     beta = stable_contraction_check(COUPLED, fiber_pairs=200)["beta_fit"]
-    live = tail.tail_log > 1e-12          # above the rounding floor
-    vals = tail.tail_log[live]
+    live = tail_log > 1e-12          # above the rounding floor
+    vals = tail_log[live]
     assert np.all(np.diff(vals[1:]) <= 1e-15)     # non-increasing past burn-in
     ratios = vals[2:] / vals[1:-1]
     assert np.all(ratios <= beta + 0.05)
@@ -152,9 +147,8 @@ def test_tail_geometric_decay(curves):
 def test_jacobian_chain_rule_over_squared_map(curves):
     # accumulate expansion ratios two steps at a time: identical product
     g1, g2, _ = curves
-    pair = HolonomyPair(gamma=g1, gamma_prime=g2)
     n = 40
-    j_f = holonomy_jacobian(COUPLED, pair, 0.37, N_trunc=n - 1)["J"]
+    j_f = holonomy_jacobian(g1, g2, 0.37, N_trunc=n - 1)["J"]
     tau = np.array([0.37])
     _, _, s1, s2 = g1.evaluate(tau)
     _, _, p1, p2 = g2.evaluate(tau)
@@ -173,9 +167,9 @@ def test_jacobian_chain_rule_over_squared_map(curves):
 
 def test_jacobian_composition(curves):
     g1, g2, g3 = curves
-    j12 = holonomy_jacobian(COUPLED, HolonomyPair(g1, g2), 0.42, N_trunc=120)["J"]
-    j23 = holonomy_jacobian(COUPLED, HolonomyPair(g2, g3), 0.42, N_trunc=120)["J"]
-    j13 = holonomy_jacobian(COUPLED, HolonomyPair(g1, g3), 0.42, N_trunc=120)["J"]
+    j12 = holonomy_jacobian(g1, g2, 0.42, N_trunc=120)["J"]
+    j23 = holonomy_jacobian(g2, g3, 0.42, N_trunc=120)["J"]
+    j13 = holonomy_jacobian(g1, g3, 0.42, N_trunc=120)["J"]
     # phi preserves the base coordinate, so the middle factor is evaluated
     # at the same base point
     assert j13 == pytest.approx(j12 * j23, abs=1e-8)
@@ -187,22 +181,20 @@ def test_jacobian_composition(curves):
 
 def test_absolute_continuity_identity_pair(curves):
     g1, _, _ = curves
-    out = absolute_continuity_test(COUPLED, HolonomyPair(g1, g1), cells=16,
-                                   grid=2 ** 10)
+    out = absolute_continuity_test(g1, g1, cells=16, grid=2 ** 10)
     assert out["max_rel_err"] <= 1e-12
 
 
 def test_absolute_continuity_uncoupled():
-    pair = HolonomyPair(gamma=grow_unstable_curve(UNCOUPLED, seed=1),
-                        gamma_prime=grow_unstable_curve(UNCOUPLED, seed=2))
-    out = absolute_continuity_test(UNCOUPLED, pair, cells=16, grid=2 ** 10)
+    out = absolute_continuity_test(grow_unstable_curve(UNCOUPLED, seed=1),
+                                   grow_unstable_curve(UNCOUPLED, seed=2),
+                                   cells=16, grid=2 ** 10)
     assert out["max_rel_err"] <= 1e-12
 
 
 def test_absolute_continuity_coupled(curves):
     g1, g2, _ = curves
-    out = absolute_continuity_test(COUPLED, HolonomyPair(g1, g2), cells=64,
-                                   grid=2 ** 12)
+    out = absolute_continuity_test(g1, g2, cells=64, grid=2 ** 12)
     assert out["max_rel_err"] <= 1e-3
 
 
@@ -212,8 +204,7 @@ def test_absolute_continuity_coupled_pinned(curves):
     # Python 3.11.7 on x86-64 (another numpy or libm may round differently
     # and fail this test)
     g1, g2, _ = curves
-    out = absolute_continuity_test(COUPLED, HolonomyPair(g1, g2), cells=64,
-                                   grid=2 ** 12)
+    out = absolute_continuity_test(g1, g2, cells=64, grid=2 ** 12)
     assert out == {"max_rel_err": 2.034114750978935e-16, "grid": 8192, "cells": 64}
 
 
@@ -248,9 +239,12 @@ def _evaluate_full_chain(curve, tau):
     return u, v, s1, s2
 
 
-@pytest.mark.parametrize("sys", [UNCOUPLED, intermittent_solenoid(alpha=0.5, coupling=0.0)],
-                         ids=["uniform", "intermittent"])
-def test_curve_uncoupled_matches_full_chain(sys):
+@pytest.mark.parametrize("sys", [
+    UNCOUPLED, intermittent_solenoid(alpha=0.5, coupling=0.0),
+    uniform_solenoid(coupling=0.5),
+    intermittent_solenoid(alpha=0.5, lambda_s=0.5, coupling=1.0),
+], ids=["uniform", "intermittent", "uniform-coupled", "intermittent-coupled"])
+def test_curve_matches_full_chain(sys):
     tau = np.concatenate([np.linspace(0.0, 1.0, 257), [0.5 - 2.0 ** -40, 1.0 - 2.0 ** -53]])
     curve = grow_unstable_curve(sys, seed=5)
     for got, want in zip(curve.evaluate(tau), _evaluate_full_chain(curve, tau)):
