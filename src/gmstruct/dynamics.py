@@ -177,11 +177,13 @@ class ModelSystem:
         (n1, n2, expansion, w1, w2) are float arrays shaped like t, none of
         them an input: the results are written into the first three and the
         last two are scratch.  Without ``out`` the results are new arrays.
+        ``s1 = s2 = None`` is the horizontal vector: uncoupled the push returns
+        (None, None, gp), coupled it pushes like zero slopes, bit for bit.
         """
-        if self.coupling == 0.0 and not (np.any(s1) or np.any(s2)):
-            # E^cu is exactly horizontal and invariant: the general formula
-            # below reduces to (0, 0, g'(t))
-            return s1, s2, gp
+        if s1 is None:
+            if self.coupling == 0.0:    # zero slopes would push to (+0, +0, g'(t))
+                return None, None, gp
+            s1 = s2 = np.zeros(np.shape(t))
         n1, n2, expansion, w1, w2 = (None,) * 5 if out is None else out
         c = self.coupling * math.pi / 2.0
         phase = np.multiply(TWO_PI, t, out=w1)

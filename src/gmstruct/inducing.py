@@ -433,13 +433,13 @@ def _verifiable_elements(structure, max_elements, seed):
     own element.  At coarse resolutions many samples share one wide element
     and the runs are thinned to about one sample per predicted width.
     """
-    cell = structure.params.cell_width
+    lo, hi, cell = structure.elem_lo, structure.elem_hi, structure.params.cell_width
     w_all = 2.0 * structure.params.delta0 * np.exp(-structure.log_deriv_carve)
-    reps = []
-    for lo, hi in zip(structure.elem_lo, structure.elem_hi):
-        stride = max(1, int(round(w_all[lo] / cell)))
-        reps.extend(range(int(lo), int(hi) + 1, stride))
-    reps = np.array(reps, dtype=np.int64)
+    # range(lo, hi + 1, max(1, round(w / cell))) per run, cut at the run's length
+    stride = np.rint(np.clip(w_all[lo] / cell, 1.0, hi - lo + 1)).astype(np.int64)
+    counts = (hi - lo) // stride + 1
+    first = np.repeat(np.cumsum(counts) - counts, counts)
+    reps = np.repeat(lo, counts) + (np.arange(len(first)) - first) * np.repeat(stride, counts)
     reps = reps[w_all[reps] >= WIDTH_FLOOR]
     if max_elements is not None and len(reps) > max_elements:
         rng = np.random.default_rng(seed)
@@ -541,13 +541,15 @@ def verify_pairs(structure: GibbsMarkovStructure, sys: ModelSystem,
     # only the pairs with n <= R; the fits below run in the original order
     order, live = _sorted_prefix(steps)
     yz = np.stack([y, z])[:, order]
-    s1, s2 = np.zeros_like(yz), np.zeros_like(yz)
+    s1 = s2 = None      # horizontal; on an uncoupled system they stay so
     logratio = np.zeros(len(y))
     # running max of d_n sigma^{n/2} for n < R gives the binding k at once
     run_max = np.abs(circle_offset(yz[0], yz[1]))   # n = 0 term
     for n, m in enumerate(live, 1):
         g, gp = sys.base_step(yz[:, :m])
-        s1[:, :m], s2[:, :m], e = sys.push_tangent(yz[:, :m], s1[:, :m], s2[:, :m], gp)
+        if s1 is not None:
+            s1, s2 = s1[:, :m], s2[:, :m]
+        s1, s2, e = sys.push_tangent(yz[:, :m], s1, s2, gp)
         le = np.log(e)
         # (sum + log e_y) - log e_z, not sum + (log e_y - log e_z): it rounds
         # like the pinned reports

@@ -71,22 +71,20 @@ def disk_grid_points(center: float, radius: float, grid: int) -> np.ndarray:
 class CocycleScan:
     """Streaming tangent cocycle along many orbits.
 
-    ``t`` holds the current base points and ``s1``/``s2`` their cu slopes
-    (horizontal at the start).  With ``rng`` every step is dithered.  The
-    scan owns its work arrays, so a step allocates only g'(t) and the
-    select's mask: ``spare`` receives g(t) and trades places with ``t``.
+    ``t`` holds the current base points and ``s1``/``s2`` their cu slopes:
+    None (horizontal) until a coupled step allocates them.  With ``rng``
+    every step is dithered.  The scan owns its work arrays, so a step
+    allocates only g'(t): ``spare`` receives g(t) and trades places with ``t``.
     """
 
     def __init__(self, points, rng=None):
         self.t = np.array(points, dtype=float)
-        m = len(self.t)
-        self.s1 = np.zeros(m)
-        self.s2 = np.zeros(m)
+        self.s1 = self.s2 = self._n1 = self._n2 = None
         self.rng = rng
-        # g(t), a_n, two scratch rows and a coupled push's new slopes, in one
-        # block: as six separate arrays, once freed, they left the peak RSS
-        # of a later stage about 2 MB higher (glibc keeps that heap)
-        self.spare, self._a, self._w1, self._w2, self._n1, self._n2 = np.empty((6, m))
+        # g(t), a_n and two scratch rows in one block: as separate arrays,
+        # once freed, they left the peak RSS of a later stage about 2 MB
+        # higher (glibc keeps that heap)
+        self.spare, self._a, self._w1, self._w2 = np.empty((4, len(self.t)))
 
     def advance(self, sys: ModelSystem):
         """Step every orbit once; returns (a_n, g'(t_{n-1})) per orbit.
@@ -96,12 +94,14 @@ class CocycleScan:
         then.
         """
         w1, w2 = self._w1, self._w2
+        if self.s1 is None and sys.coupling != 0.0:
+            self.s1, self.s2, self._n1, self._n2 = np.zeros((4, len(self.t)))
         g, gp = sys.base_step(self.t, out=(self.spare, w1))
         s1, s2, expansion = sys.push_tangent(self.t, self.s1, self.s2, gp,
                                              out=(self._n1, self._n2, self._a, w1, w2))
         a = np.log(expansion, out=self._a)
         np.negative(a, out=a)
-        if s1 is not self.s1:
+        if s1 is not None:
             # a coupled push wrote the new slopes into the spare pair
             self._n1, self._n2, self.s1, self.s2 = self.s1, self.s2, s1, s2
         self.t, self.spare = g, self.t

@@ -198,13 +198,14 @@ def _log_jacobian_terms(sys: ModelSystem, tau, slopes, slopes_prime, n_terms: in
     terms are log expansion(tau_i, s_i) - log expansion(tau_i, s'_i) with
     the slopes (s1, s2) of the two curves over tau pushed forward.
     """
-    # row 0 of each slope array is gamma's, row 1 gamma_prime's
-    s1, s2 = (np.stack(pair) for pair in zip(slopes, slopes_prime))
+    # row 0 of each slope array is gamma's, row 1 gamma_prime's; None (horizontal) uncoupled
+    s1, s2 = (np.stack(p) for p in zip(slopes, slopes_prime)) if sys.coupling else (None, None)
     t = tau
+    shape = (2,) + tau.shape
     terms = np.empty((n_terms,) + tau.shape)
     for i in range(n_terms):
         g, gp = sys.base_step(t)
-        s1, s2, e = sys.push_tangent(*np.broadcast_arrays(t, s1, s2, gp))
+        s1, s2, e = sys.push_tangent(np.broadcast_to(t, shape), s1, s2, np.broadcast_to(gp, shape))
         e = np.log(e)
         terms[i] = e[0] - e[1]
         t = g

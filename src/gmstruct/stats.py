@@ -157,14 +157,61 @@ def green_kubo_sigma2(sys: ModelSystem, phi: Observable, seed: int = 0) -> dict:
             "mean": mean_a}
 
 
+# cephes ndtr, erf and erfc as scipy.special ships them: the same
+# coefficients, Horner order and branch thresholds, and libm's exp through
+# math.exp, so _ndtr equals scipy.special.ndtr bit for bit
+_SQRTH = 7.07106781186547524401e-1
+_MAXLOG = 7.09782712893383996843e2
+_ERF_T = (9.60497373987051638749e0, 9.00260197203842689217e1, 2.23200534594684319226e3,
+          7.00332514112805075473e3, 5.55923013010394962768e4)
+_ERF_U = (3.35617141647503099647e1, 5.21357949780152679795e2, 4.59432382970980127987e3,
+          2.26290000613890934246e4, 4.92673942608635921086e4)
+_ERFC_P = (2.46196981473530512524e-10, 5.64189564831068821977e-1, 7.46321056442269912687e0,
+           4.86371970985681366614e1, 1.96520832956077098242e2, 5.26445194995477358631e2,
+           9.34528527171957607540e2, 1.02755188689515710272e3, 5.57535335369399327526e2)
+_ERFC_Q = (1.32281951154744992508e1, 8.67072140885989742329e1, 3.54937778887819891062e2,
+           9.75708501743205489753e2, 1.82390916687909736289e3, 2.24633760818710981792e3,
+           1.65666309194161350182e3, 5.57535340817727675546e2)
+_ERFC_R = (5.64189583547755073984e-1, 1.27536670759978104416e0, 5.01905042251180477414e0,
+           6.16021097993053585195e0, 7.40974269950448939160e0, 2.97886665372100240670e0)
+_ERFC_S = (2.26052863220117276590e0, 9.39603524938001434673e0, 1.20489539808096656605e1,
+           1.70814450747565897222e1, 9.60896809063285878198e0, 3.36907645100081516050e0)
+
+
+def _horner(x, coef, monic=False):
+    """cephes polevl, or p1evl (an implicit leading 1) with ``monic``."""
+    y = x + coef[0] if monic else np.full_like(x, coef[0])
+    for c in coef[1:]:
+        y = y * x + c
+    return y
+
+
+def _ndtr(a):
+    """The standard normal CDF: cephes ndtr, with its erf(x) and erfc(|x|) inlined."""
+    x = np.asarray(a, dtype=float) * _SQRTH
+    z = np.abs(x)
+    y = np.zeros_like(x)                   # erfc underflow (-z^2 < -MAXLOG) is 0
+    small = z < 1.0
+    w = x[small]
+    erf = w * _horner(w * w, _ERF_T) / _horner(w * w, _ERF_U, monic=True)
+    # ndtr takes erf below |x| = 1/sqrt 2 and erfc(|x|) = 1 - erf(|x|) up to 1
+    y[small] = np.where(z[small] < _SQRTH, 0.5 + 0.5 * erf, 0.5 * (1.0 - np.abs(erf)))
+    tail = ~small & ~(-z * z < -_MAXLOG)
+    for part, p, q in ((tail & (z < 8.0), _ERFC_P, _ERFC_Q),
+                       (tail & ~(z < 8.0), _ERFC_R, _ERFC_S)):
+        zp = z[part]
+        e = np.array([math.exp(v) for v in (-zp * zp).tolist()])
+        y[part] = 0.5 * (e * _horner(zp, p) / _horner(zp, q, monic=True))
+    return np.where(~(z < _SQRTH) & (x > 0), 1.0 - y, y)
+
+
 def ks_statistic(z, sd: float) -> float:
     """Two-sided Kolmogorov-Smirnov distance of the sample z to Normal(0, sd^2).
 
     Equal bit for bit to ``scipy.stats.kstest(z, "norm", args=(0, sd)).statistic``
-    without the ~1 s ``scipy.stats`` import (``math.erfc`` rounds differently).
+    through the cephes port ``_ndtr`` (``math.erfc`` rounds differently).
     """
-    from scipy.special import ndtr
-    cdf = ndtr(np.sort(z) / sd)
+    cdf = _ndtr(np.sort(z) / sd)
     n = len(cdf)
     d_plus = np.max(np.arange(1.0, n + 1) / n - cdf)
     d_minus = np.max(cdf - np.arange(0.0, n) / n)

@@ -1,7 +1,9 @@
 """Reference definitions on one orbit or one series, which the tests check the
 streaming pipeline (``CocycleScan``, ``hyperbolic_flags``, ``disk_scan``,
-``cu_directions``) against, and the hyperbolic-time counts over a disk
-(``hyperbolic_counts``) that the Pliss density-floor tests read."""
+``cu_directions``) against, the hyperbolic-time counts over a disk
+(``hyperbolic_counts``) that the Pliss density-floor tests read, and the
+per-run loop (``verifiable_elements``) that the vectorized element sample
+is checked against."""
 
 import math
 from dataclasses import dataclass
@@ -10,6 +12,7 @@ import numpy as np
 
 from gmstruct.dynamics import ModelSystem, cu_directions
 from gmstruct.errors import GmstructError
+from gmstruct.inducing import WIDTH_FLOOR
 from gmstruct.pliss import CocycleScan, _censored, hyperbolic_flags
 
 
@@ -200,3 +203,19 @@ def mass_counts(state):
     return {"delta_n": int(np.count_nonzero(act)),
             "A_n": int(np.count_nonzero(act & (state.t == 0))),
             "B_n": int(np.count_nonzero(act & (state.t > 0)))}
+
+
+def verifiable_elements(structure, max_elements, seed):
+    """``inducing._verifiable_elements`` as a loop: range(lo, hi + 1, stride) per carved run."""
+    cell = structure.params.cell_width
+    w_all = 2.0 * structure.params.delta0 * np.exp(-structure.log_deriv_carve)
+    reps = []
+    for lo, hi in zip(structure.elem_lo, structure.elem_hi):
+        stride = max(1, int(round(w_all[lo] / cell)))
+        reps.extend(range(int(lo), int(hi) + 1, stride))
+    reps = np.array(reps, dtype=np.int64)
+    reps = reps[w_all[reps] >= WIDTH_FLOOR]
+    if max_elements is not None and len(reps) > max_elements:
+        rng = np.random.default_rng(seed)
+        reps = np.sort(rng.choice(reps, size=max_elements, replace=False))
+    return reps

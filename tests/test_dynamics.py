@@ -274,6 +274,25 @@ def _assert_kernel_matches(sys, t, s1, s2):
     _assert_same_values(vn, rv)
 
 
+def test_push_tangent_none_is_the_horizontal_vector():
+    # sin and cos of 2 pi t vanish at the quarters: the coupled slopes hold zeros
+    t = np.concatenate([[0.0, 0.25, 0.5, 0.75], np.random.default_rng(8).random(4096)])
+    zero = np.zeros_like(t)
+    for sys in (uniform_solenoid(), intermittent_solenoid(alpha=0.5)):
+        gp = sys.base_deriv(t)
+        n1, n2, expansion = sys.push_tangent(t, None, None, gp)
+        assert n1 is None and n2 is None and expansion is gp
+        # zero arrays take the general formula to the same vector, +0 slopes
+        for got, want in zip(sys.push_tangent(t, zero, zero, gp), (zero, zero, gp)):
+            _assert_bitwise(got, want)
+    for sys in (uniform_solenoid(coupling=0.5), intermittent_solenoid(alpha=0.5, coupling=1.0)):
+        gp = sys.base_deriv(t)
+        pushed = sys.push_tangent(t, zero, zero, gp)
+        assert np.count_nonzero(pushed[0] == 0.0) > 0
+        for got, want in zip(sys.push_tangent(t, None, None, gp), pushed):
+            _assert_bitwise(got, want)
+
+
 FRAC_EDGES = [0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 1.0 - 2.0 ** -53, -2.0 ** -53,
               -1e-300, -5e-324, 5e-324, 1e-300, 1e300, -1e300, 2.0 ** 52 + 0.5,
               -(2.0 ** 52) - 0.5, 2.0 ** 53 + 2.0, math.inf, -math.inf, math.nan,

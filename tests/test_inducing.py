@@ -4,13 +4,19 @@ import hashlib
 import json
 import math
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gmstruct.dynamics import circle_offset, intermittent_solenoid, uniform_solenoid
 from gmstruct.inducing import (
     ConstructionParams,
+    GibbsMarkovStructure,
     _evolve_with_deriv,
+    _verifiable_elements,
     choose_base_point,
     element_edges,
     init_state,
@@ -23,7 +29,7 @@ from gmstruct.inducing import (
     verify_pairs,
     write_structure_json,
 )
-from oracles import mass_counts
+from oracles import mass_counts, verifiable_elements
 
 UNIFORM = uniform_solenoid(lambda_s=0.25, coupling=0.0)
 INTERMITTENT = intermittent_solenoid(alpha=0.5)
@@ -461,6 +467,29 @@ def test_structure_json_bytes_match_json_dumps(tmp_path, uniform_structure):
                                                          n_max=10, resolution=2.0 ** -10))
     write_structure_json(empty, path)
     assert path.read_bytes() == json.dumps(structure_to_json(empty), indent=1).encode()
+
+
+@settings(max_examples=200, deadline=None)
+@given(runs=st.lists(st.tuples(st.integers(0, 3), st.integers(1, 20)), min_size=1, max_size=10),
+       quarters=st.integers(1, 40),
+       log_deriv=st.lists(st.sampled_from([0.0, 0.0, -4.0, 40.0]) | st.floats(-4.0, 40.0),
+                          min_size=1, max_size=30),
+       max_elements=st.none() | st.integers(1, 40), seed=st.integers(0, 2 ** 32 - 1))
+@example(runs=[(1, 9), (2, 9), (0, 3), (3, 9)], quarters=6, log_deriv=[0.0],
+         max_elements=None, seed=0)
+def test_verifiable_elements_match_the_loop(runs, quarters, log_deriv, max_elements, seed):
+    # with log_deriv 0 a run's stride is round(quarters / 4) on a unit cell:
+    # ties at 0.5, 1.5, 2.5, ... round half to even; log_deriv 40 falls
+    # under WIDTH_FLOOR and -4 gives strides past the run's length; the
+    # log_deriv list repeats along the grid
+    R = np.repeat([r for r, _ in runs], [k for _, k in runs]).astype(np.int64)
+    structure = GibbsMarkovStructure(
+        params=SimpleNamespace(delta0=quarters / 8.0, cell_width=1.0), p_base=0.0,
+        points=None, R=R, n_hyp=None, log_deriv_carve=np.resize(log_deriv, len(R)),
+        x_final=None, violations=0, trace=[])
+    got = _verifiable_elements(structure, max_elements, seed)
+    want = verifiable_elements(structure, max_elements, seed)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
 
 
 def test_element_edges_match_expected_width(uniform_structure):

@@ -22,6 +22,7 @@ from gmstruct.stats import (
     correlation,
     fiber_norm,
     fit_power_law,
+    _ndtr,
     ks_statistic,
     large_deviations,
     trig_base,
@@ -98,6 +99,20 @@ def test_ks_statistic_matches_scipy_kstest():
         sd = float(rng.uniform(0.2, 3.0))
         z = rng.normal(rng.uniform(-0.3, 0.3), sd * rng.uniform(0.8, 1.2), n)
         assert ks_statistic(z, sd) == sps.kstest(z, "norm", args=(0.0, sd)).statistic
+
+
+def test_ndtr_port_matches_scipy_bitwise():
+    from scipy.special import ndtr
+    rng = np.random.default_rng(11)
+    # x = a / sqrt 2 switches from erf to erfc at |x| = 1/sqrt 2 and 1, from
+    # the P/Q to the R/S erfc fit at 8, and underflows past x^2 = MAXLOG
+    switches = [1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0), math.sqrt(2.0 * 7.09782712893383996843e2)]
+    near = [c * sign + np.arange(-2000, 2001) * np.spacing(c)
+            for c in switches for sign in (1.0, -1.0)]
+    a = np.concatenate([rng.uniform(-40.0, 40.0, 50_000), rng.normal(0.0, 2.0, 50_000),
+                        *near, [0.0, -0.0, 40.0, -40.0, math.inf, -math.inf, math.nan]])
+    assert len(a) >= 10 ** 5
+    assert np.array_equal(_ndtr(a).view(np.uint64), ndtr(a).view(np.uint64))
 
 
 def test_clt_constant_degenerate():
