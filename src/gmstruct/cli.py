@@ -16,6 +16,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
+import platform
 import sys as _sys
 import time
 from pathlib import Path
@@ -277,6 +279,8 @@ def _write_manifest(out: Path, cfg: ExperimentConfig, stages: dict, failed: str 
         "auto_resolutions": cfg.resolved_rules,
         "config_warnings": cfg.warnings,
         "workers": workers,
+        "environment": {"python": platform.python_version(), "numpy": np.__version__,
+                        "platform": platform.platform(), "cpu_count": os.cpu_count()},
         "stages": stages,
         "failed_stage": failed,
         "checksums": _checksums(out),

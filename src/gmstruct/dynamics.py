@@ -235,6 +235,60 @@ def circle_offset(a, b):
 
 
 # ---------------------------------------------------------------------------
+# orbit stepper
+
+
+class CocycleScan:
+    """Orbits of any shape (a grid, or the ``(2, n)`` rows of paired orbits) and their tangent.
+
+    ``t`` holds the base points and ``s1``/``s2`` their cu slopes: ``slopes``
+    if given, else None (horizontal) until a coupled step allocates them.
+    With ``rng`` every step is dithered.  The scan owns its work arrays, so a
+    full step allocates only g'(t): ``spare`` receives g(t) and trades
+    places with ``t``.
+    """
+
+    def __init__(self, points, rng=None, slopes=None):
+        self.t = np.array(points, dtype=float)
+        self.rng = rng
+        self.s1 = self.s2 = self._n1 = self._n2 = None
+        if slopes is not None:
+            self.s1, self.s2, self._n1, self._n2 = np.empty((4,) + self.t.shape)
+            self.s1[...], self.s2[...] = slopes
+        # g(t), the expansion and two scratch arrays in one block: apart, once
+        # freed, they left a later stage's peak RSS about 2 MB higher
+        self.spare, self._e, self._w1, self._w2 = np.empty((4,) + self.t.shape)
+
+    def advance(self, sys: ModelSystem, live=None):
+        """Step ``t[..., :live]`` (all of ``t`` by default) once; returns (expansion, g'(t)).
+
+        expansion is ||Df w|| / ||w|| for the cu vector w = (1, s1, s2) at the
+        old t, so a_n = -log expansion.  It may be the scan's buffer, which the
+        next call overwrites.  Points and slopes from ``live`` on stay as they
+        are.  After a full step ``spare`` holds the previous ``t``.
+        """
+        if self.s1 is None and sys.coupling != 0.0:
+            self.s1, self.s2, self._n1, self._n2 = np.zeros((4,) + self.t.shape)
+        t, g, s1, s2, n1, n2, e, w1, w2 = (
+            a if live is None or a is None else a[..., :live] for a in
+            (self.t, self.spare, self.s1, self.s2, self._n1, self._n2, self._e, self._w1, self._w2))
+        g, gp = sys.base_step(t, out=(g, w1))
+        n1, n2, e = sys.push_tangent(t, s1, s2, gp, out=(n1, n2, e, w1, w2))
+        if self.rng is not None:
+            # the generator fills only contiguous arrays, which a row prefix is not
+            dither(g, self.rng, out=g, work=w1 if live is None else None)
+        if live is None:
+            self.t, self.spare = g, t
+            if n1 is not None:      # a coupled push wrote the new slopes into the spare pair
+                self._n1, self._n2, self.s1, self.s2 = s1, s2, n1, n2
+        else:
+            t[...] = g
+            if n1 is not None:
+                s1[...], s2[...] = n1, n2
+        return e, gp
+
+
+# ---------------------------------------------------------------------------
 # unstable direction
 
 

@@ -35,14 +35,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import ModelSystem, circle_offset, dither_rng
-from .pliss import (
-    CocycleScan,
-    disk_grid_points,
-    geometric_grid,
-    hyperbolic_flags,
-    survival_curve,
-)
+from .dynamics import CocycleScan, ModelSystem, circle_offset, dither_rng
+from .pliss import disk_grid_points, geometric_grid, hyperbolic_flags, survival_curve
 
 SCHEMA_VERSION = 1
 
@@ -212,15 +206,15 @@ def step_partition(state: ConstructionState, sys: ModelSystem,
     ia = np.flatnonzero(state.R == 0)
     # every orbit advances, but carved points go back to their return image:
     # x_final is g^R of each element (test_return_images_frozen_at_carve_time
-    # pins it), and roaming orbits would slow the intermittent branch test;
-    # log_deriv stays frozen on them, as the log (g^R)' the structure keeps
-    a, gp = scan.advance(sys)
+    # and the construction digests pin it); log_deriv stays frozen on them,
+    # as the log (g^R)' the structure keeps
+    e, gp = scan.advance(sys)
     x_prev = scan.spare
     x_prev[ia] = scan.t[ia]
     scan.t, scan.spare = x_prev, scan.t
     # a carved point's Pliss sums are never read again
     bsum, bmin = state.bsum[ia], state.bmin[ia]
-    hyp = hyperbolic_flags(bsum, bmin, a[ia], math.log(params.sigma))
+    hyp = hyperbolic_flags(bsum, bmin, -np.log(e[ia]), math.log(params.sigma))
     state.bsum[ia], state.bmin[ia] = bsum, bmin
     ih = ia[hyp]
     state.last_hyp[ih] = n
@@ -537,29 +531,23 @@ def verify_pairs(structure: GibbsMarkovStructure, sys: ModelSystem,
     z = np.where(tiny, lo[:, None] + ((u1 + 0.5) % 1.0) * w, z).ravel()
     y = y.ravel()
     steps = np.repeat(structure.R[idx], k)
-    # y and z are the rows of one array, sorted by R so that step n pushes
+    # y and z are the rows of one scan, sorted by R so that step n pushes
     # only the pairs with n <= R; the fits below run in the original order
     order, live = _sorted_prefix(steps)
-    yz = np.stack([y, z])[:, order]
-    s1 = s2 = None      # horizontal; on an uncoupled system they stay so
+    scan = CocycleScan(np.stack([y, z])[:, order])
     logratio = np.zeros(len(y))
     # running max of d_n sigma^{n/2} for n < R gives the binding k at once
-    run_max = np.abs(circle_offset(yz[0], yz[1]))   # n = 0 term
+    run_max = np.abs(circle_offset(y[order], z[order]))   # n = 0 term
     for n, m in enumerate(live, 1):
-        g, gp = sys.base_step(yz[:, :m])
-        if s1 is not None:
-            s1, s2 = s1[:, :m], s2[:, :m]
-        s1, s2, e = sys.push_tangent(yz[:, :m], s1, s2, gp)
-        le = np.log(e)
+        le = np.log(scan.advance(sys, live=m)[0])
         # (sum + log e_y) - log e_z, not sum + (log e_y - log e_z): it rounds
         # like the pinned reports
         logratio[:m] = logratio[:m] + le[0] - le[1]
-        yz[:, :m] = g
-        d = np.abs(circle_offset(g[0], g[1]))
+        d = np.abs(circle_offset(scan.t[0, :m], scan.t[1, :m]))
         np.maximum(run_max[:m], d * sigma ** (n / 2.0), out=run_max[:m])
     # each pair stops at f^R, so d is dist(f^Ry, f^Rz)
     unsort = np.argsort(order)
-    d = np.abs(circle_offset(yz[0], yz[1]))[unsort]
+    d = np.abs(circle_offset(scan.t[0], scan.t[1]))[unsort]
     run_max, logratio = run_max[unsort], logratio[unsort]
 
     ratios = run_max / (sigma ** (steps / 2.0) * d)

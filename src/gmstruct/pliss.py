@@ -7,9 +7,10 @@ B_n for the prefix sums of b (B_0 = 0), this is equivalent to B_n being a
 record minimum: B_n <= B_m for all 0 <= m < n, which a running-minimum
 scan detects in linear time.
 
-:class:`CocycleScan` streams the a_n along many orbits at once, for the
-disk scan and the inducing construction.  Hyperbolic times only carve the
-partition, so only the construction applies :func:`hyperbolic_flags`.
+The disk scan and the inducing construction step their orbits with
+``dynamics.CocycleScan``, which returns the expansion ||Df|E^cu|| of each
+step, so a_n = -log expansion.  Hyperbolic times only carve the partition,
+so only the construction applies :func:`hyperbolic_flags`.
 
 The expansion time of an orbit is the first index N from which every
 running average of the a_j stays below -c.  On a finite horizon the tail
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ModelSystem, dither
+from .dynamics import CocycleScan, ModelSystem
 
 GUARD_FRAC = 0.1        # shortest certifying suffix of an uncensored E, per horizon
 GRID_RATIO = 1.25       # ratio of the geometric n-grids every curve is measured on
@@ -68,48 +69,6 @@ def disk_grid_points(center: float, radius: float, grid: int) -> np.ndarray:
     return (center - radius + h * (np.arange(grid) + 0.5)) % 1.0
 
 
-class CocycleScan:
-    """Streaming tangent cocycle along many orbits.
-
-    ``t`` holds the current base points and ``s1``/``s2`` their cu slopes:
-    None (horizontal) until a coupled step allocates them.  With ``rng``
-    every step is dithered.  The scan owns its work arrays, so a step
-    allocates only g'(t): ``spare`` receives g(t) and trades places with ``t``.
-    """
-
-    def __init__(self, points, rng=None):
-        self.t = np.array(points, dtype=float)
-        self.s1 = self.s2 = self._n1 = self._n2 = None
-        self.rng = rng
-        # g(t), a_n and two scratch rows in one block: as separate arrays,
-        # once freed, they left the peak RSS of a later stage about 2 MB
-        # higher (glibc keeps that heap)
-        self.spare, self._a, self._w1, self._w2 = np.empty((4, len(self.t)))
-
-    def advance(self, sys: ModelSystem):
-        """Step every orbit once; returns (a_n, g'(t_{n-1})) per orbit.
-
-        a_n lives in the scan's buffer: the next call overwrites it, so copy
-        it if it must outlive that.  ``spare`` holds the previous ``t`` until
-        then.
-        """
-        w1, w2 = self._w1, self._w2
-        if self.s1 is None and sys.coupling != 0.0:
-            self.s1, self.s2, self._n1, self._n2 = np.zeros((4, len(self.t)))
-        g, gp = sys.base_step(self.t, out=(self.spare, w1))
-        s1, s2, expansion = sys.push_tangent(self.t, self.s1, self.s2, gp,
-                                             out=(self._n1, self._n2, self._a, w1, w2))
-        a = np.log(expansion, out=self._a)
-        np.negative(a, out=a)
-        if s1 is not None:
-            # a coupled push wrote the new slopes into the spare pair
-            self._n1, self._n2, self.s1, self.s2 = self.s1, self.s2, s1, s2
-        self.t, self.spare = g, self.t
-        if self.rng is not None:
-            dither(self.t, self.rng, out=self.t, work=w1)
-        return a, gp
-
-
 def hyperbolic_flags(bsum, bmin, a, log_sigma: float):
     """Add a_n - log sigma to the prefix sums ``bsum`` in place; flags the record minima.
 
@@ -132,8 +91,9 @@ def disk_scan(sys: ModelSystem, points, horizon: int, c: float) -> DiskScan:
     ssum = np.zeros(m)            # prefix sum of a_j
     last_fail = np.zeros(m, dtype=np.int64)
     for n in range(1, horizon + 1):
-        a, _ = scan.advance(sys)
-        ssum += a
+        e, _ = scan.advance(sys)
+        # e is the scan's buffer or a new g'(t), so its log may overwrite it
+        ssum -= np.log(e, out=e)
         np.copyto(last_fail, n, where=(ssum >= -c * n))
     evalue = last_fail + 1
     censored = _censored(evalue, horizon)

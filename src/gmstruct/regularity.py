@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dynamics import ModelSystem, cu_directions, dither
+from .dynamics import CocycleScan, ModelSystem, cu_directions, dither
 from .errors import DegenerateSample
 
 GROWTH_DEPTH = 100          # forward growth steps defining an unstable curve
@@ -198,17 +198,13 @@ def _log_jacobian_terms(sys: ModelSystem, tau, slopes, slopes_prime, n_terms: in
     terms are log expansion(tau_i, s_i) - log expansion(tau_i, s'_i) with
     the slopes (s1, s2) of the two curves over tau pushed forward.
     """
-    # row 0 of each slope array is gamma's, row 1 gamma_prime's; None (horizontal) uncoupled
-    s1, s2 = (np.stack(p) for p in zip(slopes, slopes_prime)) if sys.coupling else (None, None)
-    t = tau
-    shape = (2,) + tau.shape
+    # row 0 carries gamma's slopes, row 1 gamma_prime's; None (horizontal) uncoupled
+    pairs = [np.stack(p) for p in zip(slopes, slopes_prime)] if sys.coupling else None
+    scan = CocycleScan(np.broadcast_to(tau, (2,) + tau.shape), slopes=pairs)
     terms = np.empty((n_terms,) + tau.shape)
     for i in range(n_terms):
-        g, gp = sys.base_step(t)
-        s1, s2, e = sys.push_tangent(np.broadcast_to(t, shape), s1, s2, np.broadcast_to(gp, shape))
-        e = np.log(e)
+        e = np.log(scan.advance(sys)[0])
         terms[i] = e[0] - e[1]
-        t = g
     return terms
 
 

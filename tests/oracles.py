@@ -10,10 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from gmstruct.dynamics import ModelSystem, cu_directions
+from gmstruct.dynamics import CocycleScan, ModelSystem, cu_directions
 from gmstruct.errors import GmstructError
 from gmstruct.inducing import WIDTH_FLOOR
-from gmstruct.pliss import CocycleScan, _censored, hyperbolic_flags
+from gmstruct.pliss import _censored, hyperbolic_flags
 
 
 class EmptySubset(GmstructError):
@@ -169,7 +169,7 @@ def hyperbolic_counts(sys: ModelSystem, points, horizon: int, sigma: float,
     max_neg_a = 0.0
     checkpoints = set(int(k) for k in checkpoints)
     for n in range(1, horizon + 1):
-        a, _ = scan.advance(sys)
+        a = -np.log(scan.advance(sys)[0])
         max_neg_a = max(max_neg_a, -float(np.min(a)))
         hyp_count += hyperbolic_flags(bsum, bmin, a, log_sigma)
         if n in checkpoints:

@@ -3,11 +3,13 @@
 import gc
 import json
 import os
+import platform
 import subprocess
 import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import gmstruct
@@ -126,6 +128,21 @@ def test_tails_stage_artifacts(quick_cfg, tmp_path):
     # auto fields echoed with the rule that produced them
     assert "inducing.epsilon" in man["auto_resolutions"]
     assert man["config_warnings"] == []
+
+
+def test_manifest_records_environment_outside_checksums(quick_cfg, tmp_path):
+    # the environment block names the interpreter and machine; the manifest
+    # is not checksummed, so two runs' artifacts still compare equal
+    mans = []
+    for name in ("a", "b"):
+        out = tmp_path / name
+        assert _run("tails", "--config", quick_cfg, "--out", str(out)) == 0
+        mans.append(json.loads((out / "manifest.json").read_text()))
+    env = mans[0]["environment"]
+    assert env == {"python": platform.python_version(), "numpy": np.__version__,
+                   "platform": platform.platform(), "cpu_count": os.cpu_count()}
+    assert "manifest.json" not in mans[0]["checksums"]
+    assert mans[0]["checksums"] == mans[1]["checksums"]
 
 
 def test_manifest_records_config_warnings(tmp_path):

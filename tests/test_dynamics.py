@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from gmstruct.dynamics import (
     DITHER,
     TWO_PI,
+    CocycleScan,
     Family,
     cu_directions,
     dither,
@@ -416,3 +417,35 @@ def test_intermittent_kernel_matches_two_branch_formula(alpha):
         for x in BRANCH_EDGES:
             _assert_bitwise(sys.base_step(x), _base_step_two_branch(sys, np.asarray(x)))
             _assert_bitwise(sys.base_map(x), _base_step_two_branch(sys, np.asarray(x))[0])
+
+
+@pytest.mark.parametrize("sys,given_slopes", [
+    (uniform_solenoid(), False),
+    (intermittent_solenoid(alpha=0.5, coupling=0.5), False),
+    (intermittent_solenoid(alpha=0.5, coupling=0.5), True),
+], ids=["uniform", "intermittent-coupled", "intermittent-coupled-slopes"])
+def test_scan_live_prefix_steps_like_a_fresh_scan(sys, given_slopes):
+    # k steps with live = m move the first m columns of a (2, n) batch, points
+    # and slopes, bit for bit like a fresh scan over those columns, and leave
+    # the columns from m on as they were
+    rng = np.random.default_rng(23)
+    n, m, k = 40, 17, 30
+    pts = rng.random((2, n))
+    slopes = rng.uniform(-0.5, 0.5, (2, 2, n)) if given_slopes else None
+    scan = CocycleScan(pts, slopes=slopes)
+    fresh = CocycleScan(pts[:, :m], slopes=None if slopes is None else slopes[:, :, :m])
+    for _ in range(k):
+        e, gp = scan.advance(sys, live=m)
+        want_e, want_gp = fresh.advance(sys)
+        assert e.shape == gp.shape == (2, m)
+        _assert_bitwise(e, want_e)
+        _assert_bitwise(gp, want_gp)
+    _assert_bitwise(scan.t[:, :m], fresh.t)
+    _assert_bitwise(scan.t[:, m:], pts[:, m:])
+    if sys.coupling == 0.0:
+        assert scan.s1 is None and fresh.s1 is None
+        return
+    start = np.zeros((2, 2, n)) if slopes is None else slopes
+    for got, want, first in zip((scan.s1, scan.s2), (fresh.s1, fresh.s2), start):
+        _assert_bitwise(got[:, :m], want)
+        _assert_bitwise(got[:, m:], first[:, m:])

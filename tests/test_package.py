@@ -39,3 +39,32 @@ def test_every_top_level_name_is_used_by_the_pipeline_or_the_bench():
                     name in r for j, r in enumerate(reads) if j != i):
                 unused.append(f"{path.stem}.{name}")
     assert unused == []
+
+
+def _callers(method):
+    """Top-level functions and class methods of the package that call ``<obj>.<method>(...)``."""
+    found = set()
+
+    def visit(node, scope, in_function):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)) and not in_function:
+                inner = scope + (child.name,)
+            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
+                    and child.func.attr == method):
+                found.add(".".join(scope))
+            visit(child, inner, in_function or isinstance(child, ast.FunctionDef))
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), (path.stem,), False)
+    return found
+
+
+def test_one_stepper_pushes_the_tangent_cocycle():
+    # every forward orbit with its tangent goes through CocycleScan.advance;
+    # cu_directions pushes along supplied (dithered) history rows, not along
+    # g(t), and Newton's replay steps the base alone
+    assert _callers("push_tangent") == {"dynamics.CocycleScan.advance",
+                                        "dynamics.cu_directions"}
+    assert _callers("base_step") == {"dynamics.CocycleScan.advance",
+                                     "inducing._evolve_with_deriv"}

@@ -9,11 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gmstruct.dynamics import intermittent_solenoid, uniform_solenoid
+from gmstruct.dynamics import CocycleScan, intermittent_solenoid, uniform_solenoid
 from gmstruct.pliss import (
     DISK_CENTER,
     DISK_RADIUS,
-    CocycleScan,
     disk_grid_points,
     disk_scan,
     expansion_tail,
@@ -105,8 +104,7 @@ def test_streaming_scan_matches_series_reference(sys, sigma):
     a = np.empty((n, 16))
     hyp = np.empty((n, 16), dtype=bool)
     for k in range(n):
-        # advance reuses its buffers: keep a copy of each step's a_n
-        a[k] = scan.advance(sys)[0]
+        a[k] = -np.log(scan.advance(sys)[0])
         hyp[k] = hyperbolic_flags(bsum, bmin, a[k], math.log(sigma))
     for j, t0 in enumerate(pts):
         series = log_contraction_series(sys, t0, n)
