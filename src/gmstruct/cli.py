@@ -31,8 +31,7 @@ from .inducing import (
     measure_flow_constants,
     return_tail,
     run_construction,
-    verify_markov,
-    verify_pairs,
+    verify_structure,
     write_structure_json,
 )
 from .pliss import expansion_tail, geometric_grid
@@ -83,16 +82,11 @@ def stage_induce(cfg: ExperimentConfig, out: Path, ctx: dict):
 
 def stage_verify(cfg: ExperimentConfig, out: Path, ctx: dict):
     sys_ = cfg.system()
-    # verify is the structure's last reader: taking it out of ctx frees it,
-    # with its (3, grid) edge cache, before the later stages run
+    # verify is the structure's last reader: popping it frees it for later stages
     structure = ctx.pop("structure", None)
     if structure is None:
         structure = run_construction(sys_, cfg.construction_params(), seed=cfg.seed)
-    doc = {
-        "markov": verify_markov(structure, sys_, seed=cfg.seed),
-        **verify_pairs(structure, sys_, seed=cfg.seed),
-        "construction_violations": structure.violations,
-    }
+    doc = verify_structure(structure, sys_, seed=cfg.seed)
     with open(out / "verify.json", "w") as fh:
         json.dump(doc, fh, indent=1)
     bad = (doc["markov"]["covering_violations"] + doc["markov"]["overlap_violations"]
@@ -168,7 +162,7 @@ def build_report(cfg: ExperimentConfig, out: Path) -> tuple[dict, dict]:
         flow = json.loads(present["flow.json"].read_text())
         doc["flow_constants"] = flow
         doc["checks"]["leftover_small"] = bool(flow["leftover_mass"] < 1e-3)
-        doc["checks"]["a0_positive"] = bool(flow["a0"] > 0.0)
+        doc["checks"]["a0_positive"] = flow["a0"] is not None and flow["a0"] > 0.0
         doc["checks"]["c1_positive"] = bool(flow["c1"] > 0.0)
 
     if present["verify.json"].exists():

@@ -19,11 +19,12 @@ wait values from the ring index of their image and count down.  Mass is
 accounted in exact integer grid-point counts, so per-step conservation
 is exact.
 
-True element intervals are recovered on demand by Newton root-finding
-on the base coordinate (solving for image offset = +-delta0), which is
-possible whenever the element is wide enough for double precision; the
-verification routines restrict themselves to such elements and report
-how many were skipped.
+True element intervals are recovered by Newton root-finding on the base
+coordinate (solving for image offset = +-delta0), which is possible
+whenever the element is wide enough for double precision.
+``verify_structure`` draws one sample of such elements, solves their edges
+once, and checks (P1) and (P3)/(P4) on the same intervals; ``markov.skipped``
+counts the carved samples left out.
 """
 
 from __future__ import annotations
@@ -294,8 +295,6 @@ class GibbsMarkovStructure:
     elem_hi: np.ndarray = field(init=False)
     left_lo: np.ndarray = field(init=False)
     left_hi: np.ndarray = field(init=False)
-    # element_edges cache: rows lo, hi, residual per grid point, NaN unsolved
-    _edges: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
         brk = np.flatnonzero(self.R[1:] != self.R[:-1]) + 1
@@ -381,7 +380,7 @@ def _newton_edges(sys, t0, steps, center, targets, max_move):
         better = np.abs(err) < best_err
         np.copyto(best_t, t, where=better)
         np.copyto(best_err, np.abs(err), where=better)
-        if np.max(best_err) < NEWTON_TOL:
+        if np.max(best_err, initial=0.0) < NEWTON_TOL:
             break
         t = np.clip(t - err / der, lo, hi)
     return best_t, best_err
@@ -391,32 +390,26 @@ def element_edges(structure: GibbsMarkovStructure, sys: ModelSystem, idx):
     """Refined (lo, hi) base intervals of the elements holding the given points.
 
     ``idx`` holds grid-point indices (carved samples); each is solved for
-    the interval its g^R maps onto the radius-delta0 arc around p.  Results
-    are cached by point index.
+    the interval its g^R maps onto the radius-delta0 arc around p, the -delta0
+    edges in one Newton batch and then the +delta0 edges in another.  The
+    third value is the worst residual of both batches.
     """
     idx = np.asarray(idx, dtype=np.int64)
     d0 = structure.params.delta0
-    if structure._edges is None:
-        structure._edges = np.full((3, structure.grid_size), np.nan)
-    cache = structure._edges
-    miss = idx[np.isnan(cache[0, idx])]
-    if len(miss):
-        steps = structure.R[miss]
-        # both edges are seeded from the carved sample itself, which sits
-        # inside the true element up to dither drift (~2^-50 in base
-        # coordinate).  The search clamp only spans the pullback of the
-        # target offset -- never a whole grid cell, which would let the
-        # solve escape into a neighboring injectivity branch of g^R once
-        # elements are narrower than a cell.
-        t_seed = structure.points[miss]
-        move = 1e-12 + 8.0 * d0 * np.exp(-structure.log_deriv_carve[miss])
-        lo_vals, e1 = _newton_edges(sys, t_seed, steps, structure.p_base,
-                                    np.full(len(miss), -d0), move)
-        hi_vals, e2 = _newton_edges(sys, t_seed, steps, structure.p_base,
-                                    np.full(len(miss), d0), move)
-        cache[:, miss] = lo_vals, hi_vals, np.maximum(e1, e2)
-    lo, hi, err = cache[:, idx]
-    return lo, hi, float(np.max(err)) if len(idx) else 0.0
+    steps = structure.R[idx]
+    # both edges are seeded from the carved sample itself, which sits
+    # inside the true element up to dither drift (~2^-50 in base
+    # coordinate).  The search clamp only spans the pullback of the
+    # target offset -- never a whole grid cell, which would let the
+    # solve escape into a neighboring injectivity branch of g^R once
+    # elements are narrower than a cell.
+    t_seed = structure.points[idx]
+    move = 1e-12 + 8.0 * d0 * np.exp(-structure.log_deriv_carve[idx])
+    lo, e1 = _newton_edges(sys, t_seed, steps, structure.p_base,
+                           np.full(len(idx), -d0), move)
+    hi, e2 = _newton_edges(sys, t_seed, steps, structure.p_base,
+                           np.full(len(idx), d0), move)
+    return lo, hi, float(np.max(np.maximum(e1, e2), initial=0.0))
 
 
 def _verifiable_elements(structure, max_elements, seed):
@@ -445,32 +438,35 @@ def _verifiable_elements(structure, max_elements, seed):
 # verification
 
 
+def verify_structure(structure: GibbsMarkovStructure, sys: ModelSystem, seed: int = 0,
+                     max_elements: int = 400, pairs_per_element: int = 8) -> dict:
+    """The ``verify.json`` document: (P1), (P3) and (P4) on one element sample.
+
+    One ``_verifiable_elements`` sample, refined by one ``element_edges``
+    solve, feeds both ``verify_markov`` and ``verify_pairs``.
+    """
+    idx = _verifiable_elements(structure, max_elements, seed)
+    lo, hi, err = element_edges(structure, sys, idx)
+    steps = structure.R[idx]
+    return {"markov": verify_markov(structure, sys, lo, hi, steps, err),
+            **verify_pairs(structure, sys, lo, hi, steps, pairs_per_element, seed),
+            "construction_violations": structure.violations}
+
+
 def verify_markov(structure: GibbsMarkovStructure, sys: ModelSystem,
-                  max_elements: int = 400, seed: int = 0, intervals=None) -> dict:
+                  lo, hi, steps, err: float) -> dict:
     """Check (P1): disjoint elements whose f^R images cover the delta0 arc.
 
-    ``intervals`` may supply explicit (lo, hi, R) triples (used by negative
-    tests); otherwise elements are refined from the structure, restricted
-    to those wide enough to resolve in double precision.
+    Element i is [lo[i], hi[i]] with return time steps[i].  ``err``, the
+    worst residual of the edge solve (0 for exact intervals), widens the edge
+    tolerance.  ``skipped`` counts the structure's carved samples not checked.
     """
-    report = {"checked": 0, "skipped": 0, "covering_violations": 0,
-              "overlap_violations": 0, "max_edge_err": 0.0, "duplicates": 0}
+    report = {"checked": len(lo),
+              "skipped": int(np.count_nonzero(structure.R > 0)) - len(lo),
+              "covering_violations": 0, "overlap_violations": 0,
+              "max_edge_err": err, "duplicates": 0}
     d0 = structure.params.delta0
     p = structure.p_base
-    if intervals is None:
-        idx = _verifiable_elements(structure, max_elements, seed)
-        report["skipped"] = int(np.count_nonzero(structure.R > 0)) - len(idx)
-        if len(idx) == 0:
-            return report
-        lo, hi, err = element_edges(structure, sys, idx)
-        steps = structure.R[idx]
-        report["max_edge_err"] = err
-    else:
-        lo = np.array([iv[0] for iv in intervals])
-        hi = np.array([iv[1] for iv in intervals])
-        steps = np.array([iv[2] for iv in intervals], dtype=np.int64)
-        err = 0.0
-    report["checked"] = len(lo)
     # covering: the endpoint images must hit the arc boundary, and the map
     # must be monotone across the element (checked at interior samples)
     ends, _ = _evolve_with_deriv(sys, np.concatenate([lo, hi, lo + 0.5 * (hi - lo)]),
@@ -492,9 +488,8 @@ def verify_markov(structure: GibbsMarkovStructure, sys: ModelSystem,
 
 
 def verify_pairs(structure: GibbsMarkovStructure, sys: ModelSystem,
-                 pairs_per_element: int = 8, max_elements: int = 300,
-                 seed: int = 0) -> dict:
-    """Check (P3) and (P4) on one pair sample inside refined element intervals.
+                 lo, hi, steps, pairs_per_element: int, seed: int) -> dict:
+    """Check (P3) and (P4) on pairs (y, z) drawn inside each [lo[i], hi[i]].
 
     (P3): dist(f^{R-k}y, f^{R-k}z) <= C sigma^{k/2} dist(f^Ry, f^Rz).  C_fit
     is the smallest constant making every sampled pair pass, so the
@@ -508,21 +503,17 @@ def verify_pairs(structure: GibbsMarkovStructure, sys: ModelSystem,
     residuals are reported separately.
     """
     sigma = structure.params.sigma
-    idx = _verifiable_elements(structure, max_elements, seed)
-    skipped = int(np.count_nonzero(structure.R > 0)) - len(idx)
     back = {"C_fit": 0.0, "violations": 0, "pairs": 0,
-            "skipped_elements": skipped, "ratio_p50": 0.0, "ratio_p90": 0.0}
+            "ratio_p50": 0.0, "ratio_p90": 0.0}
     dist = {"C2_fit": 0.0, "eta_fit": 1.0, "max_residual_factor": 0.0,
-            "r_squared": 1.0, "pairs": 0, "exact_zero": False,
-            "skipped_elements": skipped}
+            "r_squared": 1.0, "pairs": 0, "exact_zero": False}
     out = {"backward_contraction": back, "distortion": dist}
-    if len(idx) == 0:
+    if len(lo) == 0:
         return out
-    lo, hi, _ = element_edges(structure, sys, idx)
     rng = np.random.default_rng(seed)
     k = pairs_per_element
-    u1 = rng.random((len(idx), k))
-    u2 = rng.random((len(idx), k))
+    u1 = rng.random((len(lo), k))
+    u2 = rng.random((len(lo), k))
     w = (hi - lo)[:, None]
     y = lo[:, None] + u1 * w
     z = lo[:, None] + u2 * w
@@ -530,7 +521,7 @@ def verify_pairs(structure: GibbsMarkovStructure, sys: ModelSystem,
     tiny = np.abs(u1 - u2) < 0.05
     z = np.where(tiny, lo[:, None] + ((u1 + 0.5) % 1.0) * w, z).ravel()
     y = y.ravel()
-    steps = np.repeat(structure.R[idx], k)
+    steps = np.repeat(steps, k)
     # y and z are the rows of one scan, sorted by R so that step n pushes
     # only the pairs with n <= R; the fits below run in the original order
     order, live = _sorted_prefix(steps)
@@ -633,7 +624,7 @@ def measure_flow_constants(structure: GibbsMarkovStructure) -> dict:
         num = int(np.sum(carved_at[n:hi + 1]))
         ratio = num / den
         c1 = ratio if c1 is None else min(c1, ratio)
-    return {"a0": a0 if a0 is not None else 1.0, "b0": b0, "c0": c0,
+    return {"a0": a0, "b0": b0, "c0": c0,
             "a0_zero_steps": a0_zero_steps,
             "c1": c1 if c1 is not None else 0.0, "window_N": window,
             "c1_censored_steps": censored,

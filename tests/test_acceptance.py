@@ -23,8 +23,7 @@ from gmstruct.inducing import (
     measure_flow_constants,
     return_tail,
     run_construction,
-    verify_markov,
-    verify_pairs,
+    verify_structure,
 )
 from gmstruct.pliss import (
     disk_grid_points,
@@ -228,16 +227,17 @@ def test_criterion_6_verification(which, uniform_structure,
         st, sys_ = uniform_structure[0], UNIFORM
     else:
         st, sys_ = intermittent_structure, INTERMITTENT_05
-    markov = verify_markov(st, sys_, seed=0)
+    doc = verify_structure(st, sys_, seed=0, pairs_per_element=8)
+    markov = doc["markov"]
     assert markov["covering_violations"] == 0
     assert markov["overlap_violations"] == 0
 
-    back = verify_pairs(st, sys_, pairs_per_element=8, seed=0)["backward_contraction"]
+    back = doc["backward_contraction"]
     assert np.isfinite(back["C_fit"]) and back["C_fit"] > 0.0
-    double = verify_pairs(st, sys_, pairs_per_element=16, seed=0)["backward_contraction"]
+    double = verify_structure(st, sys_, seed=0, pairs_per_element=16)["backward_contraction"]
     assert abs(double["C_fit"] - back["C_fit"]) <= 0.1 * back["C_fit"]
 
-    dist = verify_pairs(st, sys_, seed=0)["distortion"]
+    dist = doc["distortion"]
     assert dist["max_residual_factor"] <= 2.0
 
 
@@ -301,8 +301,8 @@ def test_criterion_8_a0_ring_prediction(flow_sweeps, intermittent_structure):
     # model with nonzero distortion, so a0 is checked on the intermittent
     # sweep with C2 fitted from its own structure
     inter, _ = flow_sweeps
-    c2 = verify_pairs(intermittent_structure, INTERMITTENT_05,
-                      seed=0)["distortion"]["C2_fit"]
+    c2 = verify_structure(intermittent_structure, INTERMITTENT_05,
+                          seed=0)["distortion"]["C2_fit"]
     slack = math.exp(min(c2, 500.0))
     for d0, fc in inter.items():
         assert fc["a0"] > 0.0, d0

@@ -16,6 +16,8 @@ import gmstruct
 from gmstruct import cli
 from gmstruct.cli import STAGE_ORDER, build_report, main
 from gmstruct.config import load_config
+from gmstruct.dynamics import uniform_solenoid
+from gmstruct.inducing import ConstructionParams, measure_flow_constants, run_construction
 
 QUICK = """
 system.family = uniform
@@ -310,7 +312,7 @@ PINNED_CHECKSUMS = {
     "tail_R.csv":
         "30d80893cf91e94328f1a9354bc9591f4432ee58b65a25b87d84c97c252c4cae",
     "verify.json":
-        "8e18af8afe0131623ed803d29873b78b106864f01d1e68ae4be8d7b90e3c1f03",
+        "d1f3e1d39b6f96c835d6e0744dfe5a69682b83e80987ef70619b72a9be9e11cf",
 }
 
 
@@ -318,6 +320,30 @@ def test_checksums_match_pinned(full_run):
     _, out = full_run
     man = json.loads((out / "manifest.json").read_text())
     assert man["checksums"] == PINNED_CHECKSUMS
+
+
+def test_verify_markov_block_pinned(full_run):
+    # exact (P1) block of the QUICK run: (P3)/(P4) read the same element
+    # sample and edge solve, and must not move it
+    _, out = full_run
+    doc = json.loads((out / "verify.json").read_text())
+    assert json.dumps(doc["markov"]) == json.dumps({
+        "checked": 165, "skipped": 478, "covering_violations": 0,
+        "overlap_violations": 0, "max_edge_err": 1.3462775911438074e-08,
+        "duplicates": 0})
+
+
+def test_report_fails_a0_when_no_step_measured_it(tmp_path, quick_cfg):
+    # n_max below R0: no step has waiting mass, so flow.json carries a0 null
+    params = ConstructionParams(delta0=0.02, sigma=0.51, c=0.5, n_max=10,
+                                resolution=2.0 ** -10)
+    st = run_construction(uniform_solenoid(lambda_s=0.25), params, p_base=0.37)
+    flow = dict(measure_flow_constants(st), leftover_mass=st.leftover_mass())
+    assert flow["a0"] is None
+    (tmp_path / "flow.json").write_text(json.dumps(flow))
+    doc, _ = build_report(load_config(quick_cfg), tmp_path)
+    assert doc["checks"]["a0_positive"] is False
+    assert doc["checks"]["c1_positive"] is False
 
 
 def test_report_check_exit_4(full_run, quick_cfg):

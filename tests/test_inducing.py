@@ -26,7 +26,7 @@ from gmstruct.inducing import (
     step_partition,
     structure_to_json,
     verify_markov,
-    verify_pairs,
+    verify_structure,
     write_structure_json,
 )
 from oracles import mass_counts, verifiable_elements
@@ -241,7 +241,7 @@ def test_elements_partition_carved_points(uniform_structure):
 
 def test_markov_property_uniform(uniform_structure):
     st, _ = uniform_structure
-    rep = verify_markov(st, UNIFORM, max_elements=200, seed=3)
+    rep = verify_structure(st, UNIFORM, seed=3, max_elements=200)["markov"]
     assert rep["checked"] > 50
     assert rep["covering_violations"] == 0
     assert rep["overlap_violations"] == 0
@@ -249,7 +249,7 @@ def test_markov_property_uniform(uniform_structure):
 
 def test_markov_property_intermittent(intermittent_structure):
     st, _ = intermittent_structure
-    rep = verify_markov(st, INTERMITTENT, max_elements=200, seed=3)
+    rep = verify_structure(st, INTERMITTENT, seed=3, max_elements=200)["markov"]
     assert rep["checked"] > 50
     assert rep["covering_violations"] == 0
     assert rep["overlap_violations"] == 0
@@ -258,8 +258,8 @@ def test_markov_property_intermittent(intermittent_structure):
 def test_markov_detects_synthetic_overlap(uniform_structure):
     st, _ = uniform_structure
     # two genuinely overlapping, non-duplicate intervals
-    bad = [(0.352, 0.360, 25), (0.355, 0.363, 25)]
-    rep = verify_markov(st, UNIFORM, intervals=bad)
+    rep = verify_markov(st, UNIFORM, np.array([0.352, 0.355]), np.array([0.360, 0.363]),
+                        np.array([25, 25]), 0.0)
     assert rep["overlap_violations"] >= 1
 
 
@@ -267,45 +267,43 @@ def test_markov_detects_broken_covering(uniform_structure):
     st, _ = uniform_structure
     idx = np.flatnonzero(st.R == int(st.element_R().min()))[:1]
     lo, hi, _ = element_edges(st, UNIFORM, idx)
-    r = int(st.R[idx[0]])
     # chop the element in half: its image no longer reaches +delta0
-    rep = verify_markov(st, UNIFORM,
-                        intervals=[(float(lo[0]), float(lo[0] + 0.5 * (hi[0] - lo[0])), r)])
+    rep = verify_markov(st, UNIFORM, lo, lo + 0.5 * (hi - lo), st.R[idx], 0.0)
     assert rep["covering_violations"] == 1
 
 
 def test_backward_contraction_uniform_exact(uniform_structure):
     # each backward step contracts by 2 > sigma^{-1/2}, so C = 1 exactly
     st, _ = uniform_structure
-    rep = verify_pairs(st, UNIFORM, max_elements=100, seed=3)["backward_contraction"]
+    rep = verify_structure(st, UNIFORM, seed=3, max_elements=100)["backward_contraction"]
     assert rep["pairs"] > 100
     assert rep["C_fit"] == pytest.approx(1.0, abs=1e-9)
-    again = verify_pairs(st, UNIFORM, max_elements=100, seed=3,
-                         pairs_per_element=16)["backward_contraction"]
+    again = verify_structure(st, UNIFORM, seed=3, max_elements=100,
+                             pairs_per_element=16)["backward_contraction"]
     assert abs(again["C_fit"] - rep["C_fit"]) <= 0.1 * rep["C_fit"]
 
 
 def test_backward_contraction_intermittent(intermittent_structure):
     st, _ = intermittent_structure
-    rep = verify_pairs(st, INTERMITTENT, max_elements=100, seed=3)["backward_contraction"]
+    rep = verify_structure(st, INTERMITTENT, seed=3, max_elements=100)["backward_contraction"]
     assert rep["pairs"] > 100
     assert rep["C_fit"] < 10.0
-    again = verify_pairs(st, INTERMITTENT, max_elements=100, seed=3,
-                         pairs_per_element=16)["backward_contraction"]
+    again = verify_structure(st, INTERMITTENT, seed=3, max_elements=100,
+                             pairs_per_element=16)["backward_contraction"]
     assert abs(again["C_fit"] - rep["C_fit"]) <= 0.1 * max(rep["C_fit"], again["C_fit"])
 
 
 def test_distortion_uniform_exactly_zero(uniform_structure):
     # constant derivative: log det ratios vanish identically
     st, _ = uniform_structure
-    rep = verify_pairs(st, UNIFORM, max_elements=100, seed=3)["distortion"]
+    rep = verify_structure(st, UNIFORM, seed=3, max_elements=100)["distortion"]
     assert rep["exact_zero"]
     assert rep["C2_fit"] == 0.0
 
 
 def test_distortion_intermittent_holder(intermittent_structure):
     st, _ = intermittent_structure
-    rep = verify_pairs(st, INTERMITTENT, max_elements=100, seed=3)["distortion"]
+    rep = verify_structure(st, INTERMITTENT, seed=3, max_elements=100)["distortion"]
     assert not rep["exact_zero"]
     assert 0.3 < rep["eta_fit"] <= 1.1
     assert rep["C2_fit"] > 0.0
@@ -317,15 +315,15 @@ def test_verify_pairs_intermittent_pinned(intermittent_structure):
     # verify_pairs replaced, taken under numpy 2.4.6, Python 3.11.7 on
     # x86-64 (another numpy or libm may round differently and fail this test)
     st, _ = intermittent_structure
-    rep = verify_pairs(st, INTERMITTENT, max_elements=100, seed=3)
+    rep = verify_structure(st, INTERMITTENT, seed=3, max_elements=100)
     assert rep["backward_contraction"] == {
-        "C_fit": 1.0, "violations": 0, "pairs": 800, "skipped_elements": 556,
+        "C_fit": 1.0, "violations": 0, "pairs": 800,
         "ratio_p50": 1.0, "ratio_p90": 1.0}
     assert rep["distortion"] == {
         "C2_fit": 1.3631813351879225, "eta_fit": 0.8825882890942276,
         "max_residual_factor": 1.0000000000000004,
         "r_squared": 0.23655618932649414, "pairs": 800, "exact_zero": False,
-        "skipped_elements": 556, "ls_intercept": -1.6521455188710494}
+        "ls_intercept": -1.6521455188710494}
 
 
 # exact (P3) and (P4) reports of the masked pair loop on one small coupled
@@ -336,22 +334,20 @@ PAIRS_COUPLED = {
     "uniform": (uniform_solenoid(coupling=1.0), dict(sigma=0.51, c=0.5), {
         "backward_contraction": {
             "C_fit": 1.0000000000000002, "violations": 0, "pairs": 800,
-            "skipped_elements": 555, "ratio_p50": 1.0, "ratio_p90": 1.0},
+            "ratio_p50": 1.0, "ratio_p90": 1.0},
         "distortion": {
             "C2_fit": 0.08418832329470706, "eta_fit": 1.019864044501605,
             "max_residual_factor": 1.0, "r_squared": 0.8366005759188653, "pairs": 800,
-            "exact_zero": False, "skipped_elements": 555,
-            "ls_intercept": -2.987954371931574}}),
+            "exact_zero": False, "ls_intercept": -2.987954371931574}}),
     "intermittent": (intermittent_solenoid(alpha=0.5, lambda_s=0.5, coupling=1.0),
                      dict(sigma=0.8, c=0.1), {
         "backward_contraction": {
             "C_fit": 1.0, "violations": 0, "pairs": 800,
-            "skipped_elements": 549, "ratio_p50": 1.0, "ratio_p90": 1.0},
+            "ratio_p50": 1.0, "ratio_p90": 1.0},
         "distortion": {
             "C2_fit": 3.0813181026025713, "eta_fit": 1.0149456800386791,
             "max_residual_factor": 1.0, "r_squared": 0.40009205897779454, "pairs": 800,
-            "exact_zero": False, "skipped_elements": 549,
-            "ls_intercept": -0.28187567862742197}}),
+            "exact_zero": False, "ls_intercept": -0.28187567862742197}}),
 }
 
 
@@ -361,7 +357,8 @@ def test_verify_pairs_coupled_pinned(case):
     st = run_construction(sys_, ConstructionParams(delta0=0.02, n_max=200,
                                                    resolution=2.0 ** -14, **params),
                           p_base=0.37)
-    assert verify_pairs(st, sys_, max_elements=100, seed=3) == want
+    rep = verify_structure(st, sys_, seed=3, max_elements=100)
+    assert {k: rep[k] for k in want} == want
 
 
 def _evolve_masked(sys, t, steps):
@@ -427,11 +424,20 @@ def test_empty_construction(uniform_structure):
     assert len(st.elem_lo) == 0
     assert st.leftover_mass() == 1.0
     assert st.nonconvergent
-    rep = verify_markov(st, UNIFORM)
-    assert rep["checked"] == 0
-    # the report has one schema whether or not any element was checked
+    # no step had waiting mass, so a0 was not measured
+    assert measure_flow_constants(st)["a0"] is None
+    rep = verify_structure(st, UNIFORM)
+    assert rep["markov"]["checked"] == 0
+    assert rep["backward_contraction"]["pairs"] == 0
+    # the document has one schema whether or not any element was checked
     st_full, _ = uniform_structure
-    assert list(rep) == list(verify_markov(st_full, UNIFORM, max_elements=10))
+    full = verify_structure(st_full, UNIFORM, max_elements=10)
+    assert full["markov"]["checked"] == 10
+
+    def schema(doc):
+        return {k: list(v) if isinstance(v, dict) else None for k, v in doc.items()}
+
+    assert list(rep) == list(full) and schema(rep) == schema(full)
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,8 @@ def test_every_top_level_name_is_used_by_the_pipeline_or_the_bench():
 
 
 def _callers(method):
-    """Top-level functions and class methods of the package that call ``<obj>.<method>(...)``."""
+    """Top-level functions and class methods of the package that call
+    ``<obj>.<method>(...)`` or ``<method>(...)``."""
     found = set()
 
     def visit(node, scope, in_function):
@@ -50,8 +51,8 @@ def _callers(method):
             inner = scope
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)) and not in_function:
                 inner = scope + (child.name,)
-            if (isinstance(child, ast.Call) and isinstance(child.func, ast.Attribute)
-                    and child.func.attr == method):
+            if isinstance(child, ast.Call) and method in (
+                    getattr(child.func, "attr", None), getattr(child.func, "id", None)):
                 found.add(".".join(scope))
             visit(child, inner, in_function or isinstance(child, ast.FunctionDef))
 
@@ -68,3 +69,14 @@ def test_one_stepper_pushes_the_tangent_cocycle():
                                         "dynamics.cu_directions"}
     assert _callers("base_step") == {"dynamics.CocycleScan.advance",
                                      "inducing._evolve_with_deriv"}
+
+
+def test_one_element_sample_feeds_every_verify_check():
+    # (P1), (P3) and (P4) read one sample and one edge solve, so no second
+    # sample and no edge cache on the structure
+    for name in ("_verifiable_elements", "element_edges"):
+        assert _callers(name) == {"inducing.verify_structure"}, name
+    tree = ast.parse((PACKAGE / "inducing.py").read_text())
+    cls = next(n for n in tree.body
+               if isinstance(n, ast.ClassDef) and n.name == "GibbsMarkovStructure")
+    assert "_edges" not in {n.target.id for n in cls.body if isinstance(n, ast.AnnAssign)}
