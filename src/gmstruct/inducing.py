@@ -39,7 +39,7 @@ import numpy as np
 from .dynamics import CocycleScan, ModelSystem, circle_offset, dither_rng
 from .pliss import disk_grid_points, geometric_grid, hyperbolic_flags, survival_curve
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 # ---------------------------------------------------------------------------
@@ -158,12 +158,11 @@ class ConstructionState:
     scan: CocycleScan        # g^n of each point (frozen at carve time), cu slopes
     bsum: np.ndarray         # Pliss prefix sums B_n (valid on active points)
     bmin: np.ndarray         # min of B_m over m < n (valid on active points)
-    last_hyp: np.ndarray
+    last_hyp: np.ndarray     # last sigma-hyperbolic time; the N0 gate reads it
     log_deriv: np.ndarray    # log (g^n)' along the orbit (frozen at carve time)
-    log_deriv_hyp: np.ndarray
+    log_deriv_hyp: np.ndarray  # log_deriv at last_hyp
     t: np.ndarray            # wait function t_n (valid on active points)
     R: np.ndarray            # return time; 0 = not carved
-    n_hyp: np.ndarray        # hyperbolic-time tag of carved points
     violations: int = 0
     trace: list = field(default_factory=list)
 
@@ -184,8 +183,7 @@ def init_state(params: ConstructionParams, p_base: float, seed: int = 0) -> Cons
         n=0, p_base=p_base, points=pts, scan=scan, bsum=z.copy(), bmin=z.copy(),
         last_hyp=np.zeros(m, dtype=np.int64),
         log_deriv=z.copy(), log_deriv_hyp=z.copy(),
-        t=np.zeros(m, dtype=np.int64), R=np.zeros(m, dtype=np.int64),
-        n_hyp=np.zeros(m, dtype=np.int64))
+        t=np.zeros(m, dtype=np.int64), R=np.zeros(m, dtype=np.int64))
 
 
 def _stable_burn_in(sys: ModelSystem) -> int:
@@ -259,7 +257,6 @@ def step_partition(state: ConstructionState, sys: ModelSystem,
         # carve {R = n}
         ic = ia[carve]
         state.R[ic] = n
-        state.n_hyp[ic] = state.last_hyp[ic]
         # three-case wait update on the active points
         new_t = np.where(t_prev > 0, t_prev - 1, 0)
         new_t[ring] = params.ring_index(d[ring])
@@ -284,17 +281,14 @@ class GibbsMarkovStructure:
     p_base: float
     points: np.ndarray
     R: np.ndarray              # per grid point; 0 = leftover
-    n_hyp: np.ndarray
     log_deriv_carve: np.ndarray  # log (g^R)' on carved points
     x_final: np.ndarray        # g^R at carve time (g^{n_max} on leftover)
     violations: int
     trace: list
-    # grid-index runs of equal R (first and last index): elements have R > 0,
-    # the leftover R = 0
+    # grid-index runs of equal R > 0 (first and last index); a run is not an
+    # element, which at fine resolutions is far narrower than a cell
     elem_lo: np.ndarray = field(init=False)
     elem_hi: np.ndarray = field(init=False)
-    left_lo: np.ndarray = field(init=False)
-    left_hi: np.ndarray = field(init=False)
 
     def __post_init__(self):
         brk = np.flatnonzero(self.R[1:] != self.R[:-1]) + 1
@@ -302,7 +296,6 @@ class GibbsMarkovStructure:
         ends = np.concatenate([brk - 1, [len(self.R) - 1]])
         carved = self.R[starts] > 0
         self.elem_lo, self.elem_hi = starts[carved], ends[carved]
-        self.left_lo, self.left_hi = starts[~carved], ends[~carved]
 
     @property
     def grid_size(self):
@@ -312,9 +305,6 @@ class GibbsMarkovStructure:
     def nonconvergent(self):
         """More than half the arc was left unpartitioned."""
         return self.leftover_mass() > 0.5
-
-    def element_R(self):
-        return self.R[self.elem_lo]
 
     def leftover_mass(self):
         return float(np.count_nonzero(self.R == 0)) / self.grid_size
@@ -334,7 +324,7 @@ def run_construction(sys: ModelSystem, params: ConstructionParams,
         step_partition(state, sys, params)
     return GibbsMarkovStructure(
         params=params, p_base=p_base, points=state.points, R=state.R,
-        n_hyp=state.n_hyp, log_deriv_carve=state.log_deriv,
+        log_deriv_carve=state.log_deriv,
         x_final=state.scan.t, violations=state.violations, trace=state.trace)
 
 
@@ -506,7 +496,7 @@ def verify_pairs(structure: GibbsMarkovStructure, sys: ModelSystem,
     back = {"C_fit": 0.0, "violations": 0, "pairs": 0,
             "ratio_p50": 0.0, "ratio_p90": 0.0}
     dist = {"C2_fit": 0.0, "eta_fit": 1.0, "max_residual_factor": 0.0,
-            "r_squared": 1.0, "pairs": 0, "exact_zero": False}
+            "r_squared": 1.0, "pairs": 0, "exact_zero": False, "ls_intercept": None}
     out = {"backward_contraction": back, "distortion": dist}
     if len(lo) == 0:
         return out
@@ -635,26 +625,16 @@ def measure_flow_constants(structure: GibbsMarkovStructure) -> dict:
 # serialization
 
 
-def structure_to_json(structure: GibbsMarkovStructure) -> dict:
-    """JSON document with element intervals, leftover, params and gcd."""
-    cell = structure.params.cell_width
+def write_structure_json(structure: GibbsMarkovStructure, path):
+    """Write the structure's scalars: leftover mass, gcd of R, violations,
+    the non-convergence flag, the base point and the construction constants.
 
-    def arcs(first, last):
-        # outer edges of the first and last grid cells of each run
-        return zip((structure.points[first] - 0.5 * cell) % 1.0,
-                   (structure.points[last] + 0.5 * cell) % 1.0)
-
-    elements = [{"lo": float(a), "hi": float(b), "R": int(r), "n_hyp": int(h)}
-                for (a, b), r, h in zip(arcs(structure.elem_lo, structure.elem_hi),
-                                        structure.element_R(),
-                                        structure.n_hyp[structure.elem_lo])]
-    leftover = [{"lo": float(a), "hi": float(b)}
-                for a, b in arcs(structure.left_lo, structure.left_hi)]
+    The elements themselves are not listed: a grid-cell run is not an
+    element, and a standalone ``verify`` re-runs the construction.
+    """
     p = structure.params
-    return {
+    doc = {
         "schema": SCHEMA_VERSION,
-        "elements": elements,
-        "leftover": leftover,
         "leftover_mass": structure.leftover_mass(),
         "gcd_R": structure.gcd_R(),
         "violations": structure.violations,
@@ -665,24 +645,5 @@ def structure_to_json(structure: GibbsMarkovStructure) -> dict:
                    "R0": p.R0, "sigma": p.sigma, "c": p.c, "n_max": p.n_max,
                    "resolution": p.resolution},
     }
-
-
-def write_structure_json(structure: GibbsMarkovStructure, path):
-    """``json.dump(structure_to_json(structure), fh, indent=1)``, byte for byte.
-
-    An indent sends ``json`` to its pure-Python encoder, so the element
-    records, nearly all of the file, are formatted here in its layout and
-    streamed to the file one by one.
-    """
-    doc = structure_to_json(structure)
-    elements, doc["elements"] = doc["elements"], []
-    head, tail = json.dumps(doc, indent=1).split('"elements": []', 1)
     with open(path, "w") as fh:
-        fh.write(head + ('"elements": [\n' if elements else '"elements": []'))
-        sep = ""
-        for e in elements:
-            # json writes a finite float as its repr; lo and hi are in [0, 1)
-            fh.write(f'{sep}  {{\n   "lo": {e["lo"]!r},\n   "hi": {e["hi"]!r},\n'
-                     f'   "R": {e["R"]},\n   "n_hyp": {e["n_hyp"]}\n  }}')
-            sep = ",\n"
-        fh.write(("\n ]" if elements else "") + tail)
+        json.dump(doc, fh, indent=1)

@@ -225,6 +225,16 @@ def test_report_contents(full_run):
     assert "checks:" in text
 
 
+def test_structure_json_agrees_with_flow_json(full_run):
+    _, out = full_run
+    doc = json.loads((out / "structure.json").read_text())
+    flow = json.loads((out / "flow.json").read_text())
+    assert list(doc) == ["schema", "leftover_mass", "gcd_R", "violations",
+                         "nonconvergent", "p_base", "params"]
+    assert doc["schema"] == 2
+    assert (doc["leftover_mass"], doc["gcd_R"]) == (flow["leftover_mass"], flow["gcd_R"])
+
+
 def test_manifest_wall_times(full_run):
     _, out = full_run
     man = json.loads((out / "manifest.json").read_text())
@@ -306,13 +316,13 @@ PINNED_CHECKSUMS = {
     "report.txt":
         "fc3fc4eaf3e9b7f1a2d0fd9a1960aa939c9d1b79ae5f48b526d2fcc539505b7d",
     "structure.json":
-        "02fe2fbdda3bc17031eea8080253617bbbc95ba58e526c65b34cafc1e0bbfec6",
+        "bcc56ad8ed81d0be0d827f583cc9af9bb48a1ce75a2a24ec5a00a12ed4ebe64e",
     "tail_E.csv":
         "079b4315b7ba5ba24a480051db38b7706e345fb050ae07d5576c90430f6d8487",
     "tail_R.csv":
         "30d80893cf91e94328f1a9354bc9591f4432ee58b65a25b87d84c97c252c4cae",
     "verify.json":
-        "d1f3e1d39b6f96c835d6e0744dfe5a69682b83e80987ef70619b72a9be9e11cf",
+        "1e9cd1661aab252b5c65cf67ffb26c78ffac68ca4a1c6d20538e7e87ec582383",
 }
 
 

@@ -24,7 +24,6 @@ from gmstruct.inducing import (
     return_tail,
     run_construction,
     step_partition,
-    structure_to_json,
     verify_markov,
     verify_structure,
     write_structure_json,
@@ -116,31 +115,25 @@ INTERMITTENT_SMALL = dict(UNIFORM_SMALL, sigma=0.8, c=0.1, n_max=400)
 NEIGHBOR_UNIFORM = dict(UNIFORM_SMALL, R0=2, epsilon=0.0039, resolution=2.0 ** -14)
 NEIGHBOR_INTERMITTENT = dict(INTERMITTENT_SMALL, n_max=300, R0=2, epsilon=0.001,
                              resolution=2.0 ** -16)
-# sha256 prefixes of a small construction's outputs (R, n_hyp,
-# log_deriv_carve, x_final, trace) and its violation count; a faster step
-# machine must reproduce every bit of them.  Only the two neighbor-rule
+# sha256 prefixes of a small construction's outputs (R, log_deriv_carve,
+# x_final, trace) and its violation count; a faster step machine must
+# reproduce every bit of them.  Only the two neighbor-rule
 # cases (short R0, wide A^eps margin) have the A^eps rule join points; the
 # uniform one needs the join to the left, the intermittent one (next to the
 # neutral fixed point) the join to the right
 CONSTRUCTION_DIGESTS = {
     "uniform": (uniform_solenoid(lambda_s=0.25), UNIFORM_SMALL, None, (
-        "7351ce8022457a20", "7351ce8022457a20", "046204622971d04d",
-        "d2fbd99bb459c4e7", "6c3efcb837d4071a", 0)),
+        "7351ce8022457a20", "046204622971d04d", "d2fbd99bb459c4e7", "6c3efcb837d4071a", 0)),
     "intermittent-0.3": (intermittent_solenoid(alpha=0.3), INTERMITTENT_SMALL, None, (
-        "9f16bf4e4c155e1e", "af9fe627f060365f", "fe349f4b31ae108b",
-        "7fefdae791194471", "217c3b13b0c4fcf8", 0)),
+        "9f16bf4e4c155e1e", "fe349f4b31ae108b", "7fefdae791194471", "217c3b13b0c4fcf8", 0)),
     "intermittent-0.5": (INTERMITTENT, INTERMITTENT_SMALL, None, (
-        "2ff1866704bae722", "28a12127a9c5e625", "5d7a65af7d44aee3",
-        "608bb38195af2912", "6f4f0984b648d7b8", 0)),
+        "2ff1866704bae722", "5d7a65af7d44aee3", "608bb38195af2912", "6f4f0984b648d7b8", 0)),
     "uniform-coupled": (uniform_solenoid(coupling=0.5), UNIFORM_SMALL, None, (
-        "7351ce8022457a20", "7351ce8022457a20", "046204622971d04d",
-        "d2fbd99bb459c4e7", "44e3a29030251221", 0)),
+        "7351ce8022457a20", "046204622971d04d", "d2fbd99bb459c4e7", "44e3a29030251221", 0)),
     "neighbor-rule-uniform": (uniform_solenoid(lambda_s=0.1), NEIGHBOR_UNIFORM, 0.3, (
-        "65da5bddde83f7cb", "65da5bddde83f7cb", "792dfc8c6f9177a2",
-        "113be719bd926211", "98f22d8532810fde", 1)),
+        "65da5bddde83f7cb", "792dfc8c6f9177a2", "113be719bd926211", "98f22d8532810fde", 1)),
     "neighbor-rule-intermittent": (INTERMITTENT, NEIGHBOR_INTERMITTENT, 0.021, (
-        "ea5dfe9a716400eb", "780f7b611a8f46fa", "eb29b11ecdaecc54",
-        "304a4183d34766fd", "8d83e27ee79dad82", 1)),
+        "ea5dfe9a716400eb", "eb29b11ecdaecc54", "304a4183d34766fd", "8d83e27ee79dad82", 1)),
 }
 
 
@@ -148,7 +141,7 @@ CONSTRUCTION_DIGESTS = {
 def test_construction_outputs_pinned(case):
     sys_, params, p_base, want = CONSTRUCTION_DIGESTS[case]
     s = run_construction(sys_, ConstructionParams(**params), p_base=p_base, seed=0)
-    got = tuple(_digest(v) for v in (s.R, s.n_hyp, s.log_deriv_carve, s.x_final, s.trace))
+    got = tuple(_digest(v) for v in (s.R, s.log_deriv_carve, s.x_final, s.trace))
     assert got + (s.violations,) == want
 
 
@@ -205,7 +198,7 @@ def test_uniform_construction_basics(uniform_structure):
     assert st.violations == 0
     assert not st.nonconvergent
     assert st.leftover_mass() < 5e-3
-    rvals = st.element_R()
+    rvals = st.R[st.elem_lo]
     assert int(rvals.min()) == params.R0 + 1      # first admissible step carves
     assert int(rvals.max()) <= params.n_max
     assert st.gcd_R() == 1
@@ -265,7 +258,7 @@ def test_markov_detects_synthetic_overlap(uniform_structure):
 
 def test_markov_detects_broken_covering(uniform_structure):
     st, _ = uniform_structure
-    idx = np.flatnonzero(st.R == int(st.element_R().min()))[:1]
+    idx = np.flatnonzero(st.R == int(st.R[st.elem_lo].min()))[:1]
     lo, hi, _ = element_edges(st, UNIFORM, idx)
     # chop the element in half: its image no longer reaches +delta0
     rep = verify_markov(st, UNIFORM, lo, lo + 0.5 * (hi - lo), st.R[idx], 0.0)
@@ -416,7 +409,7 @@ def test_flow_constants_positive(uniform_structure):
     assert flow["a0_ring_prediction"] == pytest.approx(1.0 - math.sqrt(0.51))
 
 
-def test_empty_construction(uniform_structure):
+def test_empty_construction(uniform_structure, intermittent_structure):
     # n_max below R0: nothing can be carved
     params = ConstructionParams(delta0=0.02, sigma=0.51, c=0.5, n_max=10,
                                 resolution=2.0 ** -10)
@@ -429,50 +422,46 @@ def test_empty_construction(uniform_structure):
     rep = verify_structure(st, UNIFORM)
     assert rep["markov"]["checked"] == 0
     assert rep["backward_contraction"]["pairs"] == 0
-    # the document has one schema whether or not any element was checked
+    # the document has one schema whether or not any element was checked,
+    # and whether or not the (P4) fit ran
     st_full, _ = uniform_structure
     full = verify_structure(st_full, UNIFORM, max_elements=10)
     assert full["markov"]["checked"] == 10
+    assert full["distortion"]["exact_zero"]
+    st_fit, _ = intermittent_structure
+    fit = verify_structure(st_fit, INTERMITTENT, max_elements=10)
+    assert not fit["distortion"]["exact_zero"]
 
     def schema(doc):
         return {k: list(v) if isinstance(v, dict) else None for k, v in doc.items()}
 
-    assert list(rep) == list(full) and schema(rep) == schema(full)
+    for doc in (full, fit):
+        assert list(rep) == list(doc) and schema(rep) == schema(doc)
 
 
 # ---------------------------------------------------------------------------
 # serialization
 
 
-def test_structure_json_roundtrip(tmp_path, uniform_structure):
+def test_structure_json_keeps_the_scalars(tmp_path, uniform_structure):
     st, params = uniform_structure
-    doc = structure_to_json(st)
-    assert doc["schema"] == 1
-    assert len(doc["elements"]) == len(st.elem_lo)
+    path = tmp_path / "structure.json"
+    write_structure_json(st, path)
+    doc = json.loads(path.read_text())
+    assert list(doc) == ["schema", "leftover_mass", "gcd_R", "violations",
+                         "nonconvergent", "p_base", "params"]
+    assert doc["schema"] == 2
+    assert doc["leftover_mass"] == st.leftover_mass()
     assert doc["gcd_R"] == 1
+    assert doc["p_base"] == 0.37
     assert doc["params"]["delta0"] == params.delta0
-    total = sum(e["hi"] - e["lo"] for e in doc["elements"]) \
-        + sum(iv["hi"] - iv["lo"] for iv in doc["leftover"])
-    assert total == pytest.approx(2.0 * params.delta0, rel=1e-6)
-    path = tmp_path / "structure.json"
-    write_structure_json(st, path)
-    loaded = json.loads(path.read_text())
-    assert loaded["schema"] == 1
-    assert len(loaded["elements"]) == len(st.elem_lo)
-
-
-def test_structure_json_bytes_match_json_dumps(tmp_path, uniform_structure):
-    # the hand-formatted element records keep json.dumps(indent=1)'s bytes
-    st, _ = uniform_structure
-    doc = structure_to_json(st)
-    assert doc["elements"] and doc["leftover"]
-    path = tmp_path / "structure.json"
-    write_structure_json(st, path)
     assert path.read_bytes() == json.dumps(doc, indent=1).encode()
+    # a construction that carved nothing still has its scalars written
     empty = run_construction(UNIFORM, ConstructionParams(delta0=0.02, sigma=0.51, c=0.5,
                                                          n_max=10, resolution=2.0 ** -10))
     write_structure_json(empty, path)
-    assert path.read_bytes() == json.dumps(structure_to_json(empty), indent=1).encode()
+    doc = json.loads(path.read_text())
+    assert doc["nonconvergent"] and doc["leftover_mass"] == 1.0 and doc["gcd_R"] == 0
 
 
 @settings(max_examples=200, deadline=None)
@@ -491,7 +480,7 @@ def test_verifiable_elements_match_the_loop(runs, quarters, log_deriv, max_eleme
     R = np.repeat([r for r, _ in runs], [k for _, k in runs]).astype(np.int64)
     structure = GibbsMarkovStructure(
         params=SimpleNamespace(delta0=quarters / 8.0, cell_width=1.0), p_base=0.0,
-        points=None, R=R, n_hyp=None, log_deriv_carve=np.resize(log_deriv, len(R)),
+        points=None, R=R, log_deriv_carve=np.resize(log_deriv, len(R)),
         x_final=None, violations=0, trace=[])
     got = _verifiable_elements(structure, max_elements, seed)
     want = verifiable_elements(structure, max_elements, seed)
@@ -500,7 +489,7 @@ def test_verifiable_elements_match_the_loop(runs, quarters, log_deriv, max_eleme
 
 def test_element_edges_match_expected_width(uniform_structure):
     st, params = uniform_structure
-    idx = np.flatnonzero(st.R == int(st.element_R().min()))[:5]
+    idx = np.flatnonzero(st.R == int(st.R[st.elem_lo].min()))[:5]
     lo, hi, err = element_edges(st, UNIFORM, idx)
     r = st.R[idx].astype(float)
     expect = 2.0 * params.delta0 / 2.0 ** r
