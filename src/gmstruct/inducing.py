@@ -32,7 +32,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -346,16 +346,17 @@ def _sorted_prefix(steps):
 
 
 def _evolve_with_deriv(sys, t, steps):
-    """g^{n}(t) and (g^{n})'(t) with per-entry step counts."""
+    """g^{n}(t) and (g^{n})'(t) with per-entry step counts, stepped by ``CocycleScan``
+    on the uncoupled system: g and g' do not read the coupling, and its push
+    returns g' and allocates no slopes."""
     order, live = _sorted_prefix(steps)
-    val = np.array(t, dtype=float)[order]
-    der = np.ones_like(val)
-    for k in live:
-        g, gp = sys.base_step(val[:k])
-        der[:k] *= gp
-        val[:k] = g
+    scan = CocycleScan(np.asarray(t, dtype=float)[order])
+    der = np.ones_like(scan.t)
+    base = replace(sys, coupling=0.0)
+    for m in live:
+        der[:m] *= scan.advance(base, live=m)[1]
     unsort = np.argsort(order)
-    return val[unsort], der[unsort]
+    return scan.t[unsort], der[unsort]
 
 
 def _newton_edges(sys, t0, steps, center, targets, max_move):
@@ -381,8 +382,8 @@ def element_edges(structure: GibbsMarkovStructure, sys: ModelSystem, idx):
 
     ``idx`` holds grid-point indices (carved samples); each is solved for
     the interval its g^R maps onto the radius-delta0 arc around p, the -delta0
-    edges in one Newton batch and then the +delta0 edges in another.  The
-    third value is the worst residual of both batches.
+    and the +delta0 edges in one Newton batch.  The third value is the
+    batch's worst residual.
     """
     idx = np.asarray(idx, dtype=np.int64)
     d0 = structure.params.delta0
@@ -395,11 +396,10 @@ def element_edges(structure: GibbsMarkovStructure, sys: ModelSystem, idx):
     # elements are narrower than a cell.
     t_seed = structure.points[idx]
     move = 1e-12 + 8.0 * d0 * np.exp(-structure.log_deriv_carve[idx])
-    lo, e1 = _newton_edges(sys, t_seed, steps, structure.p_base,
-                           np.full(len(idx), -d0), move)
-    hi, e2 = _newton_edges(sys, t_seed, steps, structure.p_base,
-                           np.full(len(idx), d0), move)
-    return lo, hi, float(np.max(np.maximum(e1, e2), initial=0.0))
+    edges, err = _newton_edges(sys, np.tile(t_seed, 2), np.tile(steps, 2), structure.p_base,
+                               np.repeat([-d0, d0], len(idx)), np.tile(move, 2))
+    lo, hi = np.split(edges, 2)
+    return lo, hi, float(np.max(err, initial=0.0))
 
 
 def _verifiable_elements(structure, max_elements, seed):

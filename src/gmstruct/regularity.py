@@ -55,28 +55,25 @@ class UnstableCurve:
     branches: np.ndarray
 
     def evaluate(self, tau):
-        """Fiber (u, v) and graph slope (s1, s2) = d(u, v)/d tau over tau."""
+        """Graph slope (s1, s2) = d(u, v)/d tau of the fiber (u, v) over tau."""
         sys = self.sys
         if sys.coupling == 0.0:
             # the horizontal circle is invariant: every term below is +0.0
             zero = np.zeros(np.shape(tau))
-            return zero, zero, zero, zero
+            return zero, zero
         tk = np.asarray(tau, dtype=float)
         amp = sys.coupling / 4.0
-        u, v, s1, s2 = (np.zeros_like(tk) for _ in range(4))
+        s1, s2 = np.zeros_like(tk), np.zeros_like(tk)
         w = np.ones_like(tk)                # d tau_{-k} / d tau
         lam = 1.0
         # one pass down the preimage chain: tk is tau_{-k} at level k
         for b in self.branches:
             tk = sys.base_inverse(tk, int(b))
             w = w / sys.base_deriv(tk)
-            cos, sin = np.cos(2.0 * math.pi * tk), np.sin(2.0 * math.pi * tk)
-            u += lam * amp * cos
-            v += lam * amp * sin
-            s1 += lam * amp * (-2.0 * math.pi) * sin * w
-            s2 += lam * amp * (2.0 * math.pi) * cos * w
+            s1 += lam * amp * (-2.0 * math.pi) * np.sin(2.0 * math.pi * tk) * w
+            s2 += lam * amp * (2.0 * math.pi) * np.cos(2.0 * math.pi * tk) * w
             lam *= sys.lambda_s
-        return u, v, s1, s2
+        return s1, s2
 
 
 def grow_unstable_curve(sys: ModelSystem, seed: int = 0,
@@ -218,8 +215,8 @@ def holonomy_jacobian(gamma: UnstableCurve, gamma_prime: UnstableCurve, x,
     geometrically at the stable-contraction rate.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    _, _, s1, s2 = gamma.evaluate(x)
-    _, _, p1, p2 = gamma_prime.evaluate(x)
+    s1, s2 = gamma.evaluate(x)
+    p1, p2 = gamma_prime.evaluate(x)
     terms = _log_jacobian_terms(gamma.sys, x, (s1, s2), (p1, p2), N_trunc + 1)
     totals = np.cumsum(terms[::-1], axis=0)[::-1]   # totals[N] = sum_{i>=N}
     return {"J": float(np.exp(np.sum(terms[:, 0]))), "tail_log": np.abs(totals[:, 0])}
@@ -250,8 +247,8 @@ def absolute_continuity_test(gamma: UnstableCurve, gamma_prime: UnstableCurve,
     while True:
         m = -(-grid // (2 * cells)) * 2 * cells    # grid rounded up to whole cell pairs
         tau = np.linspace(lo, hi, m + 1)
-        _, _, s1, s2 = gamma.evaluate(tau)
-        _, _, p1, p2 = gamma_prime.evaluate(tau)
+        s1, s2 = gamma.evaluate(tau)
+        p1, p2 = gamma_prime.evaluate(tau)
         jac = holonomy_jacobian_grid(gamma.sys, tau, (s1, s2), (p1, p2))
         # arclength elements |gamma'(tau)| of the two graph parametrizations
         speed_src = np.sqrt(1.0 + s1 ** 2 + s2 ** 2)

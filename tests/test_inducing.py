@@ -11,11 +11,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gmstruct.dynamics import circle_offset, intermittent_solenoid, uniform_solenoid
+from gmstruct import inducing
+from gmstruct.dynamics import ModelSystem, circle_offset, intermittent_solenoid, uniform_solenoid
 from gmstruct.inducing import (
     ConstructionParams,
     GibbsMarkovStructure,
     _evolve_with_deriv,
+    _newton_edges,
     _verifiable_elements,
     choose_base_point,
     element_edges,
@@ -366,8 +368,11 @@ def _evolve_masked(sys, t, steps):
     return val, der
 
 
-@pytest.mark.parametrize("sys", [UNIFORM, INTERMITTENT, intermittent_solenoid(alpha=0.3)],
-                         ids=["uniform", "intermittent-0.5", "intermittent-0.3"])
+@pytest.mark.parametrize("sys", [
+    UNIFORM, INTERMITTENT, intermittent_solenoid(alpha=0.3),
+    uniform_solenoid(coupling=0.5), intermittent_solenoid(alpha=0.5, lambda_s=0.5, coupling=1.0),
+], ids=["uniform", "intermittent-0.5", "intermittent-0.3", "uniform-coupled",
+        "intermittent-coupled"])
 def test_evolve_with_deriv_matches_masked_loop(sys):
     rng = np.random.default_rng(16)
     t = rng.random(300)
@@ -380,6 +385,37 @@ def test_evolve_with_deriv_matches_masked_loop(sys):
         want_val, want_der = _evolve_masked(sys, t[:n], steps[:n])
         assert np.array_equal(val.view(np.uint64), want_val.view(np.uint64))
         assert np.array_equal(der.view(np.uint64), want_der.view(np.uint64))
+
+
+def test_evolve_with_deriv_pushes_no_slopes(monkeypatch):
+    # the replay steps the uncoupled system, so a coupled one allocates and
+    # pushes no slope arrays: every push gets the horizontal vector (None)
+    pushed = []
+    push = ModelSystem.push_tangent
+
+    def spy(self, t, s1, s2, gp, out=None):
+        pushed.append(s1 is not None)
+        return push(self, t, s1, s2, gp, out=out)
+
+    monkeypatch.setattr(ModelSystem, "push_tangent", spy)
+    rng = np.random.default_rng(17)
+    steps = rng.integers(1, 30, 50)
+    _evolve_with_deriv(uniform_solenoid(coupling=0.5), rng.random(50), steps)
+    assert len(pushed) == steps.max() and not any(pushed)
+
+
+def test_verify_structure_solves_edges_in_one_batch(uniform_structure, monkeypatch):
+    # the -delta0 and +delta0 edges of every sampled element share one Newton batch
+    calls = []
+
+    def spy(*args):
+        calls.append(len(args[1]))
+        return _newton_edges(*args)
+
+    monkeypatch.setattr(inducing, "_newton_edges", spy)
+    st, _ = uniform_structure
+    rep = verify_structure(st, UNIFORM, seed=3, max_elements=100)
+    assert calls == [2 * rep["markov"]["checked"]]
 
 
 # ---------------------------------------------------------------------------

@@ -62,13 +62,12 @@ def _callers(method):
 
 
 def test_one_stepper_pushes_the_tangent_cocycle():
-    # every forward orbit with its tangent goes through CocycleScan.advance;
-    # cu_directions pushes along supplied (dithered) history rows, not along
-    # g(t), and Newton's replay steps the base alone
+    # every forward orbit with its tangent, Newton's replay of g^R included,
+    # goes through CocycleScan.advance; cu_directions pushes along supplied
+    # (dithered) history rows, not along g(t)
     assert _callers("push_tangent") == {"dynamics.CocycleScan.advance",
                                         "dynamics.cu_directions"}
-    assert _callers("base_step") == {"dynamics.CocycleScan.advance",
-                                     "inducing._evolve_with_deriv"}
+    assert _callers("base_step") == {"dynamics.CocycleScan.advance"}
 
 
 def test_one_element_sample_feeds_every_verify_check():
