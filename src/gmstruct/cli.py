@@ -1,11 +1,11 @@
 """Experiment runner: stages tails -> induce -> verify -> regularity -> limits -> report.
 
 Each stage reads the resolved :class:`~gmstruct.config.ExperimentConfig`,
-writes its artifacts into the output directory, and records wall time in
-``manifest.json``.  The manifest is written even when a stage fails, with
-the failing stage named.  Standalone ``verify`` re-runs the (deterministic)
-construction rather than loading ``structure.json``, so a config + seed is
-always the single source of truth.
+writes its artifacts into the output directory, and records its wall time
+and the process's peak RSS so far in ``manifest.json``.  The manifest is
+written even when a stage fails, with the failing stage named.  Standalone
+``verify`` re-runs the (deterministic) construction rather than loading
+``structure.json``, so a config + seed is always the single source of truth.
 
 Exit codes: 0 success; 2 configuration error; 3 numerical failure under
 ``--strict``; 4 acceptance-threshold failure under ``report --check``.
@@ -18,6 +18,7 @@ import hashlib
 import json
 import os
 import platform
+import resource
 import sys as _sys
 import time
 from pathlib import Path
@@ -265,6 +266,12 @@ def _checksums(out: Path) -> dict:
     return sums
 
 
+def _stage_entry(status: str, start: float, **error) -> dict:
+    # ru_maxrss is the process's high-water mark, in KiB on Linux
+    return {"status": status, **error, "wall_time_s": time.monotonic() - start,
+            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
+
+
 def _write_manifest(out: Path, cfg: ExperimentConfig, stages: dict, failed: str | None,
                     workers: int):
     doc = {
@@ -326,26 +333,22 @@ def main(argv=None) -> int:
         start = time.monotonic()
         try:
             STAGES[name](cfg, out, ctx)
-            stage_log[name] = {"status": "ok",
-                               "wall_time_s": time.monotonic() - start}
+            stage_log[name] = _stage_entry("ok", start)
         except MissingStage as exc:
-            stage_log[name] = {"status": "failed", "error": str(exc),
-                               "wall_time_s": time.monotonic() - start}
+            stage_log[name] = _stage_entry("failed", start, error=str(exc))
             print(f"{name}: {exc}", file=_sys.stderr)
             failed = name
             code = 4 if args.check else 3
             break
         except GmstructError as exc:
-            stage_log[name] = {"status": "numerical-failure", "error": str(exc),
-                               "wall_time_s": time.monotonic() - start}
+            stage_log[name] = _stage_entry("numerical-failure", start, error=str(exc))
             print(f"{name}: numerical failure: {exc}", file=_sys.stderr)
             if args.strict:
                 failed = name
                 code = 3
                 break
         except Exception as exc:
-            stage_log[name] = {"status": "error", "error": str(exc),
-                               "wall_time_s": time.monotonic() - start}
+            stage_log[name] = _stage_entry("error", start, error=str(exc))
             _write_manifest(out, cfg, stage_log, name, args.workers)
             raise
     _write_manifest(out, cfg, stage_log, failed, args.workers)

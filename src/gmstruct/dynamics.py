@@ -33,6 +33,8 @@ TWO_PI = 2.0 * math.pi
 DITHER = 2.0 ** -51
 #: bisection steps that close the intermittent left-branch bracket [0, 1/2]
 BISECTION_ITERS = 80
+#: the bits of 2.0, the right-branch g' that the intermittent select blends in
+_TWO_BITS = np.float64(2.0).view(np.uint64)
 
 
 def frac(x, out=None):
@@ -96,22 +98,24 @@ class ModelSystem:
         t = np.asarray(t, dtype=float)
         if self.family is Family.UNIFORM:
             return np.full_like(t, 2.0)
-        return self._deriv(t, self._power(t))
+        return self._deriv(t, self._power(t), out=np.empty_like(t))
 
     def base_step(self, t, out=None):
         """(g(t), g'(t)), bitwise equal to (base_map(t), base_deriv(t)), with one power.
 
-        ``out`` = (g, work): float arrays shaped like t, neither of them t;
-        g(t) is written into g and work is scratch.  Without ``out`` both are
-        new.  g'(t) is a new array either way.
+        ``out`` = (g, work, gp): float arrays shaped like t, none of them t;
+        g(t) is written into g, g'(t) into gp and work is scratch.  Without
+        ``out``, or where gp is None, the results are new arrays.
         """
         t = np.asarray(t, dtype=float)
-        g, work = (None, None) if out is None else out
+        g, work, gp = (None,) * 3 if out is None else out
+        gp = np.empty_like(t) if gp is None else gp
         if self.family is Family.UNIFORM:
-            return frac(np.multiply(t, 2.0, out=work), out=g), np.full_like(t, 2.0)
+            gp.fill(2.0)
+            return frac(np.multiply(t, 2.0, out=work), out=g), gp
         p = self._power(t, out=g)
         lift = self._lift(t, p, out=work)
-        gp = self._deriv(t, p)
+        self._deriv(t, p, out=gp)
         return frac(lift, out=g), gp
 
     # the intermittent branches share the one power p = (2t)^alpha; each
@@ -133,11 +137,19 @@ class ModelSystem:
         q *= t
         return q
 
-    def _deriv(self, t, p):
-        # 1 + (1 + alpha) p on the left branch, 2 on the right; overwrites p
+    def _deriv(self, t, p, out):
+        # p' = 1 + (1 + alpha) p on the left branch, 2 on the right, into out:
+        # 2 ^ ((p' ^ 2) * (t < 1/2)) on uint64 views has np.where's bits, NaN
+        # and -0 included, without its per-entry branch; overwrites p
         p *= 1.0 + self.base_param
         p += 1.0
-        return np.where(t < 0.5, p, 2.0)
+        pb = np.asarray(p).view(np.uint64)
+        pb ^= _TWO_BITS
+        bits = out.view(np.uint64)
+        np.less(t, 0.5, out=bits)
+        bits *= pb
+        bits ^= _TWO_BITS
+        return out
 
     def base_inverse(self, t, branch):
         """Inverse branch of g: branch 0 lands in [0, 1/2), branch 1 in [1/2, 1).
@@ -243,9 +255,9 @@ class CocycleScan:
 
     ``t`` holds the base points and ``s1``/``s2`` their cu slopes: ``slopes``
     if given, else None (horizontal) until a coupled step allocates them.
-    With ``rng`` every step is dithered.  The scan owns its work arrays, so a
-    full step allocates only g'(t): ``spare`` receives g(t) and trades
-    places with ``t``.
+    With ``rng`` every step is dithered.  The scan owns its work arrays, so
+    only a step with slopes allocates (g'(t)): ``spare`` receives g(t) and
+    trades places with ``t``.
     """
 
     def __init__(self, points, rng=None, slopes=None):
@@ -263,16 +275,18 @@ class CocycleScan:
         """Step ``t[..., :live]`` (all of ``t`` by default) once; returns (expansion, g'(t)).
 
         expansion is ||Df w|| / ||w|| for the cu vector w = (1, s1, s2) at the
-        old t, so a_n = -log expansion.  It may be the scan's buffer, which the
-        next call overwrites.  Points and slopes from ``live`` on stay as they
-        are.  After a full step ``spare`` holds the previous ``t``.
+        old t, so a_n = -log expansion.  Either may be the scan's buffer, which
+        the next call overwrites: on a step without slopes both are g'(t) in
+        that buffer.  Points and slopes from ``live`` on stay as they are.
+        After a full step ``spare`` holds the previous ``t``.
         """
         if self.s1 is None and sys.coupling != 0.0:
             self.s1, self.s2, self._n1, self._n2 = np.zeros((4,) + self.t.shape)
         t, g, s1, s2, n1, n2, e, w1, w2 = (
             a if live is None or a is None else a[..., :live] for a in
             (self.t, self.spare, self.s1, self.s2, self._n1, self._n2, self._e, self._w1, self._w2))
-        g, gp = sys.base_step(t, out=(g, w1))
+        # uncoupled, the push returns g'(t) as the expansion: write it into e
+        g, gp = sys.base_step(t, out=(g, w1, e if s1 is None else None))
         n1, n2, e = sys.push_tangent(t, s1, s2, gp, out=(n1, n2, e, w1, w2))
         if self.rng is not None:
             # the generator fills only contiguous arrays, which a row prefix is not

@@ -373,7 +373,10 @@ def _newton_edges(sys, t0, steps, center, targets, max_move):
         np.copyto(best_err, np.abs(err), where=better)
         if np.max(best_err, initial=0.0) < NEWTON_TOL:
             break
-        t = np.clip(t - err / der, lo, hi)
+        t_next = np.clip(t - err / der, lo, hi)
+        if np.array_equal(t_next, t, equal_nan=True):
+            break       # each later iteration repeats this one; better is strict
+        t = t_next
     return best_t, best_err
 
 

@@ -92,7 +92,7 @@ def disk_scan(sys: ModelSystem, points, horizon: int, c: float) -> DiskScan:
     last_fail = np.zeros(m, dtype=np.int64)
     for n in range(1, horizon + 1):
         e, _ = scan.advance(sys)
-        # e is the scan's buffer or a new g'(t), so its log may overwrite it
+        # e is the scan's buffer, so its log may overwrite it
         ssum -= np.log(e, out=e)
         np.copyto(last_fail, n, where=(ssum >= -c * n))
     evalue = last_fail + 1

@@ -173,6 +173,8 @@ def test_report_empty_directory(quick_cfg, tmp_path):
     assert code == 3
     man = json.loads((out / "manifest.json").read_text())
     assert man["failed_stage"] == "report"
+    assert man["stages"]["report"]["status"] == "failed"
+    assert man["stages"]["report"]["peak_rss_mb"] > 0.0
 
 
 def test_unexpected_stage_error_still_writes_manifest(quick_cfg, tmp_path, monkeypatch):
@@ -188,6 +190,7 @@ def test_unexpected_stage_error_still_writes_manifest(quick_cfg, tmp_path, monke
     assert man["stages"]["regularity"]["status"] == "error"
     assert man["stages"]["regularity"]["error"] == "disk on fire"
     assert man["stages"]["regularity"]["wall_time_s"] >= 0.0
+    assert man["stages"]["regularity"]["peak_rss_mb"] > 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -241,6 +244,15 @@ def test_manifest_wall_times(full_run):
     assert man["failed_stage"] is None
     for stage in ("tails", "induce", "verify", "regularity", "limits", "report"):
         assert man["stages"][stage]["wall_time_s"] >= 0.0
+
+
+def test_manifest_stage_peak_rss(full_run):
+    # each stage records the process's high-water mark, so it never falls
+    _, out = full_run
+    man = json.loads((out / "manifest.json").read_text())
+    rss = [man["stages"][stage]["peak_rss_mb"] for stage in STAGE_ORDER]
+    assert rss[0] > 0.0
+    assert rss == sorted(rss)
 
 
 def test_reproducibility_checksums(full_run, quick_cfg, tmp_path):
@@ -380,6 +392,7 @@ def test_strict_escalates_nonconvergent(tmp_path, capsys):
     man = json.loads((out / "manifest.json").read_text())
     assert man["failed_stage"] == "induce"
     assert man["stages"]["induce"]["status"] == "numerical-failure"
+    assert man["stages"]["induce"]["peak_rss_mb"] > 0.0
     # partial artifacts still written
     assert (out / "structure.json").exists()
 

@@ -419,15 +419,35 @@ def test_intermittent_kernel_matches_two_branch_formula(alpha):
             _assert_bitwise(sys.base_map(x), _base_step_two_branch(sys, np.asarray(x))[0])
 
 
+@pytest.mark.parametrize("sys", [uniform_solenoid(), intermittent_solenoid(alpha=0.3),
+                                 intermittent_solenoid(alpha=0.5)],
+                         ids=["uniform", "intermittent-0.3", "intermittent-0.5"])
+def test_base_step_writes_into_its_buffers(sys):
+    # out = (g, work, gp) receives g and g' bit for bit like the call without
+    # it, in contiguous arrays and in the (2, n) row prefixes a scan passes
+    rng = np.random.default_rng(24)
+    t = np.concatenate([rng.random(4096), BRANCH_EDGES])
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = sys.base_step(t)
+        for bufs in (np.empty((3,) + t.shape), np.empty((3, 2, len(t) + 5))[:, :, :len(t)]):
+            out = tuple(bufs)
+            g, gp = sys.base_step(np.broadcast_to(t, bufs.shape[1:]), out=out)
+            assert g is out[0] and gp is out[2]
+            for got, w in zip((g, gp), want):
+                _assert_bitwise(got, np.broadcast_to(w, got.shape))
+
+
 @pytest.mark.parametrize("sys,given_slopes", [
     (uniform_solenoid(), False),
+    (intermittent_solenoid(alpha=0.5), False),
     (intermittent_solenoid(alpha=0.5, coupling=0.5), False),
     (intermittent_solenoid(alpha=0.5, coupling=0.5), True),
-], ids=["uniform", "intermittent-coupled", "intermittent-coupled-slopes"])
+], ids=["uniform", "intermittent", "intermittent-coupled", "intermittent-coupled-slopes"])
 def test_scan_live_prefix_steps_like_a_fresh_scan(sys, given_slopes):
     # k steps with live = m move the first m columns of a (2, n) batch, points
     # and slopes, bit for bit like a fresh scan over those columns, and leave
-    # the columns from m on as they were
+    # the columns from m on as they were; uncoupled, g' lands in the scan's
+    # expansion buffer through that prefix view
     rng = np.random.default_rng(23)
     n, m, k = 40, 17, 30
     pts = rng.random((2, n))

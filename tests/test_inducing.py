@@ -418,6 +418,52 @@ def test_verify_structure_solves_edges_in_one_batch(uniform_structure, monkeypat
     assert calls == [2 * rep["markov"]["checked"]]
 
 
+def _newton_all_iterations(sys, t0, steps, center, targets, max_move):
+    # _newton_edges without its stop on an unmoved batch
+    t = np.array(t0, dtype=float)
+    lo, hi = t0 - max_move, t0 + max_move
+    best_t = t.copy()
+    best_err = np.full_like(t, np.inf)
+    for _ in range(inducing.NEWTON_ITERS):
+        val, der = _evolve_with_deriv(sys, t, steps)
+        err = circle_offset(val, center) - targets
+        better = np.abs(err) < best_err
+        np.copyto(best_t, t, where=better)
+        np.copyto(best_err, np.abs(err), where=better)
+        if np.max(best_err, initial=0.0) < inducing.NEWTON_TOL:
+            break
+        t = np.clip(t - err / der, lo, hi)
+    return best_t, best_err
+
+
+@pytest.mark.parametrize("fixture,sys", [("uniform_structure", UNIFORM),
+                                         ("intermittent_structure", INTERMITTENT)],
+                         ids=["uniform", "intermittent"])
+def test_newton_stops_when_no_entry_moves(fixture, sys, request, monkeypatch):
+    # the early stop returns the full loop's edges and residuals bit for bit;
+    # on the uniform structure every edge settles within two iterations
+    st, _ = request.getfixturevalue(fixture)
+    solves, evolves = [], []
+    newton, evolve = inducing._newton_edges, inducing._evolve_with_deriv
+
+    def spy_newton(*args):
+        solves.append((args, newton(*args)))
+        return solves[-1][1]
+
+    def spy_evolve(*args):
+        evolves.append(len(args[1]))
+        return evolve(*args)
+
+    monkeypatch.setattr(inducing, "_newton_edges", spy_newton)
+    monkeypatch.setattr(inducing, "_evolve_with_deriv", spy_evolve)
+    element_edges(st, sys, _verifiable_elements(st, 100, 3))
+    (args, got), = solves
+    for a, b in zip(got, _newton_all_iterations(*args)):
+        assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+    if sys is UNIFORM:
+        assert 1 <= len(evolves) <= 3
+
+
 # ---------------------------------------------------------------------------
 # tails and flow constants
 
