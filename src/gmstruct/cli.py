@@ -105,8 +105,7 @@ def stage_regularity(cfg: ExperimentConfig, out: Path, ctx: dict):
 def stage_limits(cfg: ExperimentConfig, out: Path, ctx: dict):
     sys_ = cfg.system()
     phi = observable(cfg.observable)
-    corr = correlation(sys_, phi, phi, cfg.stats_n_max, cfg.orbit_len,
-                       seed=cfg.seed)
+    corr = correlation(sys_, phi, cfg.stats_n_max, cfg.orbit_len, seed=cfg.seed)
     write_curve_csv(out / "correlation.csv", corr, "value", "mc_error")
     n = 10 * cfg.stats_n_max
     write_clt_json(out / "clt.json", clt_test(sys_, phi, n, cfg.ensemble, seed=cfg.seed))

@@ -189,13 +189,11 @@ class ModelSystem:
         (n1, n2, expansion, w1, w2) are float arrays shaped like t, none of
         them an input: the results are written into the first three and the
         last two are scratch.  Without ``out`` the results are new arrays.
-        ``s1 = s2 = None`` is the horizontal vector: uncoupled the push returns
-        (None, None, gp), coupled it pushes like zero slopes, bit for bit.
+        On an uncoupled system ``s1 = s2 = None`` is the horizontal vector,
+        which the push returns as (None, None, gp); coupled, slopes are arrays.
         """
-        if s1 is None:
-            if self.coupling == 0.0:    # zero slopes would push to (+0, +0, g'(t))
-                return None, None, gp
-            s1 = s2 = np.zeros(np.shape(t))
+        if s1 is None and self.coupling == 0.0:    # zero slopes would push to (+0, +0, g'(t))
+            return None, None, gp
         n1, n2, expansion, w1, w2 = (None,) * 5 if out is None else out
         c = self.coupling * math.pi / 2.0
         phase = np.multiply(TWO_PI, t, out=w1)
@@ -254,10 +252,11 @@ class CocycleScan:
     """Orbits of any shape (a grid, or the ``(2, n)`` rows of paired orbits) and their tangent.
 
     ``t`` holds the base points and ``s1``/``s2`` their cu slopes: ``slopes``
-    if given, else None (horizontal) until a coupled step allocates them.
-    With ``rng`` every step is dithered.  The scan owns its work arrays, so
-    only a step with slopes allocates (g'(t)): ``spare`` receives g(t) and
-    trades places with ``t``.
+    if given, else None (horizontal) until a coupled step allocates zeros.
+    With ``rng`` every step is dithered.  Only ``advance`` writes ``t`` and
+    the slopes; callers read them.  The scan owns its work arrays, so only a
+    step with slopes allocates (g'(t)): a full step writes g(t) into a
+    private buffer that trades places with ``t``.
     """
 
     def __init__(self, points, rng=None, slopes=None):
@@ -269,7 +268,7 @@ class CocycleScan:
             self.s1[...], self.s2[...] = slopes
         # g(t), the expansion and two scratch arrays in one block: apart, once
         # freed, they left a later stage's peak RSS about 2 MB higher
-        self.spare, self._e, self._w1, self._w2 = np.empty((4,) + self.t.shape)
+        self._spare, self._e, self._w1, self._w2 = np.empty((4,) + self.t.shape)
 
     def advance(self, sys: ModelSystem, live=None):
         """Step ``t[..., :live]`` (all of ``t`` by default) once; returns (expansion, g'(t)).
@@ -278,13 +277,13 @@ class CocycleScan:
         old t, so a_n = -log expansion.  Either may be the scan's buffer, which
         the next call overwrites: on a step without slopes both are g'(t) in
         that buffer.  Points and slopes from ``live`` on stay as they are.
-        After a full step ``spare`` holds the previous ``t``.
         """
         if self.s1 is None and sys.coupling != 0.0:
             self.s1, self.s2, self._n1, self._n2 = np.zeros((4,) + self.t.shape)
         t, g, s1, s2, n1, n2, e, w1, w2 = (
-            a if live is None or a is None else a[..., :live] for a in
-            (self.t, self.spare, self.s1, self.s2, self._n1, self._n2, self._e, self._w1, self._w2))
+            a if live is None or a is None else a[..., :live] for a in (
+                self.t, self._spare, self.s1, self.s2, self._n1, self._n2,
+                self._e, self._w1, self._w2))
         # uncoupled, the push returns g'(t) as the expansion: write it into e
         g, gp = sys.base_step(t, out=(g, w1, e if s1 is None else None))
         n1, n2, e = sys.push_tangent(t, s1, s2, gp, out=(n1, n2, e, w1, w2))
@@ -292,7 +291,7 @@ class CocycleScan:
             # the generator fills only contiguous arrays, which a row prefix is not
             dither(g, self.rng, out=g, work=w1 if live is None else None)
         if live is None:
-            self.t, self.spare = g, t
+            self.t, self._spare = g, t
             if n1 is not None:      # a coupled push wrote the new slopes into the spare pair
                 self._n1, self._n2, self.s1, self.s2 = s1, s2, n1, n2
         else:

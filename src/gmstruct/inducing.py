@@ -155,7 +155,7 @@ class ConstructionState:
     n: int
     p_base: float
     points: np.ndarray       # grid points in the radius-delta0 arc (fixed)
-    scan: CocycleScan        # g^n of each point (frozen at carve time), cu slopes
+    scan: CocycleScan        # g^n of each point and cu slopes (read on active points only)
     bsum: np.ndarray         # Pliss prefix sums B_n (valid on active points)
     bmin: np.ndarray         # min of B_m over m < n (valid on active points)
     last_hyp: np.ndarray     # last sigma-hyperbolic time; the N0 gate reads it
@@ -203,14 +203,10 @@ def step_partition(state: ConstructionState, sys: ModelSystem,
     n = state.n + 1
     scan = state.scan
     ia = np.flatnonzero(state.R == 0)
-    # every orbit advances, but carved points go back to their return image:
-    # x_final is g^R of each element (test_return_images_frozen_at_carve_time
-    # and the construction digests pin it); log_deriv stays frozen on them,
-    # as the log (g^R)' the structure keeps
+    # carved orbits step on with the rest, so the dither stream covers the
+    # whole grid, but nothing reads them again; log_deriv stays frozen on
+    # them, as the log (g^R)' the structure keeps
     e, gp = scan.advance(sys)
-    x_prev = scan.spare
-    x_prev[ia] = scan.t[ia]
-    scan.t, scan.spare = x_prev, scan.t
     # a carved point's Pliss sums are never read again
     bsum, bmin = state.bsum[ia], state.bmin[ia]
     hyp = hyperbolic_flags(bsum, bmin, -np.log(e[ia]), math.log(params.sigma))
@@ -282,7 +278,6 @@ class GibbsMarkovStructure:
     points: np.ndarray
     R: np.ndarray              # per grid point; 0 = leftover
     log_deriv_carve: np.ndarray  # log (g^R)' on carved points
-    x_final: np.ndarray        # g^R at carve time (g^{n_max} on leftover)
     violations: int
     trace: list
     # grid-index runs of equal R > 0 (first and last index); a run is not an
@@ -324,8 +319,7 @@ def run_construction(sys: ModelSystem, params: ConstructionParams,
         step_partition(state, sys, params)
     return GibbsMarkovStructure(
         params=params, p_base=p_base, points=state.points, R=state.R,
-        log_deriv_carve=state.log_deriv,
-        x_final=state.scan.t, violations=state.violations, trace=state.trace)
+        log_deriv_carve=state.log_deriv, violations=state.violations, trace=state.trace)
 
 
 # ---------------------------------------------------------------------------

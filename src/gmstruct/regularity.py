@@ -188,7 +188,7 @@ def holder_exponent_cu(sys: ModelSystem, sample_pairs: int = 10 ** 4,
 
 
 def _log_jacobian_terms(sys: ModelSystem, tau, slopes, slopes_prime, n_terms: int):
-    """Per-step log det Df^u differences along the shared base orbit.
+    """Yield the per-step log det Df^u differences along the shared base orbit.
 
     f^i(x) and f^i(phi(x)) share the base coordinate for every i, and the
     unstable derivative depends only on (base, tangent slope), so the
@@ -198,11 +198,9 @@ def _log_jacobian_terms(sys: ModelSystem, tau, slopes, slopes_prime, n_terms: in
     # row 0 carries gamma's slopes, row 1 gamma_prime's; None (horizontal) uncoupled
     pairs = [np.stack(p) for p in zip(slopes, slopes_prime)] if sys.coupling else None
     scan = CocycleScan(np.broadcast_to(tau, (2,) + tau.shape), slopes=pairs)
-    terms = np.empty((n_terms,) + tau.shape)
-    for i in range(n_terms):
+    for _ in range(n_terms):
         e = np.log(scan.advance(sys)[0])
-        terms[i] = e[0] - e[1]
-    return terms
+        yield e[0] - e[1]
 
 
 def holonomy_jacobian(gamma: UnstableCurve, gamma_prime: UnstableCurve, x,
@@ -217,15 +215,15 @@ def holonomy_jacobian(gamma: UnstableCurve, gamma_prime: UnstableCurve, x,
     x = np.atleast_1d(np.asarray(x, dtype=float))
     s1, s2 = gamma.evaluate(x)
     p1, p2 = gamma_prime.evaluate(x)
-    terms = _log_jacobian_terms(gamma.sys, x, (s1, s2), (p1, p2), N_trunc + 1)
+    terms = np.array(list(_log_jacobian_terms(gamma.sys, x, (s1, s2), (p1, p2), N_trunc + 1)))
     totals = np.cumsum(terms[::-1], axis=0)[::-1]   # totals[N] = sum_{i>=N}
     return {"J": float(np.exp(np.sum(terms[:, 0]))), "tail_log": np.abs(totals[:, 0])}
 
 
 def holonomy_jacobian_grid(sys: ModelSystem, tau, slopes, slopes_prime) -> np.ndarray:
     """Vectorized J (product to N_TRUNC) over a base grid from the two curves' slopes."""
-    terms = _log_jacobian_terms(sys, tau, slopes, slopes_prime, N_TRUNC + 1)
-    return np.exp(np.sum(terms, axis=0))
+    # summed as they come, row by row like np.sum(axis=0): no (N_TRUNC + 1, grid) array
+    return np.exp(sum(_log_jacobian_terms(sys, tau, slopes, slopes_prime, N_TRUNC + 1)))
 
 
 def absolute_continuity_test(gamma: UnstableCurve, gamma_prime: UnstableCurve,

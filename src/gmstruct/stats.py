@@ -74,22 +74,22 @@ def observable(token: str) -> Observable | None:
 # orbits
 
 
-def _walk(sys, walkers, steps, seed, observables):
-    """Yield the ensemble state (t, u, v) at steps 0 .. steps-1 after a burn-in.
+def _walk(sys, walkers, steps, seed, phi):
+    """Yield phi of the ensemble state (t, u, v) at steps 0 .. steps-1 after a burn-in.
 
-    The walkers start from uniform t and the zero fiber (u = v = None if no
-    observable reads it) and take BURN + steps dithered steps in all: the
-    step that leaves each yielded state runs when the next one is asked
-    for, so a consumer must exhaust the generator.
+    The walkers start from uniform t and the zero fiber (u = v = None unless
+    phi reads it) and take BURN + steps dithered steps in all: the step
+    that leaves each yielded state runs when the next value is asked for,
+    so a consumer must exhaust the generator.
     """
     rng = dither_rng(seed)
     t = rng.random(walkers)
     u = v = None
-    if any(phi.kind == "fiber_norm" for phi in observables):
+    if phi.kind == "fiber_norm":
         u, v = np.zeros(walkers), np.zeros(walkers)
     for j in range(BURN + steps):
         if j >= BURN:
-            yield t, u, v
+            yield phi(t, u, v)
         t, u, v = sys.step_arrays(t, u, v)
         t = dither(t, rng)
 
@@ -99,18 +99,17 @@ def _birkhoff_sums(sys, phi, walkers, ns, seed):
     ns = np.asarray(ns)
     s = np.zeros(walkers)
     out = np.zeros((len(ns), walkers))
-    for n, (t, u, v) in enumerate(_walk(sys, walkers, int(max(ns, default=0)), seed, [phi]), 1):
-        s += phi(t, u, v)
+    for n, x in enumerate(_walk(sys, walkers, int(max(ns, default=0)), seed, phi), 1):
+        s += x
         out[ns == n] = s
     return out
 
 
-def _ensemble_series(sys, observables, steps, seed):
-    """Per-step observable values, one (steps, WALKERS) array per observable."""
-    out = [np.empty((steps, WALKERS)) for _ in observables]
-    for j, (t, u, v) in enumerate(_walk(sys, WALKERS, steps, seed, observables)):
-        for row, phi in zip(out, observables):
-            row[j] = phi(t, u, v)
+def _ensemble_series(sys, phi, steps, seed):
+    """Per-step values of phi, as one (steps, WALKERS) array."""
+    out = np.empty((steps, WALKERS))
+    for j, x in enumerate(_walk(sys, WALKERS, steps, seed, phi)):
+        out[j] = x
     return out
 
 
@@ -118,20 +117,20 @@ def _ensemble_series(sys, observables, steps, seed):
 # correlation decay
 
 
-def correlation(sys: ModelSystem, phi: Observable, psi: Observable,
-                n_max: int, orbit_len: int, seed: int = 0) -> Curve:
-    """C_n = |avg phi(f^{n+j}x) psi(f^j x) - avg phi avg psi| on pooled orbits.
+def correlation(sys: ModelSystem, phi: Observable, n_max: int, orbit_len: int,
+                seed: int = 0) -> Curve:
+    """C_n = |avg phi(f^{n+j}x) phi(f^j x) - (avg phi)^2| on pooled orbits.
 
     ``orbit_len`` is the total pooled length, split over independent
     burned-in walkers (each walker must still cover n_max lags).
     """
     steps = max(orbit_len // WALKERS, 2 * n_max)
-    a, b = _ensemble_series(sys, [phi, psi], steps, seed)
-    mean_ab = float(np.mean(a)) * float(np.mean(b))
+    a = _ensemble_series(sys, phi, steps, seed)
+    mean = float(np.mean(a))
     n_values = np.concatenate([[0], geometric_grid(n_max)])
     vals = np.empty(len(n_values))
     for i, n in enumerate(n_values):
-        vals[i] = abs(float(np.mean(a[n:] * b[:steps - n])) - mean_ab)
+        vals[i] = abs(float(np.mean(a[n:] * a[:steps - n])) - mean * mean)
     mc = 1.0 / math.sqrt(WALKERS * steps)
     return Curve(n_values=n_values, values=vals, error=mc)
 
@@ -143,7 +142,7 @@ def correlation(sys: ModelSystem, phi: Observable, psi: Observable,
 def green_kubo_sigma2(sys: ModelSystem, phi: Observable, seed: int = 0) -> dict:
     """sigma^2 = c_0 + 2 sum_{k>=1} c_k, truncated at the MC noise floor."""
     steps = max(GREEN_KUBO_ORBIT // WALKERS, 2 * GREEN_KUBO_N_MAX)
-    (a,) = _ensemble_series(sys, [phi], steps, seed)
+    a = _ensemble_series(sys, phi, steps, seed)
     mean_a = float(np.mean(a))
     ac = a - mean_a
     mc = 1.0 / math.sqrt(WALKERS * steps)

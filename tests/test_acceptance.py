@@ -364,8 +364,7 @@ def limits_clock():
 
 
 def test_criterion_10_uniform_correlation(limits_clock):
-    corr = correlation(UNIFORM, trig_base(1), trig_base(1), 100, 10 ** 5,
-                       seed=4)
+    corr = correlation(UNIFORM, trig_base(1), 100, 10 ** 5, seed=4)
     assert np.max(corr.values[1:]) <= 1e-3 + 2.0 * corr.error
 
 
@@ -380,8 +379,7 @@ def test_criterion_10_polynomial_rates(limits_clock, tail_transfer):
     _, fit_r, _ = tail_transfer
     floor = fit_r.exponent - 1.0 - 0.5
 
-    corr = correlation(INTERMITTENT_05, trig_base(1), trig_base(1), 500,
-                       5 * 10 ** 6, seed=0)
+    corr = correlation(INTERMITTENT_05, trig_base(1), 500, 5 * 10 ** 6, seed=0)
     corr_fit = fit_power_law(corr, window=(10, 200))
     assert corr_fit.r_squared >= 0.8
     assert corr_fit.exponent >= floor

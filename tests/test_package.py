@@ -79,3 +79,27 @@ def test_one_element_sample_feeds_every_verify_check():
     cls = next(n for n in tree.body
                if isinstance(n, ast.ClassDef) and n.name == "GibbsMarkovStructure")
     assert "_edges" not in {n.target.id for n in cls.body if isinstance(n, ast.AnnAssign)}
+
+
+#: the orbit state a ``CocycleScan`` steps: points, slopes and its buffer of g(t)
+ORBIT_STATE = {"t", "s1", "s2", "spare", "_spare"}
+
+
+def _is_scan_t(node):
+    return (isinstance(node, ast.Attribute) and node.attr == "t"
+            and "scan" in (getattr(node.value, "id", None), getattr(node.value, "attr", None)))
+
+
+def test_only_the_stepper_writes_orbit_state():
+    # carved orbits step on unread, so no stage rewinds or edits the points
+    # and slopes that CocycleScan.advance steps
+    writes = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if not isinstance(getattr(node, "ctx", None), ast.Store):
+                continue
+            if (isinstance(node, ast.Attribute) and node.attr in ORBIT_STATE
+                    and path.name != "dynamics.py"
+                    or isinstance(node, ast.Subscript) and _is_scan_t(node.value)):
+                writes.append(f"{path.name}:{node.lineno}")
+    assert writes == []
