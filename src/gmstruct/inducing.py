@@ -9,8 +9,10 @@ coordinate map, so "the image u-crosses the cylinder C^i" is exactly
 
 The construction is pointwise: the radius-delta0 arc is sampled on a
 uniform grid (cell width = the resolution parameter) and every grid
-point carries its own orbit, tangent slope, Pliss prefix sums, wait
-value t and return time R.  A point is carved into an element
+point carries its own orbit, tangent slope, log-derivative and return
+time R; the Pliss prefix sums, the hyperbolic-time record and the wait
+values live on the active points only, and a carve drops its points from
+them.  A point is carved into an element
 {R = n} when, at a step n > R0, it sits in A^eps_{n-1}, had a recent
 sigma-hyperbolic time (within N0 steps, so a hyperbolic pre-ball
 certifies that its component fully u-crosses), and its image lands
@@ -62,7 +64,7 @@ C1 = 1.0
 K0 = 1.0
 #: most grid points a construction (or, through config, the tails scan) may
 #: sample: each carries about a dozen 8-byte arrays (orbit, scan buffers,
-#: Pliss sums, log-derivatives, t, R, ...), so 2^25 points hold about 3 GB
+#: Pliss sums, log-derivatives, waits, R, ...), so 2^25 points hold about 3 GB
 MAX_GRID = 2 ** 25
 #: narrowest predicted element width that verification resolves and checks
 WIDTH_FLOOR = 1e-11
@@ -150,25 +152,27 @@ def choose_base_point(seed: int = 0) -> float:
 
 @dataclass
 class ConstructionState:
-    """Pointwise state of the inductive partition at time n."""
+    """Pointwise state of the inductive partition at time n.
+
+    ``points``, ``scan``, ``log_deriv`` and ``R`` span the grid; the other
+    arrays are aligned with ``ia``, the ascending grid indices of the
+    active (not yet carved) points.
+    """
 
     n: int
     p_base: float
     points: np.ndarray       # grid points in the radius-delta0 arc (fixed)
     scan: CocycleScan        # g^n of each point and cu slopes (read on active points only)
-    bsum: np.ndarray         # Pliss prefix sums B_n (valid on active points)
-    bmin: np.ndarray         # min of B_m over m < n (valid on active points)
-    last_hyp: np.ndarray     # last sigma-hyperbolic time; the N0 gate reads it
     log_deriv: np.ndarray    # log (g^n)' along the orbit (frozen at carve time)
-    log_deriv_hyp: np.ndarray  # log_deriv at last_hyp
-    t: np.ndarray            # wait function t_n (valid on active points)
     R: np.ndarray            # return time; 0 = not carved
+    ia: np.ndarray           # grid indices of the active points
+    bsum: np.ndarray         # Pliss prefix sums B_n
+    bmin: np.ndarray         # min of B_m over m < n
+    last_hyp: np.ndarray     # last sigma-hyperbolic time; the N0 gate reads it
+    log_deriv_hyp: np.ndarray  # log_deriv at last_hyp
+    wait: np.ndarray         # wait function t_n
     violations: int = 0
     trace: list = field(default_factory=list)
-
-    @property
-    def active(self):
-        return self.R == 0
 
 
 def init_state(params: ConstructionParams, p_base: float, seed: int = 0) -> ConstructionState:
@@ -180,10 +184,10 @@ def init_state(params: ConstructionParams, p_base: float, seed: int = 0) -> Cons
     # and collapse every orbit onto the fixed point after ~52 steps
     scan = CocycleScan(pts, rng=dither_rng(seed))
     return ConstructionState(
-        n=0, p_base=p_base, points=pts, scan=scan, bsum=z.copy(), bmin=z.copy(),
-        last_hyp=np.zeros(m, dtype=np.int64),
-        log_deriv=z.copy(), log_deriv_hyp=z.copy(),
-        t=np.zeros(m, dtype=np.int64), R=np.zeros(m, dtype=np.int64))
+        n=0, p_base=p_base, points=pts, scan=scan, log_deriv=z.copy(),
+        R=np.zeros(m, dtype=np.int64), ia=np.arange(m), bsum=z.copy(), bmin=z.copy(),
+        last_hyp=np.zeros(m, dtype=np.int64), log_deriv_hyp=z.copy(),
+        wait=np.zeros(m, dtype=np.int64))
 
 
 def _stable_burn_in(sys: ModelSystem) -> int:
@@ -202,23 +206,19 @@ def step_partition(state: ConstructionState, sys: ModelSystem,
     """
     n = state.n + 1
     scan = state.scan
-    ia = np.flatnonzero(state.R == 0)
+    ia = state.ia
     # carved orbits step on with the rest, so the dither stream covers the
     # whole grid, but nothing reads them again; log_deriv stays frozen on
     # them, as the log (g^R)' the structure keeps
     e, gp = scan.advance(sys)
-    # a carved point's Pliss sums are never read again
-    bsum, bmin = state.bsum[ia], state.bmin[ia]
-    hyp = hyperbolic_flags(bsum, bmin, -np.log(e[ia]), math.log(params.sigma))
-    state.bsum[ia], state.bmin[ia] = bsum, bmin
-    ih = ia[hyp]
-    state.last_hyp[ih] = n
-    state.log_deriv[ia] += np.log(gp[ia])
-    state.log_deriv_hyp[ih] = state.log_deriv[ih]
+    hyp = hyperbolic_flags(state.bsum, state.bmin, -np.log(e[ia]), math.log(params.sigma))
+    state.last_hyp[hyp] = n
+    ld = state.log_deriv[ia] + np.log(gp[ia])
+    state.log_deriv[ia] = ld
+    state.log_deriv_hyp[hyp] = ld[hyp]
     state.n = n
 
-    t_prev = state.t[ia]
-    a_prev = t_prev == 0                 # waits are >= 0: the rest is B
+    a_prev = state.wait == 0             # waits are >= 0: the rest is B
     rec = {"n": n, "delta_prev": len(ia),
            "A_prev": int(np.count_nonzero(a_prev)),
            "B_prev": len(ia) - int(np.count_nonzero(a_prev)),
@@ -234,35 +234,33 @@ def step_partition(state: ConstructionState, sys: ModelSystem,
         # Removing the neighbor rule left R and the whole trace identical
         # on both shipped configs; it stays as part of the definition
         k = np.flatnonzero(np.diff(ia) == 1)
-        ld = state.log_deriv
-        near = params.cell_width * np.exp(0.5 * (ld[ia[k + 1]] + ld[ia[k]])) < params.epsilon
+        near = params.cell_width * np.exp(0.5 * (ld[k + 1] + ld[k])) < params.epsilon
         aeps = a_prev.copy()
         aeps[k + 1] |= a_prev[k] & near
         aeps[k] |= a_prev[k + 1] & near
         # recent hyperbolic time => a pre-ball certifies the u-crossing,
         # provided the pre-ball fits inside D and the image ball of radius
         # delta1 contains the outer cylinder arc
-        fits = state.log_deriv_hyp[ia] >= math.log(DELTA1 / (DELTA1 - params.delta0))
-        gate = aeps & (n - state.last_hyp[ia] <= N0) & fits \
+        fits = state.log_deriv_hyp >= math.log(DELTA1 / (DELTA1 - params.delta0))
+        gate = aeps & (n - state.last_hyp <= N0) & fits \
             & (d + 2.0 * math.sqrt(params.delta0) <= DELTA1)
         carve = gate & (d < params.delta0)
         ring = gate & ~carve & (d >= params.delta0) & (d < 2.0 * params.delta0)
-        bad = int(np.count_nonzero((carve | ring) & (t_prev >= 1)))
+        bad = int(np.count_nonzero((carve | ring) & ~a_prev))
         state.violations += bad
         rec["violations"] = bad
-        # carve {R = n}
-        ic = ia[carve]
-        state.R[ic] = n
         # three-case wait update on the active points
-        new_t = np.where(t_prev > 0, t_prev - 1, 0)
-        new_t[ring] = params.ring_index(d[ring])
-        new_t[carve] = 0
-        state.t[ia] = new_t
-        rec["carved"] = len(ic)
-        rec["ringed_from_A"] = int(np.count_nonzero(a_prev & ~carve & (new_t > 0)))
-        rec["B_to_A"] = int(np.count_nonzero(~a_prev & ~carve & (new_t == 0)))
-        # exact per-step mass conservation in counts
-        assert rec["delta_prev"] == int(np.count_nonzero(state.active)) + rec["carved"]
+        wait = np.where(a_prev, 0, state.wait - 1)
+        wait[ring] = params.ring_index(d[ring])
+        rec["carved"] = int(np.count_nonzero(carve))
+        rec["ringed_from_A"] = int(np.count_nonzero(a_prev & ~carve & (wait > 0)))
+        rec["B_to_A"] = int(np.count_nonzero(~a_prev & ~carve & (wait == 0)))
+        # carve {R = n}: the carved points leave the active arrays
+        state.R[ia[carve]] = n
+        keep = np.flatnonzero(~carve)
+        state.ia, state.bsum, state.bmin = ia[keep], state.bsum[keep], state.bmin[keep]
+        state.last_hyp, state.log_deriv_hyp = state.last_hyp[keep], state.log_deriv_hyp[keep]
+        state.wait = wait[keep]
     state.trace.append(rec)
     return state
 

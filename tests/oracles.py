@@ -199,10 +199,9 @@ def summed_density_check(scan, subset_mask, n: int) -> float:
 
 def mass_counts(state):
     """Active (delta_n), unwaiting (A_n) and waiting (B_n) point counts of a construction state."""
-    act = state.active
-    return {"delta_n": int(np.count_nonzero(act)),
-            "A_n": int(np.count_nonzero(act & (state.t == 0))),
-            "B_n": int(np.count_nonzero(act & (state.t > 0)))}
+    return {"delta_n": len(state.ia),
+            "A_n": int(np.count_nonzero(state.wait == 0)),
+            "B_n": int(np.count_nonzero(state.wait > 0))}
 
 
 def verifiable_elements(structure, max_elements, seed):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gmstruct import inducing
+from gmstruct import config, inducing
 from gmstruct.dynamics import ModelSystem, circle_offset, intermittent_solenoid, uniform_solenoid
 from gmstruct.inducing import (
     ConstructionParams,
@@ -168,6 +168,42 @@ def test_carved_orbits_are_never_read(case):
     assert got + (state.violations,) == want
 
 
+@pytest.mark.parametrize("case", sorted(CONSTRUCTION_DIGESTS))
+def test_active_arrays_track_the_uncarved_points(case):
+    # the bookkeeping lives on the active points, in grid order; a carve
+    # drops exactly its points from every active array
+    sys_, params, p_base, _ = CONSTRUCTION_DIGESTS[case]
+    params = ConstructionParams(**params)
+    state = init_state(params, choose_base_point(0) if p_base is None else p_base, seed=0)
+    for _ in range(params.n_max):
+        before = len(state.ia)
+        step_partition(state, sys_, params)
+        ia = state.ia
+        assert np.all(np.diff(ia) > 0)
+        assert np.all(state.R[ia] == 0)
+        assert np.count_nonzero(state.R == 0) == len(ia)
+        for a in (state.bsum, state.bmin, state.last_hyp, state.log_deriv_hyp, state.wait):
+            assert len(a) == len(ia)
+        assert before == len(ia) + state.trace[-1]["carved"]
+
+
+# the shipped configs' full-resolution (2^-20) constructions, pinned as in
+# CONSTRUCTION_DIGESTS: sha256 prefixes of R, log_deriv_carve and the trace,
+# and the violation count
+SHIPPED_DIGESTS = {
+    "uniform_baseline": ("de1b416176b5b6b1", "32b0c555fe669d5c", "eea5fb17ff08f7f8", 0),
+    "intermittent_alpha05": ("b41cd3f933d6d40e", "7129734d6726dfce", "56e538e191d2bd42", 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHIPPED_DIGESTS))
+def test_shipped_constructions_pinned(name):
+    cfg = config.load_config(f"configs/{name}.cfg")
+    s = run_construction(cfg.system(), cfg.construction_params(), seed=cfg.seed)
+    got = tuple(_digest(v) for v in (s.R, s.log_deriv_carve, s.trace))
+    assert got + (s.violations,) == SHIPPED_DIGESTS[name]
+
+
 def test_first_steps_no_carving():
     params = ConstructionParams(delta0=0.02, sigma=0.51, c=0.5, n_max=30,
                                 resolution=2.0 ** -12)
@@ -176,7 +212,7 @@ def test_first_steps_no_carving():
         step_partition(state, UNIFORM, params)
     # before R0 nothing is carved and nothing waits: A_n is everything
     assert np.all(state.R == 0)
-    assert np.all(state.t == 0)
+    assert np.all(state.wait == 0)
     counts = mass_counts(state)
     assert counts["A_n"] == params.grid_size and counts["B_n"] == 0
 
@@ -185,19 +221,14 @@ def test_step_mass_conservation_and_wait_decrement():
     params = ConstructionParams(delta0=0.02, sigma=0.51, c=0.5, n_max=60,
                                 resolution=2.0 ** -12)
     state = init_state(params, 0.37, seed=0)
-    prev_t = None
     for _ in range(60):
-        if prev_t is not None:
-            act = state.active
-            step_partition(state, UNIFORM, params)
-            # waiting points either count down by one or were just carved
-            waited = act & (prev_t > 0)
-            assert np.all((state.t[waited] == prev_t[waited] - 1)
-                          | (state.R[waited] > 0)
-                          | ~state.active[waited])
-        else:
-            step_partition(state, UNIFORM, params)
-        prev_t = state.t.copy()
+        waiting = state.wait > 0
+        waited, prev_wait = state.ia[waiting], state.wait[waiting]
+        step_partition(state, UNIFORM, params)
+        # waiting points either count down by one or were just carved
+        wait = np.full(params.grid_size, -1)
+        wait[state.ia] = state.wait
+        assert np.all((wait[waited] == prev_wait - 1) | (state.R[waited] > 0))
         counts = mass_counts(state)
         carved = int(np.count_nonzero(state.R > 0))
         assert counts["delta_n"] + carved == params.grid_size
@@ -209,7 +240,7 @@ def test_wait_values_bounded_by_ring_table(uniform_structure):
     state = init_state(params, st.p_base, seed=0)
     for _ in range(50):
         step_partition(state, UNIFORM, params)
-        assert np.max(state.t) <= params.k_max
+        assert np.max(state.wait) <= params.k_max
 
 
 # ---------------------------------------------------------------------------
