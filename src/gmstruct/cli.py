@@ -39,10 +39,10 @@ from .pliss import expansion_tail, geometric_grid
 from .regularity import regularity_report
 from .stats import (
     LD_MIN_ENSEMBLE,
-    _fmt,
     clt_test,
     correlation,
     fit_power_law,
+    fmt17,
     large_deviations,
     observable,
     read_curve_csv,
@@ -222,7 +222,7 @@ def _report_text(doc: dict) -> str:
     for key in ("tau_E", "tau_R", "correlation_exponent", "ld_exponent",
                 "ks_distance", "sigma2"):
         if key in doc:
-            lines.append(f"{key:24s} {_fmt(doc[key])}")
+            lines.append(f"{key:24s} {fmt17(doc[key])}")
     if "correlation_vs_tau" in doc:
         lines.append(doc["correlation_vs_tau"])
     if "verification" in doc:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from .dynamics import ModelSystem, intermittent_solenoid, uniform_solenoid
 from .errors import ConfigError
 from .inducing import DELTA1, K0, MAX_GRID, N0, ConstructionParams
-from .stats import observable
+from .stats import MAX_ENSEMBLE, MAX_ORBIT_LEN, observable
 
 #: every recognised key: (ExperimentConfig field, type[, default as text]).
 #: A key without a default is required; a key accepts ``auto`` exactly when
@@ -147,7 +147,9 @@ def _rules(cfg: ExperimentConfig):
            "must be >= 100 (the CLT test runs 10 * stats.n_max >= 1000 steps)")
     yield ("stats.orbit_len", cfg.orbit_len >= 100 * cfg.stats_n_max,
            "must be >= 100 * stats.n_max")
+    yield "stats.orbit_len", cfg.orbit_len <= MAX_ORBIT_LEN, f"must be <= {MAX_ORBIT_LEN}"
     yield "stats.ensemble", cfg.ensemble >= 1000, "must be >= 1000"
+    yield "stats.ensemble", cfg.ensemble <= MAX_ENSEMBLE, f"must be <= {MAX_ENSEMBLE}"
     yield "stats.eps", cfg.eps > 0.0, "must be > 0"
     yield "seed", 0 <= cfg.seed < 2 ** 64, "must be an unsigned 64-bit integer"
     phi = observable(obs)

@@ -40,6 +40,7 @@ import numpy as np
 
 from .dynamics import CocycleScan, ModelSystem, circle_offset, dither_rng
 from .pliss import disk_grid_points, geometric_grid, hyperbolic_flags, survival_curve
+from .stats import least_squares
 
 SCHEMA_VERSION = 2
 
@@ -540,14 +541,12 @@ def verify_pairs(structure: GibbsMarkovStructure, sys: ModelSystem,
     keep = (r > 1e-14) & (d > 1e-14)
     lx = np.log(d[keep])
     ly = np.log(r[keep])
-    eta, intercept = np.polyfit(lx, ly, 1)
-    resid = ly - (eta * lx + intercept)
-    ss = 1.0 - np.sum(resid ** 2) / max(np.sum((ly - ly.mean()) ** 2), 1e-300)
+    eta, intercept, resid, r_squared = least_squares(lx, ly)
     env = intercept + float(np.max(resid))
-    dist["eta_fit"] = float(eta)
-    dist["C2_fit"] = float(math.exp(env))
-    dist["ls_intercept"] = float(intercept)
-    dist["r_squared"] = float(ss)
+    dist["eta_fit"] = eta
+    dist["C2_fit"] = math.exp(env)
+    dist["ls_intercept"] = intercept
+    dist["r_squared"] = r_squared
     # residual factor relative to the envelope line (<= 1 by construction)
     dist["max_residual_factor"] = float(np.max(np.exp(ly - (eta * lx + env))))
     return out
@@ -564,55 +563,36 @@ def return_tail(structure: GibbsMarkovStructure):
 
 
 def measure_flow_constants(structure: GibbsMarkovStructure) -> dict:
-    """The (m2)-(m4) constants measured from the per-step trace."""
+    """The (m2)-(m4) constants measured from the per-step trace, each one a
+    reduction over the trace's columns (row i is step n = i + 1)."""
     trace = structure.trace
-    a0 = None
-    a0_zero_steps = 0
-    b0 = 0.0
-    c0 = 0.0
-    carved_at = np.zeros(structure.params.n_max + 1, dtype=np.int64)
-    denoms = {}
-    for rec in trace:
-        if rec["B_prev"] > 0:
-            if rec["B_to_A"] == 0:
-                # the maturing outer ring of some waiting component fell
-                # below grid resolution; the ratio measures an empty
-                # intersection, not the ring-to-component mass comparison
-                a0_zero_steps += 1
-            else:
-                ratio = rec["B_to_A"] / rec["B_prev"]
-                a0 = ratio if a0 is None else min(a0, ratio)
-        if rec["A_prev"] > 0:
-            b0 = max(b0, rec["ringed_from_A"] / rec["A_prev"])
-            c0 = max(c0, rec["carved"] / rec["A_prev"])
-        carved_at[rec["n"]] = rec["carved"]
-        if rec["A_prev_hyp"] > 0:
-            denoms[rec["n"]] = rec["A_prev_hyp"]
+    n, a, b, a_hyp, carved, ringed, b_to_a = (
+        np.fromiter((rec[k] for rec in trace), np.int64, len(trace))
+        for k in ("n", "A_prev", "B_prev", "A_prev_hyp", "carved", "ringed_from_A", "B_to_A"))
+    # a step with waiting mass but no B -> A flow: the maturing outer ring
+    # of some waiting component fell below grid resolution; the ratio would
+    # measure an empty intersection, not the ring-to-component mass comparison
+    unmeasured = (b > 0) & (b_to_a == 0)
+    fed = (b > 0) & ~unmeasured
+    has_a = a > 0
     # carve-gap window: largest wait between a step with A cap H_n nonempty
     # and the next carve anywhere (Prop-4.3 style window, measured)
-    n_max = structure.params.n_max
-    next_carve = np.full(n_max + 2, -1, dtype=np.int64)
-    nxt = -1
-    for n in range(n_max, 0, -1):
-        if carved_at[n] > 0:
-            nxt = n
-        next_carve[n] = nxt
-    gaps = [next_carve[n] - n for n in denoms if next_carve[n] >= 0]
-    window = int(max(gaps)) if gaps else 0
-    c1 = None
-    censored = 0
-    for n, den in denoms.items():
-        hi = n + window
-        if hi > n_max:
-            censored += 1
-            continue
-        num = int(np.sum(carved_at[n:hi + 1]))
-        ratio = num / den
-        c1 = ratio if c1 is None else min(c1, ratio)
-    return {"a0": a0, "b0": b0, "c0": c0,
-            "a0_zero_steps": a0_zero_steps,
-            "c1": c1 if c1 is not None else 0.0, "window_N": window,
-            "c1_censored_steps": censored,
+    hyp = np.flatnonzero(a_hyp > 0)
+    carve_steps = n[carved > 0]
+    nxt = np.searchsorted(carve_steps, n[hyp])
+    reached = nxt < len(carve_steps)
+    window = int(np.max(carve_steps[nxt[reached]] - n[hyp[reached]], initial=0))
+    # c1: carved mass over steps n .. n + window per A cap H_n mass; a window
+    # past n_max is censored
+    inside = hyp[n[hyp] + window <= structure.params.n_max]
+    cum = np.concatenate([[0], np.cumsum(carved)])
+    c1 = (cum[inside + window + 1] - cum[inside]) / a_hyp[inside]
+    return {"a0": float(np.min(b_to_a[fed] / b[fed])) if fed.any() else None,
+            "b0": float(np.max(ringed[has_a] / a[has_a], initial=0.0)),
+            "c0": float(np.max(carved[has_a] / a[has_a], initial=0.0)),
+            "a0_zero_steps": int(np.count_nonzero(unmeasured)),
+            "c1": float(np.min(c1)) if len(c1) else 0.0, "window_N": window,
+            "c1_censored_steps": len(hyp) - len(inside),
             "a0_ring_prediction": 1.0 - math.sqrt(structure.params.sigma)}
 
 

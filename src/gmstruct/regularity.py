@@ -28,6 +28,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 
 from .dynamics import CocycleScan, ModelSystem, cu_directions, dither
 from .errors import DegenerateSample
+from .stats import least_squares
 
 GROWTH_DEPTH = 100          # forward growth steps defining an unstable curve
 DISTANCE_FLOOR = 1e-10      # pairs closer than this are numerical noise
@@ -108,9 +109,8 @@ def stable_contraction_check(sys: ModelSystem, fiber_pairs: int = 1000,
             break   # differences at the double-precision floor
         logs.append(np.log(d))
     mean_log = np.array([np.mean(row) for row in logs])
-    k = np.arange(len(logs))
-    slope, intercept = np.polyfit(k, mean_log, 1)
-    return {"beta_fit": float(math.exp(slope)), "C_fit": float(math.exp(intercept))}
+    slope, intercept, _, _ = least_squares(np.arange(len(logs)), mean_log)
+    return {"beta_fit": math.exp(slope), "C_fit": math.exp(intercept)}
 
 
 # ---------------------------------------------------------------------------
@@ -171,14 +171,11 @@ def holder_exponent_cu(sys: ModelSystem, sample_pairs: int = 10 ** 4,
     decades = math.log10(float(np.max(dist)) / float(np.min(dist)))
     if decades < 2.0:
         raise DegenerateSample(f"pair distances span only {decades:.2f} decades")
-    lx, ly = np.log(dist), np.log(ang)
-    slope, intercept = np.polyfit(lx, ly, 1)
-    resid = ly - (slope * lx + intercept)
-    ss = 1.0 - np.sum(resid ** 2) / max(np.sum((ly - ly.mean()) ** 2), 1e-300)
+    slope, intercept, resid, r_squared = least_squares(np.log(dist), np.log(ang))
     # a regression slope above 1 certifies Hölder continuity with exponent 1
-    return {"alpha_fit": float(min(slope, 1.0)), "slope_fit": float(slope),
-            "C_fit": float(math.exp(intercept)),
-            "r_squared": float(ss), "decades": float(decades),
+    return {"alpha_fit": min(slope, 1.0), "slope_fit": slope,
+            "C_fit": math.exp(intercept),
+            "r_squared": r_squared, "decades": float(decades),
             "max_residual": float(np.max(np.abs(resid))),
             "pairs": int(len(dist))}
 

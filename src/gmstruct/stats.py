@@ -29,6 +29,14 @@ BURN = 1000                   # steps every ensemble advances before it is sampl
 GREEN_KUBO_ORBIT = 10 ** 5    # pooled Green-Kubo orbit length
 GREEN_KUBO_N_MAX = 200        # largest lag the Green-Kubo sum reaches
 LD_MIN_ENSEMBLE = 10 ** 4     # fewest starts of a large-deviation ensemble
+#: largest ``stats.orbit_len``: the correlation series is WALKERS * steps <=
+#: 1.28 orbit_len doubles (orbit_len >= 100 n_max bounds steps = 2 n_max) and
+#: each lag's product as many again, so 2^27 holds about 2.7 GB
+MAX_ORBIT_LEN = 2 ** 27
+#: largest ``stats.ensemble``: the large-deviation sums hold a row per n-grid
+#: point (<= 67 rows for 10 n_max <= MAX_ORBIT_LEN / 10) and the walk a dozen
+#: arrays, about 80 doubles a walker, so 2^22 walkers hold about 2.7 GB
+MAX_ENSEMBLE = 2 ** 22
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +265,20 @@ def large_deviations(sys: ModelSystem, phi: Observable, eps: float,
 # power-law fitting
 
 
+def least_squares(x, y):
+    """Least-squares line y ~ slope x + intercept: (slope, intercept, residuals, r^2).
+
+    r^2 = 1 - SS_res / SS_tot, unclipped; a constant y (SS_tot = 0) lies on
+    its line, so its r^2 is 1.  Every fitted exponent of the package comes from here.
+    """
+    slope, intercept = np.polyfit(x, y, 1)
+    resid = y - (slope * x + intercept)
+    ss_res = np.sum(resid ** 2)
+    ss_tot = np.sum((y - y.mean()) ** 2)
+    r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    return slope, intercept, resid, r_squared
+
+
 @dataclass
 class RateFit:
     exponent: float
@@ -281,14 +303,9 @@ def fit_power_law(curve: Curve, window=None) -> RateFit:
     if np.count_nonzero(keep) < 8:
         raise InsufficientData(
             f"only {np.count_nonzero(keep)} positive points in window {window}")
-    lx = np.log(n[keep])
-    ly = np.log(vals[keep])
-    slope, intercept = np.polyfit(lx, ly, 1)
-    resid = ly - (slope * lx + intercept)
-    denom = float(np.sum((ly - ly.mean()) ** 2))
-    ss = 1.0 - float(np.sum(resid ** 2)) / denom if denom > 0 else 1.0
-    return RateFit(exponent=float(-slope), intercept=float(intercept),
-                   r_squared=float(min(max(ss, 0.0), 1.0)), window=(lo, hi),
+    slope, intercept, _, r_squared = least_squares(np.log(n[keep]), np.log(vals[keep]))
+    return RateFit(exponent=-slope, intercept=intercept,
+                   r_squared=min(max(r_squared, 0.0), 1.0), window=(lo, hi),
                    points=int(np.count_nonzero(keep)))
 
 
@@ -296,18 +313,19 @@ def fit_power_law(curve: Curve, window=None) -> RateFit:
 # artifact emitters (17 significant digits)
 
 
-def _fmt(x):
+def fmt17(x):
+    """x with 17 significant digits, enough to read back the same double."""
     return format(float(x), ".17g")
 
 
 def write_curve_csv(path, curve: Curve, value_col: str, error_col: str = None):
     """Columns n and ``value_col``; with ``error_col``, the curve's error on every row."""
-    error = [_fmt(curve.error)] if error_col else []
+    error = [fmt17(curve.error)] if error_col else []
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(["n", value_col] + ([error_col] if error_col else []))
         for n, val in zip(curve.n_values, curve.values):
-            w.writerow([int(n), _fmt(val)] + error)
+            w.writerow([int(n), fmt17(val)] + error)
 
 
 def read_curve_csv(path, value_col: str) -> Curve:

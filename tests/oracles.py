@@ -3,7 +3,8 @@ streaming pipeline (``CocycleScan``, ``hyperbolic_flags``, ``disk_scan``,
 ``cu_directions``) against, the hyperbolic-time counts over a disk
 (``hyperbolic_counts``) that the Pliss density-floor tests read, and the
 per-run loop (``verifiable_elements``) that the vectorized element sample
-is checked against."""
+is checked against, and the per-record loop (``flow_constants``) that the
+trace reductions of ``measure_flow_constants`` are checked against."""
 
 import math
 from dataclasses import dataclass
@@ -218,3 +219,43 @@ def verifiable_elements(structure, max_elements, seed):
         rng = np.random.default_rng(seed)
         reps = np.sort(rng.choice(reps, size=max_elements, replace=False))
     return reps
+
+
+def flow_constants(trace, n_max):
+    """``inducing.measure_flow_constants`` as the per-record loop, with running
+    extremes and a re-summed window per step (all but ``a0_ring_prediction``)."""
+    a0, a0_zero_steps, b0, c0 = None, 0, 0.0, 0.0
+    carved_at = np.zeros(n_max + 1, dtype=np.int64)
+    denoms = {}
+    for rec in trace:
+        if rec["B_prev"] > 0:
+            if rec["B_to_A"] == 0:
+                a0_zero_steps += 1
+            else:
+                ratio = rec["B_to_A"] / rec["B_prev"]
+                a0 = ratio if a0 is None else min(a0, ratio)
+        if rec["A_prev"] > 0:
+            b0 = max(b0, rec["ringed_from_A"] / rec["A_prev"])
+            c0 = max(c0, rec["carved"] / rec["A_prev"])
+        carved_at[rec["n"]] = rec["carved"]
+        if rec["A_prev_hyp"] > 0:
+            denoms[rec["n"]] = rec["A_prev_hyp"]
+    # the next carve at or after each step, by a reverse scan
+    next_carve = np.full(n_max + 2, -1, dtype=np.int64)
+    nxt = -1
+    for n in range(n_max, 0, -1):
+        if carved_at[n] > 0:
+            nxt = n
+        next_carve[n] = nxt
+    gaps = [next_carve[n] - n for n in denoms if next_carve[n] >= 0]
+    window = int(max(gaps)) if gaps else 0
+    c1, censored = None, 0
+    for n, den in denoms.items():
+        if n + window > n_max:
+            censored += 1
+            continue
+        ratio = int(np.sum(carved_at[n:n + window + 1])) / den
+        c1 = ratio if c1 is None else min(c1, ratio)
+    return {"a0": a0, "b0": b0, "c0": c0, "a0_zero_steps": a0_zero_steps,
+            "c1": c1 if c1 is not None else 0.0, "window_N": window,
+            "c1_censored_steps": censored}

@@ -162,6 +162,10 @@ def test_coupling_bound_matches_model():
     ({"stats.n_max": "10"}, "stats.n_max"),
     ({"stats.ensemble": "100"}, "stats.ensemble"),
     ({"stats.ensemble": "999"}, "stats.ensemble"),
+    # tens of GB of large-deviation sums and hundreds of TB of correlation
+    # series: both are refused before any stage allocates them
+    ({"stats.ensemble": "10000000000"}, "stats.ensemble"),
+    ({"stats.orbit_len": "100000000000000"}, "stats.orbit_len"),
     ({"stats.eps": "-0.1"}, "stats.eps"),
 ], ids=["alpha-range", "alpha-nan", "coupling-sign", "coupling-nan", "lambda_s",
         "resolution-grid-cap", "epsilon-negative", "epsilon-zero", "c-tiny", "c-below-ulp",
@@ -169,7 +173,7 @@ def test_coupling_bound_matches_model():
         "delta0-cylinder", "sigma-above-one", "sigma-zero", "sigma-negative",
         "epsilon-above-bound", "epsilon-above-half-delta0", "auto-epsilon-by-sigma",
         "auto-epsilon-by-c", "orbit-len", "clt-length", "ensemble-100", "ensemble-999",
-        "eps-negative"])
+        "ensemble-cap", "orbit-len-cap", "eps-negative"])
 def test_model_errors_name_the_key(overrides, key):
     # config.py's rule table is the only parameter check
     with pytest.raises(ConfigError, match=rf"^{re.escape(key)}: "):

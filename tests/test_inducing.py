@@ -30,7 +30,7 @@ from gmstruct.inducing import (
     verify_structure,
     write_structure_json,
 )
-from oracles import mass_counts, verifiable_elements
+from oracles import flow_constants, mass_counts, verifiable_elements
 
 UNIFORM = uniform_solenoid(lambda_s=0.25, coupling=0.0)
 INTERMITTENT = intermittent_solenoid(alpha=0.5)
@@ -532,6 +532,49 @@ def test_flow_constants_positive(uniform_structure):
     # ring widths predict B -> A feed-back of about 1 - sqrt(sigma)
     assert flow["a0_ring_prediction"] == pytest.approx(1.0 - math.sqrt(0.51))
 
+
+
+FLOW_KEYS = ("a0", "b0", "c0", "a0_zero_steps", "c1", "window_N", "c1_censored_steps")
+# measure_flow_constants on every CONSTRUCTION_DIGESTS fixture, as the
+# per-record loop (oracles.flow_constants) measured them
+FLOW_CONSTANTS = {
+    "intermittent-0.3": (0.017857142857142856, 0.25, 1.0, 79, 0.07177322074788903, 20, 11),
+    "intermittent-0.5": (0.022222222222222223, 0.2222222222222222, 0.125, 87,
+                         0.11305872042068361, 20, 20),
+    "neighbor-rule-intermittent": (0.01694915254237288, 0.19031273836765827,
+                                   0.2498093058733791, 82, 0.125, 26, 26),
+    "neighbor-rule-uniform": (0.09090909090909091, 0.2, 0.2222222222222222, 26,
+                              0.14285714285714285, 24, 24),
+    "uniform": (0.05263157894736842, 0.07575757575757576, 0.082389289392379, 2,
+                0.03909975205035285, 20, 20),
+    "uniform-coupled": (0.05263157894736842, 0.07575757575757576, 0.082389289392379, 2,
+                        0.03909975205035285, 20, 20),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONSTRUCTION_DIGESTS))
+def test_flow_constants_pinned(case):
+    sys_, params, p_base, _ = CONSTRUCTION_DIGESTS[case]
+    s = run_construction(sys_, ConstructionParams(**params), p_base=p_base, seed=0)
+    flow = measure_flow_constants(s)
+    assert tuple(flow[k] for k in FLOW_KEYS) == FLOW_CONSTANTS[case]
+    assert {k: flow[k] for k in FLOW_KEYS} == flow_constants(s.trace, s.params.n_max)
+
+
+@pytest.mark.parametrize("n_max, density", [(0, 0.5), (30, 0.03), (40, 0.1), (50, 0.4),
+                                             (60, 0.8)])
+def test_flow_constants_match_the_loop_on_random_traces(n_max, density):
+    # sparse records show what the constructions rarely do: an empty trace,
+    # no waiting mass (a0 None), no carve after a hyperbolic step
+    rng = np.random.default_rng(n_max)
+    cols = ("A_prev", "B_prev", "A_prev_hyp", "carved", "ringed_from_A", "B_to_A")
+    draws = rng.integers(0, 4, (n_max, len(cols))) * (rng.random((n_max, len(cols))) < density)
+    trace = [dict(zip(cols, map(int, row)), n=n) for n, row in enumerate(draws, 1)]
+    st = SimpleNamespace(trace=trace, params=SimpleNamespace(n_max=n_max, sigma=0.5))
+    flow = measure_flow_constants(st)
+    want = flow_constants(trace, n_max)
+    assert {k: flow[k] for k in FLOW_KEYS} == want
+    assert json.dumps(flow) == json.dumps(dict(want, a0_ring_prediction=1.0 - math.sqrt(0.5)))
 
 def test_empty_construction(uniform_structure, intermittent_structure):
     # n_max below R0: nothing can be carved

@@ -1,7 +1,14 @@
-"""The package holds the pipeline: every top-level name is used by it or by the bench."""
+"""The package holds the pipeline: every top-level name is used by it or by the bench,
+no module imports another's private names, and the names the bench traces exist."""
 
 import ast
+import importlib
+import importlib.util
+import inspect
 from pathlib import Path
+
+from gmstruct import inducing, pliss
+from gmstruct.dynamics import ModelSystem, uniform_solenoid
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "gmstruct"
@@ -103,3 +110,53 @@ def test_only_the_stepper_writes_orbit_state():
                     or isinstance(node, ast.Subscript) and _is_scan_t(node.value)):
                 writes.append(f"{path.name}:{node.lineno}")
     assert writes == []
+
+
+def test_no_module_imports_a_private_name_of_another():
+    # a _-prefixed name belongs to its own module; a name another module
+    # imports is public
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level or (node.module or "").startswith("gmstruct")):
+                found += [f"{path.stem}: {a.name}" for a in node.names if a.name.startswith("_")]
+    assert found == []
+
+
+def _bench_tracer():
+    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_names_the_bench_traces_exist():
+    # every `--trace 1` run patches these: a missing model method crashes the
+    # run, and a missing counted function or probe drops its counters
+    tracer = _bench_tracer()
+    assert set(tracer.MODEL_METHODS) <= set(vars(ModelSystem))
+    names = list(tracer.RESULT_COUNTERS) + [f"{m}.{f}" for m, fs in tracer.PRIVATE_PROBES.items()
+                                            for f in fs]
+    for name in names:
+        module, fn = name.split(".")
+        assert inspect.isfunction(vars(importlib.import_module(f"gmstruct.{module}")).get(fn)), name
+
+
+def test_the_bench_counters_read_the_real_results():
+    # under the bench's tracer, each counted function runs on a small fixture
+    # and its counter reads the real return value
+    tracer = _bench_tracer()
+    sys_ = uniform_solenoid(lambda_s=0.25)
+    params = inducing.ConstructionParams(delta0=0.02, sigma=0.51, c=0.5, n_max=200,
+                                         resolution=2.0 ** -14)
+    with tracer.Tracer() as tr:
+        structure = inducing.run_construction(sys_, params, p_base=0.37)
+        inducing.verify_structure(structure, sys_, max_elements=10)
+        pliss.disk_scan(sys_, pliss.disk_grid_points(0.3, 0.1, 1000), 100, 0.5)
+    assert all(tr.calls[name][0] == 1 for name in tracer.RESULT_COUNTERS)
+    assert tr.counters["inducing.verify.checked"] == 10
+    assert tr.counters["inducing.newton.solves"] == 20
+    assert tr.counters["pliss.scanned_points"] == 1000
+    assert tr.counters["inducing.active_point_steps"] == sum(
+        rec["delta_prev"] for rec in structure.trace)

@@ -25,6 +25,7 @@ from gmstruct.stats import (
     _ndtr,
     ks_statistic,
     large_deviations,
+    least_squares,
     trig_base,
     write_clt_json,
     write_curve_csv,
@@ -201,6 +202,32 @@ class _Curve:
     def __init__(self, n, values):
         self.n_values = np.asarray(n)
         self.values = np.asarray(values, dtype=float)
+
+
+def test_least_squares_constant_y():
+    # SS_tot = 0: the one r^2 guard reads the exact fit as 1, not 0/0
+    slope, intercept, resid, r_squared = least_squares(np.arange(10.0), np.full(10, -2.5))
+    assert r_squared == 1.0
+    assert slope == pytest.approx(0.0, abs=1e-12)
+    assert intercept == pytest.approx(-2.5, abs=1e-12)
+    assert np.max(np.abs(resid)) <= 1e-12
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_least_squares_is_the_hand_written_line(seed):
+    # np.polyfit, its residuals and r^2 as each fit wrote them out by hand,
+    # under either of the two guards the copies used, bit for bit
+    rng = np.random.default_rng(seed)
+    x = np.log(rng.uniform(1e-6, 1.0, 500))
+    y = rng.uniform(-2.0, 2.0) * x + rng.standard_normal() + rng.standard_normal(500)
+    slope, intercept = np.polyfit(x, y, 1)
+    resid = y - (slope * x + intercept)
+    denom = float(np.sum((y - y.mean()) ** 2))
+    got = least_squares(x, y)
+    assert got[:2] == (slope, intercept)
+    assert np.array_equal(got[2], resid)
+    assert got[3] == 1.0 - float(np.sum(resid ** 2)) / denom
+    assert got[3] == 1.0 - np.sum(resid ** 2) / max(np.sum((y - y.mean()) ** 2), 1e-300)
 
 
 def test_fit_exact_square():
