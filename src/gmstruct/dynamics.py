@@ -84,6 +84,11 @@ class ModelSystem:
     lambda_s: float = 0.25
     coupling: float = 0.0
 
+    @property
+    def constant_log_expansion(self):
+        """log ||Df|E^cu||, where it is one number at every point (uncoupled uniform), else None."""
+        return math.log(2.0) if self.family is Family.UNIFORM and self.coupling == 0.0 else None
+
     # -- base circle map -------------------------------------------------
 
     def base_map(self, t):

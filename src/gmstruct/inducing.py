@@ -212,9 +212,11 @@ def step_partition(state: ConstructionState, sys: ModelSystem,
     # whole grid, but nothing reads them again; log_deriv stays frozen on
     # them, as the log (g^R)' the structure keeps
     e, gp = scan.advance(sys)
-    hyp = hyperbolic_flags(state.bsum, state.bmin, -np.log(e[ia]), math.log(params.sigma))
+    la = np.log(e[ia])                  # uncoupled, e is g'(t) itself: la is log g'
+    hyp = hyperbolic_flags(state.bsum, state.bmin, -la, math.log(params.sigma))
     state.last_hyp[hyp] = n
-    ld = state.log_deriv[ia] + np.log(gp[ia])
+    # ld takes la's buffer, so no extra active-size array outlives the flags
+    ld = np.add(state.log_deriv[ia], la if e is gp else np.log(gp[ia], out=la), out=la)
     state.log_deriv[ia] = ld
     state.log_deriv_hyp[hyp] = ld[hyp]
     state.n = n

@@ -88,13 +88,18 @@ def disk_scan(sys: ModelSystem, points, horizon: int, c: float) -> DiskScan:
     """
     scan = CocycleScan(points)
     m = len(scan.t)
-    ssum = np.zeros(m)            # prefix sum of a_j
+    la = sys.constant_log_expansion     # a_j = -la everywhere: one prefix sum serves all
+    ssum = np.zeros(m) if la is None else 0.0   # prefix sum of a_j
     last_fail = np.zeros(m, dtype=np.int64)
     for n in range(1, horizon + 1):
+        # every orbit steps even so: bench/run.py counts grid x horizon tangent pushes
         e, _ = scan.advance(sys)
-        # e is the scan's buffer, so its log may overwrite it
-        ssum -= np.log(e, out=e)
-        np.copyto(last_fail, n, where=(ssum >= -c * n))
+        if la is None:
+            # e is the scan's buffer, so its log may overwrite it
+            ssum -= np.log(e, out=e)
+            np.copyto(last_fail, n, where=(ssum >= -c * n))
+        elif (ssum := ssum - la) >= -c * n:
+            last_fail.fill(n)
     evalue = last_fail + 1
     censored = _censored(evalue, horizon)
     evalue = np.where(censored, horizon, evalue)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .dynamics import CocycleScan, ModelSystem, cu_directions, dither
+from .dynamics import DITHER, CocycleScan, ModelSystem, cu_directions
 from .errors import DegenerateSample
 from .stats import least_squares
 
@@ -133,13 +133,14 @@ def holder_exponent_cu(sys: ModelSystem, sample_pairs: int = 10 ** 4,
     u = v = 0.0
     base_hist = np.empty(burn + n_pts + HOLDER_SETTLE)
     fibers = np.empty((burn + n_pts + HOLDER_SETTLE, 2))
+    # sub-ulp dither keeps binary base maps off the fixed point once the mantissa
+    # is exhausted; one call leaves the draws and generator state of a ``dither`` per step
+    jitter = rng.random(len(base_hist)) * DITHER
     for i in range(len(base_hist)):
         base_hist[i] = t
         fibers[i] = (u, v)
         t, u, v = (float(w) for w in sys.step_arrays(t, u, v))
-        # sub-ulp dither keeps binary base maps from collapsing the orbit
-        # onto the fixed point once the mantissa is exhausted
-        t = dither(t, rng)
+        t = (t + jitter[i]) % 1.0
     # row k holds every point's history position k (oldest first) as a view
     dirs = cu_directions(sys, sliding_window_view(base_hist[burn:], n_pts), HOLDER_SETTLE)
     pts = np.column_stack([base_hist[burn + HOLDER_SETTLE:], fibers[burn + HOLDER_SETTLE:]])

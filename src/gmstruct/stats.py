@@ -268,14 +268,16 @@ def large_deviations(sys: ModelSystem, phi: Observable, eps: float,
 def least_squares(x, y):
     """Least-squares line y ~ slope x + intercept: (slope, intercept, residuals, r^2).
 
-    r^2 = 1 - SS_res / SS_tot, unclipped; a constant y (SS_tot = 0) lies on
-    its line, so its r^2 is 1.  Every fitted exponent of the package comes from here.
+    r^2 = 1 - SS_res / SS_tot, unclipped; a constant y lies on its line (r^2 = 1). Its mean
+    of n points is off by at most n eps max|y|, so y counts as constant up to SS_tot = n (n eps
+    max|y|)^2, not just at 0.  Every fitted exponent of the package comes from here.
     """
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
     ss_res = np.sum(resid ** 2)
     ss_tot = np.sum((y - y.mean()) ** 2)
-    r_squared = 1.0 - ss_res / ss_tot if ss_tot > 0 else 1.0
+    noise = len(y) * (len(y) * np.finfo(float).eps * np.max(np.abs(y))) ** 2
+    r_squared = 1.0 - ss_res / ss_tot if ss_tot > noise else 1.0
     return slope, intercept, resid, r_squared
 
 

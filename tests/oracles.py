@@ -1,6 +1,8 @@
 """Reference definitions on one orbit or one series, which the tests check the
 streaming pipeline (``CocycleScan``, ``hyperbolic_flags``, ``disk_scan``,
-``cu_directions``) against, the hyperbolic-time counts over a disk
+``cu_directions``) against, the per-point prefix sums (``disk_scan_per_point``)
+that the one-sum scan of a constant expansion is checked against, the
+hyperbolic-time counts over a disk
 (``hyperbolic_counts``) that the Pliss density-floor tests read, and the
 per-run loop (``verifiable_elements``) that the vectorized element sample
 is checked against, and the per-record loop (``flow_constants``) that the
@@ -108,6 +110,21 @@ def expansion_time(series, c: float, horizon: int) -> tuple[int, bool]:
     last_fail = int(failing[-1]) + 1 if len(failing) else 0
     censored = _censored(last_fail + 1, horizon)
     return (horizon if censored else last_fail + 1), censored
+
+
+def disk_scan_per_point(sys: ModelSystem, points, horizon: int, c: float):
+    """(E, censored) of ``pliss.disk_scan``, with one prefix sum of a_j per point on every model."""
+    scan = CocycleScan(points)
+    m = len(scan.t)
+    ssum = np.zeros(m)
+    last_fail = np.zeros(m, dtype=np.int64)
+    for n in range(1, horizon + 1):
+        e, _ = scan.advance(sys)
+        ssum -= np.log(e, out=e)
+        np.copyto(last_fail, n, where=(ssum >= -c * n))
+    evalue = last_fail + 1
+    censored = _censored(evalue, horizon)
+    return np.where(censored, horizon, evalue), censored
 
 
 def theta_pliss(c: float, sigma: float, expansion_bound: float) -> float:

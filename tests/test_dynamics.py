@@ -179,6 +179,24 @@ def test_log_series_uniform_constant():
     assert np.allclose(series, -math.log(2.0), atol=1e-14)
 
 
+def test_constant_log_expansion_only_on_the_uncoupled_uniform_family():
+    assert uniform_solenoid().constant_log_expansion == math.log(2.0)
+    for sys in (uniform_solenoid(coupling=0.5), intermittent_solenoid(alpha=0.5),
+                intermittent_solenoid(alpha=0.5, coupling=0.3)):
+        assert sys.constant_log_expansion is None
+
+
+@pytest.mark.parametrize("n", [1, 7, 8, 16, 17, 2048])
+def test_constant_log_expansion_is_the_array_log_of_the_scan(n):
+    # the per-point path takes numpy's array log of the scan's expansion;
+    # the constant matches it bit for bit in the SIMD body and in the tail
+    sys = uniform_solenoid()
+    want = np.full(n, sys.constant_log_expansion).view(np.uint64)
+    assert np.array_equal(np.log(np.full(n, 2.0)).view(np.uint64), want)
+    e = CocycleScan(np.random.default_rng(n).random(n)).advance(sys)[0]
+    assert np.array_equal(np.log(e).view(np.uint64), want)
+
+
 def test_log_series_intermittent_nonpositive_and_nue():
     sys = intermittent_solenoid(alpha=0.5)
     series = log_contraction_series(sys, 0.123, 10 ** 4)

@@ -160,3 +160,12 @@ def test_the_bench_counters_read_the_real_results():
     assert tr.counters["pliss.scanned_points"] == 1000
     assert tr.counters["inducing.active_point_steps"] == sum(
         rec["delta_prev"] for rec in structure.trace)
+
+
+def test_the_constant_expansion_scan_still_steps_every_orbit():
+    # `bench/run.py --trace 1` holds the disk scan to grid x horizon tangent
+    # pushes: the uniform scan sums one number, but pushes every orbit
+    tracer = _bench_tracer()
+    with tracer.Tracer() as tr:
+        pliss.disk_scan(uniform_solenoid(), pliss.disk_grid_points(0.25, 0.45, 2048), 50, 0.5)
+    assert tr.owner_points[("pliss.disk_scan", "dynamics.push_tangent")] == 2048 * 50

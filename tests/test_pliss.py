@@ -22,6 +22,7 @@ from gmstruct.pliss import (
 from oracles import (
     EmptySubset,
     contraction_slack,
+    disk_scan_per_point,
     expansion_time,
     hyperbolic_counts,
     log_contraction_series,
@@ -163,6 +164,22 @@ def test_disk_scan_outputs_pinned(case):
     got = (scan.expansion_time, scan.censored, counts.hyp_count, counts.hyp_count_at[100],
            np.float64(counts.max_expansion_log))
     assert tuple(_digest(v) for v in got) == want
+
+
+@pytest.mark.parametrize("horizon", [1, 37, 500])
+@pytest.mark.parametrize("c", [0.1, 0.5, math.log(2.0), 0.8, 2.0])
+def test_constant_expansion_scan_matches_per_point_sums(c, horizon):
+    # the uniform scan keeps one prefix sum for every point: E and the mask
+    # equal the per-point sums' bit for bit; c = log 2 puts ssum >= -c n on
+    # its rounding edge, and c > log 2 fails every point at every step
+    sys = uniform_solenoid()
+    assert sys.constant_log_expansion is not None
+    pts = disk_grid_points(DISK_CENTER, DISK_RADIUS, 2048)
+    scan = disk_scan(sys, pts, horizon, c)
+    want_e, want_censored = disk_scan_per_point(sys, pts, horizon, c)
+    assert scan.expansion_time.dtype == want_e.dtype
+    assert np.array_equal(scan.expansion_time, want_e)
+    assert np.array_equal(scan.censored, want_censored)
 
 
 @pytest.mark.parametrize("sys", [uniform_solenoid(), intermittent_solenoid(alpha=0.5),

@@ -205,12 +205,15 @@ class _Curve:
 
 
 def test_least_squares_constant_y():
-    # SS_tot = 0: the one r^2 guard reads the exact fit as 1, not 0/0
-    slope, intercept, resid, r_squared = least_squares(np.arange(10.0), np.full(10, -2.5))
-    assert r_squared == 1.0
-    assert slope == pytest.approx(0.0, abs=1e-12)
-    assert intercept == pytest.approx(-2.5, abs=1e-12)
-    assert np.max(np.abs(resid)) <= 1e-12
+    # SS_tot = 0 for -2.5, but the mean of the others rounds, leaving SS_tot a
+    # few ulps: a guard at exactly 0 read r^2 = -0.40, -3.14 and -5.0 from that
+    for value, n in [(-2.5, 10), (math.log(1e-3), 100), (0.1, 7), (0.3, 10)]:
+        y = np.full(n, value)
+        slope, intercept, resid, r_squared = least_squares(np.arange(float(n)), y)
+        assert r_squared == 1.0
+        assert slope == pytest.approx(0.0, abs=1e-12)
+        assert intercept == pytest.approx(value, abs=1e-12)
+        assert np.max(np.abs(resid)) <= 1e-12
 
 
 @pytest.mark.parametrize("seed", range(4))
