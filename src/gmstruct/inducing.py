@@ -24,9 +24,12 @@ is exact.
 True element intervals are recovered by Newton root-finding on the base
 coordinate (solving for image offset = +-delta0), which is possible
 whenever the element is wide enough for double precision.
-``verify_structure`` draws one sample of such elements, solves their edges
-once, and checks (P1) and (P3)/(P4) on the same intervals; ``markov.skipped``
-counts the carved samples left out.
+``verify_structure``, the one verify function that reads the structure,
+draws one sample of such elements and solves their edges once with
+``element_edges``; ``verify_markov`` (P1) and ``verify_pairs`` (P3)/(P4)
+take the intervals, return times and target arc as plain arrays, so they
+check any explicit partition.  ``markov.skipped`` counts the carved samples
+left out.
 """
 
 from __future__ import annotations
@@ -281,17 +284,6 @@ class GibbsMarkovStructure:
     log_deriv_carve: np.ndarray  # log (g^R)' on carved points
     violations: int
     trace: list
-    # grid-index runs of equal R > 0 (first and last index); a run is not an
-    # element, which at fine resolutions is far narrower than a cell
-    elem_lo: np.ndarray = field(init=False)
-    elem_hi: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        brk = np.flatnonzero(self.R[1:] != self.R[:-1]) + 1
-        starts = np.concatenate([[0], brk])
-        ends = np.concatenate([brk - 1, [len(self.R) - 1]])
-        carved = self.R[starts] > 0
-        self.elem_lo, self.elem_hi = starts[carved], ends[carved]
 
     @property
     def grid_size(self):
@@ -375,27 +367,23 @@ def _newton_edges(sys, t0, steps, center, targets, max_move):
     return best_t, best_err
 
 
-def element_edges(structure: GibbsMarkovStructure, sys: ModelSystem, idx):
-    """Refined (lo, hi) base intervals of the elements holding the given points.
+def element_edges(sys: ModelSystem, t_seed, steps, log_deriv, center, radius):
+    """Refined (lo, hi) base intervals of the elements holding the seed points.
 
-    ``idx`` holds grid-point indices (carved samples); each is solved for
-    the interval its g^R maps onto the radius-delta0 arc around p, the -delta0
-    and the +delta0 edges in one Newton batch.  The third value is the
-    batch's worst residual.
+    Seed i maps by g^steps[i], with log (g^steps[i])' = log_deriv[i], to
+    within ``radius`` of ``center``; its element is the interval that
+    g^steps[i] maps onto that arc, the -radius and the +radius edges solved
+    in one Newton batch.  The third value is the batch's worst residual.
     """
-    idx = np.asarray(idx, dtype=np.int64)
-    d0 = structure.params.delta0
-    steps = structure.R[idx]
-    # both edges are seeded from the carved sample itself, which sits
-    # inside the true element up to dither drift (~2^-50 in base
-    # coordinate).  The search clamp only spans the pullback of the
+    # both edges are seeded from the seed point, which must sit inside the
+    # true element (a carved sample does, up to dither drift of ~2^-50 in
+    # base coordinate).  The search clamp only spans the pullback of the
     # target offset -- never a whole grid cell, which would let the
     # solve escape into a neighboring injectivity branch of g^R once
     # elements are narrower than a cell.
-    t_seed = structure.points[idx]
-    move = 1e-12 + 8.0 * d0 * np.exp(-structure.log_deriv_carve[idx])
-    edges, err = _newton_edges(sys, np.tile(t_seed, 2), np.tile(steps, 2), structure.p_base,
-                               np.repeat([-d0, d0], len(idx)), np.tile(move, 2))
+    move = 1e-12 + 8.0 * radius * np.exp(-log_deriv)
+    edges, err = _newton_edges(sys, np.tile(t_seed, 2), np.tile(steps, 2), center,
+                               np.repeat([-radius, radius], len(t_seed)), np.tile(move, 2))
     lo, hi = np.split(edges, 2)
     return lo, hi, float(np.max(err, initial=0.0))
 
@@ -408,7 +396,13 @@ def _verifiable_elements(structure, max_elements, seed):
     own element.  At coarse resolutions many samples share one wide element
     and the runs are thinned to about one sample per predicted width.
     """
-    lo, hi, cell = structure.elem_lo, structure.elem_hi, structure.params.cell_width
+    R, cell = structure.R, structure.params.cell_width
+    # grid-index runs of equal R > 0 (first and last index); a run is not an
+    # element, which at fine resolutions is far narrower than a cell
+    brk = np.flatnonzero(R[1:] != R[:-1]) + 1
+    lo, hi = np.concatenate([[0], brk]), np.concatenate([brk - 1, [len(R) - 1]])
+    carved = R[lo] > 0
+    lo, hi = lo[carved], hi[carved]
     w_all = 2.0 * structure.params.delta0 * np.exp(-structure.log_deriv_carve)
     # range(lo, hi + 1, max(1, round(w / cell))) per run, cut at the run's length
     stride = np.rint(np.clip(w_all[lo] / cell, 1.0, hi - lo + 1)).astype(np.int64)
@@ -430,39 +424,42 @@ def verify_structure(structure: GibbsMarkovStructure, sys: ModelSystem, seed: in
                      max_elements: int = 400, pairs_per_element: int = 8) -> dict:
     """The ``verify.json`` document: (P1), (P3) and (P4) on one element sample.
 
-    One ``_verifiable_elements`` sample, refined by one ``element_edges``
-    solve, feeds both ``verify_markov`` and ``verify_pairs``.
+    The one verify function that reads the structure: one
+    ``_verifiable_elements`` sample, refined by one ``element_edges`` solve
+    onto the radius-delta0 arc around p, feeds both ``verify_markov`` and
+    ``verify_pairs``.  ``markov.skipped`` counts the carved samples not checked.
     """
     idx = _verifiable_elements(structure, max_elements, seed)
-    lo, hi, err = element_edges(structure, sys, idx)
-    steps = structure.R[idx]
-    return {"markov": verify_markov(structure, sys, lo, hi, steps, err),
-            **verify_pairs(structure, sys, lo, hi, steps, pairs_per_element, seed),
+    steps, p, d0 = structure.R[idx], structure.p_base, structure.params.delta0
+    lo, hi, err = element_edges(sys, structure.points[idx], steps,
+                                structure.log_deriv_carve[idx], p, d0)
+    skipped = int(np.count_nonzero(structure.R > 0)) - len(lo)
+    return {"markov": {"checked": len(lo), "skipped": skipped,
+                       **verify_markov(sys, lo, hi, steps, p, d0, err)},
+            **verify_pairs(sys, lo, hi, steps, structure.params.sigma, pairs_per_element, seed),
             "construction_violations": structure.violations}
 
 
-def verify_markov(structure: GibbsMarkovStructure, sys: ModelSystem,
-                  lo, hi, steps, err: float) -> dict:
-    """Check (P1): disjoint elements whose f^R images cover the delta0 arc.
+def verify_markov(sys: ModelSystem, lo, hi, steps, center, radius, err=0.0) -> dict:
+    """Check (P1): disjoint elements whose f^R images cover the arc of
+    ``radius`` around ``center``.
 
-    Element i is [lo[i], hi[i]] with return time steps[i].  ``err``, the
-    worst residual of the edge solve (0 for exact intervals), widens the edge
-    tolerance.  ``skipped`` counts the structure's carved samples not checked.
+    Element i is [lo[i], hi[i]] with return time steps[i]; the edge
+    tolerance is EDGE_TOL + ``err``.  Given the intervals and worst residual
+    of an ``element_edges`` solve, the edge half of the covering test
+    compares Newton's own residuals with that tolerance and cannot fail;
+    only the midpoint half can.  With exact intervals (err = 0) both can.
     """
-    report = {"checked": len(lo),
-              "skipped": int(np.count_nonzero(structure.R > 0)) - len(lo),
-              "covering_violations": 0, "overlap_violations": 0,
+    report = {"checked": len(lo), "covering_violations": 0, "overlap_violations": 0,
               "max_edge_err": err, "duplicates": 0}
-    d0 = structure.params.delta0
-    p = structure.p_base
     # covering: the endpoint images must hit the arc boundary, and the map
     # must be monotone across the element (checked at interior samples)
     ends, _ = _evolve_with_deriv(sys, np.concatenate([lo, hi, lo + 0.5 * (hi - lo)]),
                                  np.tile(steps, 3))
-    olo, ohi, omid = np.split(circle_offset(ends, p), 3)
+    olo, ohi, omid = np.split(circle_offset(ends, center), 3)
     tol = EDGE_TOL + err
-    bad = (np.abs(olo + d0) > tol) | (np.abs(ohi - d0) > tol)
-    bad |= (omid <= -d0) | (omid >= d0)
+    bad = (np.abs(olo + radius) > tol) | (np.abs(ohi - radius) > tol)
+    bad |= (omid <= -radius) | (omid >= radius)
     report["covering_violations"] = int(np.count_nonzero(bad))
     # pairwise disjointness; two representatives may resolve to the same
     # true element, which shows up as near-identical intervals, not overlap
@@ -475,8 +472,8 @@ def verify_markov(structure: GibbsMarkovStructure, sys: ModelSystem,
     return report
 
 
-def verify_pairs(structure: GibbsMarkovStructure, sys: ModelSystem,
-                 lo, hi, steps, pairs_per_element: int, seed: int) -> dict:
+def verify_pairs(sys: ModelSystem, lo, hi, steps, sigma: float,
+                 pairs_per_element: int, seed: int) -> dict:
     """Check (P3) and (P4) on pairs (y, z) drawn inside each [lo[i], hi[i]].
 
     (P3): dist(f^{R-k}y, f^{R-k}z) <= C sigma^{k/2} dist(f^Ry, f^Rz).  C_fit
@@ -490,7 +487,6 @@ def verify_pairs(structure: GibbsMarkovStructure, sys: ModelSystem,
     so max_residual_factor <= 1 by construction and the least-squares
     residuals are reported separately.
     """
-    sigma = structure.params.sigma
     back = {"C_fit": 0.0, "violations": 0, "pairs": 0,
             "ratio_p50": 0.0, "ratio_p90": 0.0}
     dist = {"C2_fit": 0.0, "eta_fit": 1.0, "max_residual_factor": 0.0,

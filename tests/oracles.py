@@ -5,8 +5,11 @@ that the one-sum scan of a constant expansion is checked against, the
 hyperbolic-time counts over a disk
 (``hyperbolic_counts``) that the Pliss density-floor tests read, and the
 per-run loop (``verifiable_elements``) that the vectorized element sample
-is checked against, and the per-record loop (``flow_constants``) that the
-trace reductions of ``measure_flow_constants`` are checked against."""
+is checked against, the per-record loop (``flow_constants``) that the
+trace reductions of ``measure_flow_constants`` are checked against, and the
+exact first-return partition of the intermittent base map
+(``first_return_partition``, ``first_return_tail``), a Gibbs-Markov
+structure on which the (P1), (P3) and (P4) checks have a known answer."""
 
 import math
 from dataclasses import dataclass
@@ -222,12 +225,20 @@ def mass_counts(state):
             "B_n": int(np.count_nonzero(state.wait > 0))}
 
 
+def carved_runs(R):
+    """(first, last) grid indices of each run of equal R > 0, from each point's neighbors."""
+    R = list(R)
+    firsts = [i for i, r in enumerate(R) if r > 0 and (i == 0 or R[i - 1] != r)]
+    lasts = [i for i, r in enumerate(R) if r > 0 and (i == len(R) - 1 or R[i + 1] != r)]
+    return np.array(firsts, dtype=np.int64), np.array(lasts, dtype=np.int64)
+
+
 def verifiable_elements(structure, max_elements, seed):
     """``inducing._verifiable_elements`` as a loop: range(lo, hi + 1, stride) per carved run."""
     cell = structure.params.cell_width
     w_all = 2.0 * structure.params.delta0 * np.exp(-structure.log_deriv_carve)
     reps = []
-    for lo, hi in zip(structure.elem_lo, structure.elem_hi):
+    for lo, hi in zip(*carved_runs(structure.R)):
         stride = max(1, int(round(w_all[lo] / cell)))
         reps.extend(range(int(lo), int(hi) + 1, stride))
     reps = np.array(reps, dtype=np.int64)
@@ -236,6 +247,33 @@ def verifiable_elements(structure, max_elements, seed):
         rng = np.random.default_rng(seed)
         reps = np.sort(rng.choice(reps, size=max_elements, replace=False))
     return reps
+
+
+def _left_preimages(sys: ModelSystem, n: int) -> np.ndarray:
+    """x_0 = 1/2, x_1, ..., x_n of the intermittent base map g: x_k is the
+    preimage of x_(k-1) under g's left branch, through ``base_inverse``."""
+    x = [0.5]
+    for _ in range(n):
+        x.append(float(sys.base_inverse(x[-1], 0)))
+    return np.array(x)
+
+
+def first_return_partition(sys: ModelSystem, K: int):
+    """(lo, hi, R) of the first K elements of the first return of g to Y = [1/2, 1).
+
+    Element n = 0 .. K-1 is [(1 + x_n)/2, (1 + x_(n-1))/2), with x_(-1) = 1:
+    one right-branch step maps it onto [x_n, x_(n-1)) and n left-branch
+    steps map that onto [x_0, x_(-1)) = Y.  So R = n + 1 on it, and g^R maps
+    it onto the arc of radius 1/4 around 3/4 (Liverani-Saussol-Vaienti 1999).
+    """
+    x = np.concatenate([[1.0], _left_preimages(sys, K - 1)])     # x[n + 1] = x_n
+    return (1.0 + x[1:]) / 2.0, (1.0 + x[:-1]) / 2.0, np.arange(1, K + 1)
+
+
+def first_return_tail(sys: ModelSystem, n_max: int) -> np.ndarray:
+    """Leb(R > n | Y) = x_(n-1) of the first return to Y = [1/2, 1), for n = 0 .. n_max:
+    the elements with R > n fill [1/2, (1 + x_(n-1))/2)."""
+    return np.concatenate([[1.0], _left_preimages(sys, n_max - 1)])
 
 
 def flow_constants(trace, n_max):

@@ -27,13 +27,27 @@ from gmstruct.inducing import (
     run_construction,
     step_partition,
     verify_markov,
+    verify_pairs,
     verify_structure,
     write_structure_json,
 )
-from oracles import flow_constants, mass_counts, verifiable_elements
+from oracles import (
+    carved_runs,
+    first_return_partition,
+    first_return_tail,
+    flow_constants,
+    mass_counts,
+    verifiable_elements,
+)
 
 UNIFORM = uniform_solenoid(lambda_s=0.25, coupling=0.0)
 INTERMITTENT = intermittent_solenoid(alpha=0.5)
+
+
+def _edges(st, sys, idx):
+    """``element_edges`` of a construction's carved samples idx, onto its delta0 arc around p."""
+    return element_edges(sys, st.points[idx], st.R[idx], st.log_deriv_carve[idx],
+                         st.p_base, st.params.delta0)
 
 
 @pytest.fixture(scope="module")
@@ -252,12 +266,13 @@ def test_uniform_construction_basics(uniform_structure):
     assert st.violations == 0
     assert not st.nonconvergent
     assert st.leftover_mass() < 5e-3
-    rvals = st.R[st.elem_lo]
+    elem_lo, elem_hi = carved_runs(st.R)
+    rvals = st.R[elem_lo]
     assert int(rvals.min()) == params.R0 + 1      # first admissible step carves
     assert int(rvals.max()) <= params.n_max
     assert st.gcd_R() == 1
     # element runs are disjoint and sorted
-    assert np.all(st.elem_lo[1:] > st.elem_hi[:-1])
+    assert np.all(elem_lo[1:] > elem_hi[:-1])
 
 
 def test_intermittent_construction_basics(intermittent_structure):
@@ -269,7 +284,8 @@ def test_intermittent_construction_basics(intermittent_structure):
 
 def test_elements_partition_carved_points(uniform_structure):
     st, _ = uniform_structure
-    assert int(np.sum(st.elem_hi - st.elem_lo + 1)) == int(np.count_nonzero(st.R > 0))
+    elem_lo, elem_hi = carved_runs(st.R)
+    assert int(np.sum(elem_hi - elem_lo + 1)) == int(np.count_nonzero(st.R > 0))
 
 
 # ---------------------------------------------------------------------------
@@ -292,20 +308,20 @@ def test_markov_property_intermittent(intermittent_structure):
     assert rep["overlap_violations"] == 0
 
 
-def test_markov_detects_synthetic_overlap(uniform_structure):
-    st, _ = uniform_structure
+def test_markov_detects_synthetic_overlap():
     # two genuinely overlapping, non-duplicate intervals
-    rep = verify_markov(st, UNIFORM, np.array([0.352, 0.355]), np.array([0.360, 0.363]),
-                        np.array([25, 25]), 0.0)
+    rep = verify_markov(UNIFORM, np.array([0.352, 0.355]), np.array([0.360, 0.363]),
+                        np.array([25, 25]), 0.37, 0.02)
     assert rep["overlap_violations"] >= 1
 
 
 def test_markov_detects_broken_covering(uniform_structure):
     st, _ = uniform_structure
-    idx = np.flatnonzero(st.R == int(st.R[st.elem_lo].min()))[:1]
-    lo, hi, _ = element_edges(st, UNIFORM, idx)
+    idx = np.flatnonzero(st.R == int(st.R[carved_runs(st.R)[0]].min()))[:1]
+    lo, hi, _ = _edges(st, UNIFORM, idx)
     # chop the element in half: its image no longer reaches +delta0
-    rep = verify_markov(st, UNIFORM, lo, lo + 0.5 * (hi - lo), st.R[idx], 0.0)
+    rep = verify_markov(UNIFORM, lo, lo + 0.5 * (hi - lo), st.R[idx], st.p_base,
+                        st.params.delta0, 0.0)
     assert rep["covering_violations"] == 1
 
 
@@ -396,6 +412,59 @@ def test_verify_pairs_coupled_pinned(case):
                           p_base=0.37)
     rep = verify_structure(st, sys_, seed=3, max_elements=100)
     assert {k: rep[k] for k in want} == want
+
+
+# ---------------------------------------------------------------------------
+# a known answer: the first return of the intermittent base map to Y = [1/2, 1)
+
+#: (alpha, K): K is capped so that every element is wider than 1e-6
+FIRST_RETURN = [(0.3, 50), (0.5, 100), (0.7, 100)]
+#: the shipped intermittent sigma, exp(-c/2) at c = 0.1
+SIGMA_SHIPPED = math.exp(-0.1 / 2.0)
+
+
+@pytest.mark.parametrize("alpha,K", FIRST_RETURN)
+def test_first_return_partition_passes_p1_p3_p4(alpha, K):
+    sys_ = intermittent_solenoid(alpha=alpha)
+    lo, hi, R = first_return_partition(sys_, K)
+    assert np.min(hi - lo) > 1e-6
+    rep = verify_markov(sys_, lo, hi, R, 0.75, 0.25)
+    assert (rep["checked"], rep["covering_violations"], rep["overlap_violations"],
+            rep["duplicates"]) == (K, 0, 0, 0)
+    pairs = verify_pairs(sys_, lo, hi, R, SIGMA_SHIPPED, 8, 0)
+    # within R <= K steps, the expansion of the last k steps of g^R, which
+    # grows polynomially in k, stays ahead of sigma^{-k/2} = e^{0.025 k}
+    assert pairs["backward_contraction"]["C_fit"] <= inducing.C0
+    # the first-return map has Lipschitz distortion: eta = 1, with slack for the fit
+    assert 0.8 <= pairs["distortion"]["eta_fit"] <= 1.1
+
+
+@pytest.mark.parametrize("alpha,K", FIRST_RETURN)
+def test_first_return_shifted_edges_fail_covering(alpha, K):
+    sys_ = intermittent_solenoid(alpha=alpha)
+    lo, hi, R = first_return_partition(sys_, K)
+    shift = 0.25 * (hi - lo)
+    rep = verify_markov(sys_, lo + shift, hi + shift, R, 0.75, 0.25)
+    assert rep["covering_violations"] == K
+
+
+def test_first_return_fails_p3_at_a_fast_sigma():
+    # sigma^{1/2} = 0.71 per backward step contracts faster than orbits near
+    # the neutral fixed point do, so no constant C0 bounds the ratios
+    sys_ = intermittent_solenoid(alpha=0.5)
+    lo, hi, R = first_return_partition(sys_, 100)
+    pairs = verify_pairs(sys_, lo, hi, R, 0.5, 8, 0)
+    assert pairs["backward_contraction"]["C_fit"] > inducing.C0
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.5])
+def test_first_return_tail_exponent(alpha):
+    # Leb(R > n | Y) = x_(n-1) ~ n^(-1/alpha): pins base_inverse's left branch
+    tail = first_return_tail(intermittent_solenoid(alpha=alpha), 800)
+    assert len(tail) == 801 and tail[0] == 1.0 and tail[1] == 0.5
+    for n1, n2 in ((100, 400), (400, 800)):
+        slope = -math.log(tail[n2] / tail[n1]) / math.log(n2 / n1)
+        assert abs(slope - 1.0 / alpha) <= 0.1
 
 
 def _evolve_masked(sys, t, steps):
@@ -498,7 +567,7 @@ def test_newton_stops_when_no_entry_moves(fixture, sys, request, monkeypatch):
 
     monkeypatch.setattr(inducing, "_newton_edges", spy_newton)
     monkeypatch.setattr(inducing, "_evolve_with_deriv", spy_evolve)
-    element_edges(st, sys, _verifiable_elements(st, 100, 3))
+    _edges(st, sys, _verifiable_elements(st, 100, 3))
     (args, got), = solves
     for a, b in zip(got, _newton_all_iterations(*args)):
         assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
@@ -581,7 +650,7 @@ def test_empty_construction(uniform_structure, intermittent_structure):
     params = ConstructionParams(delta0=0.02, sigma=0.51, c=0.5, n_max=10,
                                 resolution=2.0 ** -10)
     st = run_construction(UNIFORM, params, p_base=0.37)
-    assert len(st.elem_lo) == 0
+    assert len(carved_runs(st.R)[0]) == 0
     assert st.leftover_mass() == 1.0
     assert st.nonconvergent
     # no step had waiting mass, so a0 was not measured
@@ -656,8 +725,8 @@ def test_verifiable_elements_match_the_loop(runs, quarters, log_deriv, max_eleme
 
 def test_element_edges_match_expected_width(uniform_structure):
     st, params = uniform_structure
-    idx = np.flatnonzero(st.R == int(st.R[st.elem_lo].min()))[:5]
-    lo, hi, err = element_edges(st, UNIFORM, idx)
+    idx = np.flatnonzero(st.R == int(st.R[carved_runs(st.R)[0]].min()))[:5]
+    lo, hi, err = _edges(st, UNIFORM, idx)
     r = st.R[idx].astype(float)
     expect = 2.0 * params.delta0 / 2.0 ** r
     assert np.allclose(hi - lo, expect, rtol=1e-9)

@@ -86,6 +86,14 @@ def test_one_element_sample_feeds_every_verify_check():
     cls = next(n for n in tree.body
                if isinstance(n, ast.ClassDef) and n.name == "GibbsMarkovStructure")
     assert "_edges" not in {n.target.id for n in cls.body if isinstance(n, ast.AnnAssign)}
+    # the checks take the intervals and the arc they check, so they run on
+    # any explicit partition: only verify_structure reads the structure,
+    # which is a plain record with no derived fields
+    for fn in (inducing.verify_markov, inducing.verify_pairs, inducing.element_edges):
+        params = inspect.signature(fn).parameters.values()
+        assert all(p.name != "structure" and p.annotation not in (
+            inducing.GibbsMarkovStructure, "GibbsMarkovStructure") for p in params), fn.__name__
+    assert "__post_init__" not in vars(inducing.GibbsMarkovStructure)
 
 
 #: the orbit state a ``CocycleScan`` steps: points, slopes and its buffer of g(t)
